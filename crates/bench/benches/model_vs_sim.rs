@@ -11,13 +11,13 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use memhier_bench::runner::{simulate_workload, Sizes};
 use memhier_core::model::{AnalyticModel, ArrivalModel};
-use memhier_core::params::{self, configs};
+use memhier_core::params::configs;
 use memhier_workloads::registry::WorkloadKind;
 use std::hint::black_box;
 
 fn bench_model(c: &mut Criterion) {
     let mut g = c.benchmark_group("model_evaluate");
-    let workloads = params::paper_workloads();
+    let workloads = WorkloadKind::PAPER.map(|k| k.params());
     for arrival in [ArrivalModel::Open, ArrivalModel::SelfConsistent] {
         let model = AnalyticModel {
             arrival,

@@ -4,8 +4,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use memhier_core::machine::{MachineSpec, NetworkKind};
 use memhier_core::model::AnalyticModel;
-use memhier_core::params;
 use memhier_core::platform::ClusterSpec;
+use memhier_core::WorkloadKind;
 use memhier_cost::{optimize, plan_upgrade, CandidateSpace, PriceTable};
 use std::hint::black_box;
 
@@ -22,7 +22,7 @@ fn bench_optimize(c: &mut Criterion) {
                 b.iter(|| {
                     optimize(
                         black_box(budget),
-                        &params::workload_radix(),
+                        &WorkloadKind::Radix.params(),
                         &model,
                         &prices,
                         &space,
@@ -48,7 +48,7 @@ fn bench_upgrade(c: &mut Criterion) {
             plan_upgrade(
                 black_box(&existing),
                 2500.0,
-                &params::workload_fft(),
+                &WorkloadKind::Fft.params(),
                 &model,
                 &prices,
             )

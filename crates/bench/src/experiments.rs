@@ -7,9 +7,10 @@ use crate::calib::{calibrate, CalibPoint};
 use crate::runner::{simulate_workload, Characterization, Sizes};
 use crate::sweeprun::{characterize_many, run_sweep, SweepPlan};
 use crate::tables::{fmt_pct, fmt_seconds, save_json, Table};
+use memhier_core::locality::WorkloadParams;
 use memhier_core::machine::{MachineSpec, NetworkKind};
 use memhier_core::model::AnalyticModel;
-use memhier_core::params::{self, configs};
+use memhier_core::params::configs;
 use memhier_core::platform::{ClusterSpec, PlatformKind};
 use memhier_cost::{optimize, plan_upgrade, recommend, CandidateSpace, PriceTable};
 use memhier_workloads::registry::WorkloadKind;
@@ -45,17 +46,7 @@ pub fn table1() -> Table {
 /// E2 — Table 2: measured `(α, β, ρ)` of the four kernels (plus TPC-C),
 /// side by side with the paper's published values.
 pub fn table2(sizes: Sizes, include_tpcc: bool) -> (Table, Vec<Characterization>) {
-    let paper_vals = [
-        ("FFT", 1.21, 103.26, 0.20),
-        ("LU", 1.30, 90.27, 0.31),
-        ("Radix", 1.14, 120.84, 0.37),
-        ("EDGE", 1.71, 85.03, 0.45),
-        ("TPC-C", 1.73, 1222.66, 0.36),
-    ];
-    let mut kinds = WorkloadKind::PAPER.to_vec();
-    if include_tpcc {
-        kinds.push(WorkloadKind::Tpcc);
-    }
+    let kinds = table2_kinds(include_tpcc);
     let mut t = Table::new(
         "Table 2: program characteristics (ours vs paper)",
         &[
@@ -71,14 +62,11 @@ pub fn table2(sizes: Sizes, include_tpcc: bool) -> (Table, Vec<Characterization>
         ],
     );
     // Fan the per-program characterizations out over the sweep pool; the
-    // process-wide cache means re-running table2 (as every figure binary
+    // process-wide cache means re-running table2 (as every figure experiment
     // does) analyzes each address stream only once.
     let chars = characterize_many(sizes, &kinds, GRANULARITY);
-    for c in &chars {
-        let p = paper_vals
-            .iter()
-            .find(|v| v.0 == c.name)
-            .expect("known name");
+    for (kind, c) in kinds.iter().zip(&chars) {
+        let p = kind.info();
         t.row(vec![
             c.name.clone(),
             format!("{:.2}", c.alpha),
@@ -86,13 +74,30 @@ pub fn table2(sizes: Sizes, include_tpcc: bool) -> (Table, Vec<Characterization>
             format!("{:.2}", c.rho),
             format!("{:.3}", c.r_squared),
             c.refs.to_string(),
-            format!("{:.2}", p.1),
-            format!("{:.1}", p.2),
-            format!("{:.2}", p.3),
+            format!("{:.2}", p.alpha),
+            format!("{:.1}", p.beta),
+            format!("{:.2}", p.rho),
         ]);
     }
     save_json("table2", &chars);
     (t, chars)
+}
+
+/// The four Table-2 kernels, plus the §5.2 TPC-C aside when asked.
+fn table2_kinds(include_tpcc: bool) -> Vec<WorkloadKind> {
+    let mut kinds = WorkloadKind::PAPER.to_vec();
+    if include_tpcc {
+        kinds.push(WorkloadKind::Tpcc);
+    }
+    kinds
+}
+
+/// [`table2_kinds`]' published model parameters.
+fn table2_params(include_tpcc: bool) -> Vec<WorkloadParams> {
+    table2_kinds(include_tpcc)
+        .iter()
+        .map(|k| k.params())
+        .collect()
 }
 
 /// One row of a model-vs-simulation figure.
@@ -131,14 +136,14 @@ pub fn figure_experiment(
     //    over the sweep pool — and gather comparison points.  `run_sweep`
     //    returns results in grid order (cluster-major, matching the old
     //    serial loops), so the rows below are identical at any `--jobs`.
-    let kinds: Vec<WorkloadKind> = chars.iter().map(|ch| kind_of(&ch.name)).collect();
+    let kinds: Vec<WorkloadKind> = chars.iter().map(Characterization::kind).collect();
     let plan = SweepPlan::new(figure_name, sizes).cross(cluster_set, &kinds);
     let results = run_sweep(&plan);
     let points: Vec<CalibPoint> = results
         .iter()
         .map(|r| {
             let ch = &chars[r.index % chars.len()];
-            debug_assert_eq!(kind_of(&ch.name), r.point.kind);
+            debug_assert_eq!(ch.kind(), r.point.kind);
             CalibPoint {
                 cluster: r.point.cluster.clone(),
                 workload: ch.to_model_params(),
@@ -246,17 +251,6 @@ pub fn figure_experiment(
     (t, rows, cal)
 }
 
-fn kind_of(name: &str) -> WorkloadKind {
-    match name {
-        "FFT" => WorkloadKind::Fft,
-        "LU" => WorkloadKind::Lu,
-        "Radix" => WorkloadKind::Radix,
-        "EDGE" => WorkloadKind::Edge,
-        "TPC-C" => WorkloadKind::Tpcc,
-        other => panic!("unknown workload {other}"),
-    }
-}
-
 /// E3 — Figure 2 (+ Table 3 configs): SMPs C1–C6.
 pub fn fig2_smp(sizes: Sizes, chars: &[Characterization]) -> (Table, Vec<FigureRow>) {
     let (t, rows, _) = figure_experiment(
@@ -325,7 +319,7 @@ pub fn coherence_traffic(sizes: Sizes) -> Table {
 /// ~a hundred bytes, simulation takes orders of magnitude longer.
 pub fn speedup(sizes: Sizes) -> Table {
     let cfg = configs::c5();
-    let w = params::workload_fft();
+    let w = WorkloadKind::Fft.params();
     let model = AnalyticModel::default();
     let t0 = std::time::Instant::now();
     let iters = 1000;
@@ -362,10 +356,7 @@ pub fn case_budget(budget: f64, include_tpcc: bool) -> Table {
     let model = AnalyticModel::default();
     let prices = PriceTable::circa_1999();
     let space = CandidateSpace::paper_market();
-    let mut workloads = params::paper_workloads();
-    if include_tpcc {
-        workloads.push(params::workload_tpcc());
-    }
+    let workloads = table2_params(include_tpcc);
     let mut t = Table::new(
         format!("Case study: optimal cluster under ${budget:.0}"),
         &[
@@ -433,7 +424,7 @@ pub fn case_upgrade(extra: f64) -> Table {
         ],
     );
     let mut artifact = Vec::new();
-    for w in params::paper_workloads() {
+    for w in WorkloadKind::PAPER.map(|k| k.params()) {
         let before = model.evaluate_or_inf(&existing, &w);
         let plans = plan_upgrade(&existing, extra, &w, &model, &prices);
         let best = &plans[0];
@@ -456,7 +447,7 @@ pub fn case_upgrade(extra: f64) -> Table {
 pub fn case_fft_4x() -> Table {
     let prices = PriceTable::circa_1999();
     let model = AnalyticModel::default();
-    let w = params::workload_fft();
+    let w = WorkloadKind::Fft.params();
     let eth = ClusterSpec::cluster(
         MachineSpec::new(1, 256, 64, 200.0),
         4,
@@ -513,9 +504,7 @@ pub fn sensitivity() -> Table {
         ],
     );
     let mut artifact = Vec::new();
-    let mut workloads = params::paper_workloads();
-    workloads.push(params::workload_tpcc());
-    for w in &workloads {
+    for w in &table2_params(true) {
         let r = analyze(&model, &baseline, w);
         let el = r
             .factors
@@ -588,7 +577,7 @@ pub fn ablation() -> Table {
     );
     let mut artifact = Vec::new();
     for cfg in &clusters {
-        for w in params::paper_workloads() {
+        for w in WorkloadKind::PAPER.map(|k| k.params()) {
             let eval = |arrival, tail_mode| {
                 let m = AnalyticModel {
                     arrival,
@@ -637,7 +626,7 @@ pub fn utilization(sizes: Sizes, chars: &[Characterization]) -> Table {
     );
     let mut artifact = Vec::new();
     let clusters = [configs::c7(), configs::c8(), configs::c10()];
-    let kinds: Vec<WorkloadKind> = chars.iter().map(|ch| kind_of(&ch.name)).collect();
+    let kinds: Vec<WorkloadKind> = chars.iter().map(Characterization::kind).collect();
     let plan = SweepPlan::new("utilization", sizes).cross(&clusters, &kinds);
     for r in run_sweep(&plan) {
         let ch = &chars[r.index % chars.len()];
@@ -673,10 +662,8 @@ pub fn recommendations() -> Table {
         "Recommendations (paper section 6)",
         &["Workload", "rho", "beta", "Platform", "Upgrade advice"],
     );
-    let mut workloads = params::paper_workloads();
-    workloads.push(params::workload_tpcc());
     let mut artifact = Vec::new();
-    for w in &workloads {
+    for w in &table2_params(true) {
         let r = recommend(w);
         t.row(vec![
             w.name.clone(),

@@ -1,8 +1,7 @@
 //! One typed flag parser for every entry point.
 //!
-//! The CLI and all 18 experiment binaries used to hand-roll their own
-//! `std::env::args()` loops, each with slightly different spellings and
-//! error behavior.  [`FlagParser`] gives them a single declarative
+//! Every `memhier` subcommand and the load-generator binaries parse their
+//! arguments through [`FlagParser`], a single declarative
 //! surface: registered switches (`--paper`) and valued options
 //! (`--jobs N` / `--jobs=N`), auto-generated `--help`, rejection of
 //! unknown flags, and shared bundles for the common knobs

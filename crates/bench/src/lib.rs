@@ -21,8 +21,9 @@
 //!   Figures 2–4, the speed claim, the §6 case studies and
 //!   recommendations).
 //!
-//! Each experiment also has a binary in `src/bin/` (e.g. `fig2_smp`) and
-//! the Criterion benches under `benches/` cover the performance claims.
+//! `memhier reproduce <experiment>` runs each experiment; the Criterion
+//! benches under `benches/` and the ledger benchmark in `src/bin/ledger/`
+//! cover the performance claims.
 
 pub mod calib;
 pub mod experiments;

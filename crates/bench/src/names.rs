@@ -1,6 +1,6 @@
 //! Canonical string names for configs, workloads, and size tiers.
 //!
-//! The CLI, the experiment binaries, and the `memhierd` service all take
+//! The CLI, `memhier reproduce`, and the `memhierd` service all take
 //! the same spellings (`C1..C15` plus the extended `N4/N8/FT8/FT16`
 //! configs, any workload-registry key, `small|medium|paper`); resolving
 //! them lives here so every entry point accepts and rejects exactly the
@@ -8,10 +8,9 @@
 
 use crate::runner::Sizes;
 use memhier_core::locality::WorkloadParams;
-use memhier_core::params::{self, configs};
+use memhier_core::params::configs;
 use memhier_core::platform::ClusterSpec;
 use memhier_workloads::registry::WorkloadKind;
-use memhier_workloads::{workload_by_key, workload_keys};
 
 /// Resolve a named configuration: the paper's `C1`..`C15` or the
 /// extended `N4`/`N8`/`FT8`/`FT16` NUMA and fat-tree configs.
@@ -25,9 +24,7 @@ pub fn config_by_name(name: &str) -> Result<ClusterSpec, String> {
 
 /// Resolve a workload kind by registry key or alias (case-insensitive).
 pub fn workload_kind_by_name(name: &str) -> Result<WorkloadKind, String> {
-    workload_by_key(name)
-        .and_then(|spec| spec.kind())
-        .ok_or_else(|| format!("unknown workload `{name}` ({})", workload_keys().join("|")))
+    WorkloadKind::parse(name).ok_or_else(|| WorkloadKind::unknown(name))
 }
 
 /// Resolve a problem-size tier by name.
@@ -40,22 +37,10 @@ pub fn sizes_by_name(name: &str) -> Result<Sizes, String> {
     }
 }
 
-/// The paper's Table-2 `(α, β, ρ)` parameters for a kernel.
+/// The paper's Table-2 `(α, β, ρ)` parameters for a kernel (its
+/// workload-table row, [`WorkloadKind::params`]).
 pub fn paper_params(kind: WorkloadKind) -> WorkloadParams {
-    match kind {
-        WorkloadKind::Fft => params::workload_fft(),
-        WorkloadKind::Lu => params::workload_lu(),
-        WorkloadKind::Radix => params::workload_radix(),
-        WorkloadKind::Edge => params::workload_edge(),
-        WorkloadKind::Tpcc => params::workload_tpcc(),
-        WorkloadKind::Stencil4D => params::workload_stencil4d(),
-        WorkloadKind::Stream => params::workload_stream(),
-        WorkloadKind::GraphWalk => params::workload_graphwalk(),
-        WorkloadKind::Inference => params::workload_inference(),
-        // WorkloadKind is non_exhaustive; workload_kind_by_name only emits
-        // the kinds above.
-        other => unreachable!("no paper parameters for {other:?}"),
-    }
+    kind.params()
 }
 
 #[cfg(test)]

@@ -7,10 +7,9 @@
 //! the service stay byte-for-byte interchangeable (pinned by
 //! `serve_parity.rs`).
 
-use crate::names::paper_params;
 use memhier_core::machine::NetworkKind;
 use memhier_core::{platform_specs, ParamInfo};
-use memhier_workloads::workload_specs;
+use memhier_workloads::{Workload, WorkloadKind};
 use serde_json::Value;
 
 fn str_array(items: &[&str]) -> Value {
@@ -33,35 +32,24 @@ fn params_json(params: &[ParamInfo]) -> Value {
     )
 }
 
-/// Every registered workload, in registration order (built-ins first).
-/// Kinds with paper-style `(α, β, ρ)` characterizations carry them under
-/// `paper`.
+/// Every workload, in table order, with its `(α, β, ρ)` under `paper`.
 pub fn workloads_json() -> Value {
     Value::Array(
-        workload_specs()
+        WorkloadKind::ALL
             .iter()
-            .map(|spec| {
-                let mut fields = vec![
-                    ("key".to_string(), Value::String(spec.key().to_string())),
-                    ("aliases".to_string(), str_array(spec.aliases())),
-                    (
-                        "description".to_string(),
-                        Value::String(spec.description().to_string()),
-                    ),
-                    ("params".to_string(), params_json(spec.params())),
-                ];
-                if let Some(kind) = spec.kind() {
-                    let w = paper_params(kind);
-                    fields.push((
-                        "paper".to_string(),
-                        serde_json::json!({
-                            "alpha": w.locality.alpha,
-                            "beta": w.locality.beta,
-                            "rho": w.rho,
-                        }),
-                    ));
-                }
-                Value::Object(fields)
+            .map(|kind| {
+                let row = kind.info();
+                serde_json::json!({
+                    "key": row.key,
+                    "aliases": str_array(row.aliases),
+                    "description": row.description,
+                    "params": params_json(Workload::schema(*kind)),
+                    "paper": serde_json::json!({
+                        "alpha": row.alpha,
+                        "beta": row.beta,
+                        "rho": row.rho,
+                    }),
+                })
             })
             .collect(),
     )

@@ -18,9 +18,9 @@ use serde::{Deserialize, Serialize};
 pub enum Sizes {
     /// Tiny (CI tests).
     Small,
-    /// Default for the experiment binaries: minutes, not hours.
+    /// Default for `memhier reproduce`: minutes, not hours.
     Medium,
-    /// The paper's §5.2 sizes (pass `--paper` to the binaries).
+    /// The paper's §5.2 sizes (pass `--paper` to `memhier reproduce`).
     Paper,
 }
 
@@ -229,6 +229,12 @@ pub struct Characterization {
 }
 
 impl Characterization {
+    /// The workload this characterization measured (programs are named
+    /// by their workload-table key).
+    pub fn kind(&self) -> WorkloadKind {
+        WorkloadKind::parse(&self.name).expect("characterized programs carry a table key")
+    }
+
     /// Convert to the analytic model's workload parameters.
     pub fn to_model_params(&self) -> WorkloadParams {
         WorkloadParams::new(

@@ -41,7 +41,6 @@ use memhier_core::machine::LatencyParams;
 use memhier_core::platform::ClusterSpec;
 use memhier_core::{platform_by_key, platform_keys};
 use memhier_workloads::registry::{Workload, WorkloadKind};
-use memhier_workloads::{workload_by_key, workload_keys, ResolvedWorkload};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::fmt;
@@ -75,15 +74,7 @@ impl fmt::Display for ScenarioError {
             ScenarioError::UnknownConfig(name) => {
                 write!(f, "unknown config `{name}` (try `memhier configs`)")
             }
-            ScenarioError::UnknownWorkload(name) => {
-                // The alternatives come from the live registry, so a
-                // workload registered at runtime appears here too.
-                write!(
-                    f,
-                    "unknown workload `{name}` ({})",
-                    workload_keys().join("|")
-                )
-            }
+            ScenarioError::UnknownWorkload(name) => f.write_str(&WorkloadKind::unknown(name)),
             ScenarioError::UnknownSize(name) => {
                 write!(f, "unknown size `{name}` (small|medium|paper)")
             }
@@ -718,16 +709,7 @@ fn resolve_workload_params(
         "size".to_string(),
         Value::String(size_name(size).to_string()),
     ));
-    let spec = workload_by_key(kind.name())
-        .ok_or_else(|| ScenarioError::UnknownWorkload(kind.name().to_string()))?;
-    match spec.build(&Value::Object(fields)) {
-        Ok(ResolvedWorkload::Sized(w)) => Ok(w),
-        Ok(ResolvedWorkload::Program(_)) => Err(ScenarioError::Invalid(
-            "workload",
-            format!("`{}` does not build a sized workload", kind.name()),
-        )),
-        Err(e) => Err(ScenarioError::Invalid("workload", e)),
-    }
+    Workload::build(kind, &Value::Object(fields)).map_err(|e| ScenarioError::Invalid("workload", e))
 }
 
 #[cfg(test)]

@@ -16,14 +16,14 @@
 //!
 //! Size flags for simulate/fit: `--small`, `--paper` (default medium).
 //! All flag parsing goes through `memhier_bench::FlagParser`, so `--jobs`,
-//! `--metrics`, `--trace`, sizes, and `--help` behave exactly as in the
-//! experiment binaries.
+//! `--metrics`, `--trace`, sizes, and `--help` behave the same in every
+//! subcommand.
 
 use memhier::MemhierError;
 use memhier_bench::runner::{characterize, Sizes};
 use memhier_bench::{
-    config_by_name, paper_params, run_optimize, run_recommend, workload_kind_by_name, FlagParser,
-    Matches, Scenario,
+    config_by_name, run_optimize, run_recommend, workload_kind_by_name, FlagParser, Matches,
+    Scenario,
 };
 use memhier_core::machine::{MachineSpec, NetworkKind};
 use memhier_core::model::AnalyticModel;
@@ -34,7 +34,7 @@ use memhier_cost::{
     OptimizeRequest, PriceTable, RecommendRequest, WorkloadSpec,
 };
 use memhier_serve::{ServeConfig, Server};
-use memhier_workloads::registry::WorkloadKind;
+use memhier_workloads::registry::{Workload, WorkloadKind};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -110,9 +110,10 @@ USAGE:
   memhier sweep    --configs C1,C2,...|@plan.json --workloads FFT,LU,... [--json]
                    [--small|--paper] [--jobs N] [--sim-threads N]
                    [--checkpoint PATH] [--resume] [--max-retries N] [--faults SPEC]
-  memhier reproduce <table1|table2|fig2|fig3|fig4|coherence|speedup|
-                     budget5k|budget20k|upgrade|fft4x|recommendations|
-                     sensitivity|ablation|sweep|utilization|all>
+  memhier reproduce <table1|table2|fig2_smp|fig3_cow|fig4_clump|coherence|
+                     speedup|case_budget5k|case_budget20k|case_upgrade|
+                     case_fft_4x|recommendations|sensitivity|ablation|
+                     sweep_map|utilization|all>
                     [--small|--paper] [--jobs N]
 
 Every subcommand accepts --help for its own flag list.";
@@ -160,12 +161,13 @@ fn cmd_workloads(rest: &[String]) -> Result<(), MemhierError> {
         return Ok(());
     }
     println!("Registered workloads:");
-    for spec in memhier_workloads::workload_specs() {
+    for kind in WorkloadKind::ALL {
+        let row = kind.info();
         print_registry_entry(
-            spec.key(),
-            spec.aliases(),
-            spec.description(),
-            spec.params(),
+            row.key,
+            row.aliases,
+            row.description,
+            Workload::schema(kind),
         );
     }
     Ok(())
@@ -255,7 +257,7 @@ fn cmd_model(rest: &[String]) -> Result<(), MemhierError> {
         let mut out = Vec::new();
         for c in configs::all_configs() {
             for kind in WorkloadKind::PAPER {
-                let w = paper_params(kind);
+                let w = kind.params();
                 let e = model.evaluate_or_inf(&c, &w);
                 if json {
                     out.push(serde_json::json!({
@@ -278,7 +280,7 @@ fn cmd_model(rest: &[String]) -> Result<(), MemhierError> {
     }
     let cfg = config_by_name(req(&m, "--config")?)?;
     let kind = workload_kind_by_name(req(&m, "--workload")?)?;
-    let w = paper_params(kind);
+    let w = kind.params();
     let p = model.evaluate(&cfg, &w)?;
     if json {
         println!("{}", serde_json::to_string_pretty(&p)?);
@@ -482,7 +484,7 @@ fn cmd_fit(rest: &[String]) -> Result<(), MemhierError> {
         "  footprint = {:.0} bytes over {} refs",
         c.footprint_bytes, c.refs
     );
-    let w = paper_params(kind);
+    let w = kind.params();
     println!(
         "  paper: alpha = {:.2}  beta = {:.1}  rho = {:.2}",
         w.locality.alpha, w.locality.beta, w.rho
@@ -835,7 +837,7 @@ fn cmd_pareto(rest: &[String]) -> Result<(), MemhierError> {
         return Ok(());
     };
     let kind = workload_kind_by_name(req(&m, "--workload")?)?;
-    let w = paper_params(kind);
+    let w = kind.params();
     let frontier = pareto_frontier(
         &w,
         &AnalyticModel::default(),
@@ -897,7 +899,7 @@ fn cmd_upgrade(rest: &[String]) -> Result<(), MemhierError> {
     } else {
         ClusterSpec::single(MachineSpec::new(procs, cache, mem, 200.0))
     };
-    let w = paper_params(kind);
+    let w = kind.params();
     let plans = plan_upgrade(
         &existing,
         budget,
@@ -914,8 +916,9 @@ fn cmd_upgrade(rest: &[String]) -> Result<(), MemhierError> {
     Ok(())
 }
 
-/// Dispatch to the experiment harness (same code the `memhier-bench`
-/// binaries run).
+/// Dispatch to the experiment harness.  Experiments answer to their
+/// artifact names (`fig2_smp`, `case_budget5k`, ...) and to the short
+/// forms (`fig2`, `budget5k`, ...).
 fn cmd_reproduce(rest: &[String]) -> Result<(), MemhierError> {
     use memhier_bench::experiments as ex;
     let parser = FlagParser::new("memhier reproduce", "regenerate paper artifacts")
@@ -934,21 +937,26 @@ fn cmd_reproduce(rest: &[String]) -> Result<(), MemhierError> {
     match which.as_str() {
         "table1" => ex::table1().print(),
         "table2" => ex::table2(sizes, true).0.print(),
-        "fig2" => ex::fig2_smp(sizes, &chars()).0.print(),
-        "fig3" => ex::fig3_cow(sizes, &chars()).0.print(),
-        "fig4" => ex::fig4_clump(sizes, &chars()).0.print(),
+        "fig2" | "fig2_smp" => ex::fig2_smp(sizes, &chars()).0.print(),
+        "fig3" | "fig3_cow" => ex::fig3_cow(sizes, &chars()).0.print(),
+        "fig4" | "fig4_clump" => ex::fig4_clump(sizes, &chars()).0.print(),
         "coherence" => ex::coherence_traffic(sizes).print(),
         "speedup" => ex::speedup(sizes).print(),
-        "budget5k" => ex::case_budget(5000.0, false).print(),
-        "budget20k" => ex::case_budget(20_000.0, true).print(),
-        "upgrade" => ex::case_upgrade(2500.0).print(),
-        "fft4x" => ex::case_fft_4x().print(),
+        "budget5k" | "case_budget5k" => ex::case_budget(5000.0, false).print(),
+        "budget20k" | "case_budget20k" => ex::case_budget(20_000.0, true).print(),
+        "upgrade" | "case_upgrade" => ex::case_upgrade(2500.0).print(),
+        "fft4x" | "case_fft_4x" => ex::case_fft_4x().print(),
         "recommendations" => ex::recommendations().print(),
         "sensitivity" => ex::sensitivity().print(),
         "ablation" => ex::ablation().print(),
-        "sweep" => println!("{}", ex::sweep_map(20_000.0)),
+        "sweep" | "sweep_map" => println!("{}", ex::sweep_map(20_000.0)),
         "utilization" => ex::utilization(sizes, &chars()).print(),
         "all" => {
+            let t0 = std::time::Instant::now();
+            eprintln!(
+                "[reproduce] sweeps run on {} worker(s)",
+                memhier_bench::sweeprun::jobs()
+            );
             ex::table1().print();
             let (t2, cs) = ex::table2(sizes, true);
             t2.print();
@@ -967,6 +975,10 @@ fn cmd_reproduce(rest: &[String]) -> Result<(), MemhierError> {
             ex::ablation().print();
             ex::utilization(sizes, &kernels).print();
             println!("{}", ex::sweep_map(20_000.0));
+            eprintln!(
+                "[reproduce] all experiments finished in {:.1}s",
+                t0.elapsed().as_secs_f64()
+            );
         }
         other => {
             return Err(MemhierError::Invalid(format!(

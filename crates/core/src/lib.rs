@@ -29,18 +29,21 @@
 //! * [`platform`] — cluster specifications and platform classification
 //!   (paper Table 1).
 //! * [`model`] — the analytic model proper: `T` and `E(Instr)` per platform.
-//! * [`params`] — the paper's published constants: latency table (§5.1),
-//!   workload characteristics (Table 2), and configurations C1–C15
-//!   (Tables 3–5).
+//! * [`params`] — the paper's published constants: problem sizes (§5.2)
+//!   and configurations C1–C15 (Tables 3–5).
+//! * [`workload`] — the workload table: one row per program with its
+//!   name, aliases and Table-2 `(α, β, ρ)`, behind the [`WorkloadKind`]
+//!   handle.
 //!
 //! ## Quick example
 //!
 //! ```
-//! use memhier_core::params::{self, configs};
+//! use memhier_core::params::configs;
 //! use memhier_core::model::AnalyticModel;
+//! use memhier_core::WorkloadKind;
 //!
 //! let model = AnalyticModel::default();
-//! let fft = params::workload_fft();
+//! let fft = WorkloadKind::Fft.params();
 //! // C5: 4-processor SMP, 256 KB cache, 128 MB memory, 200 MHz.
 //! let pred = model.evaluate(&configs::c5(), &fft).unwrap();
 //! assert!(pred.e_instr_seconds > 0.0);
@@ -55,6 +58,7 @@ pub mod model;
 pub mod params;
 pub mod platform;
 pub mod sensitivity;
+pub mod workload;
 
 pub use catalog::{platform_by_key, platform_keys, platform_specs, ParamInfo, PlatformSpec};
 pub use error::ModelError;
@@ -64,3 +68,4 @@ pub use model::{
     AnalyticModel, ArrivalModel, LevelBreakdown, LevelDiagnostic, ModelReport, Prediction, TailMode,
 };
 pub use platform::{ClusterSpec, PlatformKind};
+pub use workload::{WorkloadInfo, WorkloadKind};

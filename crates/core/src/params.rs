@@ -1,7 +1,7 @@
-//! The paper's published constants: Table 2 workload characteristics,
-//! Tables 3–5 platform configurations (C1–C15), and problem sizes (§5.2).
+//! The paper's published constants: Tables 3–5 platform configurations
+//! (C1–C15) and problem sizes (§5.2).  Table 2's workload characteristics
+//! are rows of the workload table ([`crate::workload`]).
 
-use crate::locality::WorkloadParams;
 use crate::machine::{MachineSpec, NetworkKind};
 use crate::platform::ClusterSpec;
 
@@ -48,131 +48,6 @@ pub mod sizes {
     /// Inference footprint: layer weights + double-buffered activations.
     pub const INFER_FOOTPRINT: f64 =
         (INFER_LAYERS * INFER_DIM * INFER_DIM * 8 + 2 * INFER_BATCH * INFER_DIM * 8) as f64;
-}
-
-/// FFT workload parameters (Table 2: α = 1.21, β = 103.26, ρ = 0.20).
-pub fn workload_fft() -> WorkloadParams {
-    WorkloadParams::new("FFT", 1.21, 103.26, 0.20)
-        .expect("paper constants are valid")
-        .with_footprint(sizes::FFT_FOOTPRINT)
-}
-
-/// LU workload parameters (Table 2: α = 1.30, β = 90.27, ρ = 0.31).
-pub fn workload_lu() -> WorkloadParams {
-    WorkloadParams::new("LU", 1.30, 90.27, 0.31)
-        .expect("paper constants are valid")
-        .with_footprint(sizes::LU_FOOTPRINT)
-}
-
-/// Radix workload parameters (Table 2: α = 1.14, β = 120.84, ρ = 0.37).
-pub fn workload_radix() -> WorkloadParams {
-    WorkloadParams::new("Radix", 1.14, 120.84, 0.37)
-        .expect("paper constants are valid")
-        .with_footprint(sizes::RADIX_FOOTPRINT)
-}
-
-/// EDGE workload parameters (Table 2: α = 1.71, β = 85.03, ρ = 0.45).
-pub fn workload_edge() -> WorkloadParams {
-    WorkloadParams::new("EDGE", 1.71, 85.03, 0.45)
-        .expect("paper constants are valid")
-        .with_footprint(sizes::EDGE_FOOTPRINT)
-        // EDGE barriers after every iteration (§5.2) — the most
-        // barrier-intensive of the four kernels.
-        .with_barrier_rate(1e-5)
-}
-
-/// The TPC-C commercial workload the paper characterizes as an aside in
-/// §5.2: α = 1.73, β = 1222.66, ρ = 0.36.
-pub fn workload_tpcc() -> WorkloadParams {
-    WorkloadParams::new("TPC-C", 1.73, 1222.66, 0.36).expect("paper constants are valid")
-}
-
-/// QCD-style 4-D stencil with halo exchange.  (α, β, ρ) measured with
-/// `memhier record → fit` on the paper-size generator: dense
-/// nearest-neighbor sweeps give FFT-like reuse with a larger memory
-/// fraction (loads of 8 neighbors + 1 center per site update).
-pub fn workload_stencil4d() -> WorkloadParams {
-    WorkloadParams::new("Stencil4D", 1.38, 9.85, 0.33)
-        .expect("measured constants are valid")
-        .with_footprint(sizes::STENCIL_FOOTPRINT)
-        // One barrier per lattice sweep: halo exchange each iteration.
-        .with_barrier_rate(2e-6)
-}
-
-/// Streaming scan: touch-once locality, the pathological corner of the
-/// stack-distance model.  The fit converges with β driven to its floor —
-/// there is no reuse beyond the cache line itself.
-pub fn workload_stream() -> WorkloadParams {
-    WorkloadParams::new("Stream", 1.23, 1.01, 0.40)
-        .expect("measured constants are valid")
-        .with_footprint(sizes::STREAM_FOOTPRINT)
-}
-
-/// Pointer-chasing graph traversal over a random permutation: the
-/// stack-distance distribution is near-uniform, so the power-law fit
-/// diverges (`memhier fit` reports `converged: false` with unbounded
-/// α/β).  ρ is measured; (α, β) is the documented no-locality stand-in
-/// closest to the empirical CDF at cache-sized capacities.
-pub fn workload_graphwalk() -> WorkloadParams {
-    WorkloadParams::new("GraphWalk", 1.08, 400.0, 0.43)
-        .expect("measured constants are valid")
-        .with_footprint(sizes::GRAPH_FOOTPRINT)
-}
-
-/// Batched weight-streaming ML inference: layer weights stream past while
-/// activations stay hot, giving a bimodal reuse profile — steep locality
-/// near the top of the stack (activations), a long weight tail behind it.
-pub fn workload_inference() -> WorkloadParams {
-    WorkloadParams::new("Inference", 2.90, 8818.76, 0.33)
-        .expect("measured constants are valid")
-        .with_footprint(sizes::INFER_FOOTPRINT)
-        // One barrier per layer per batch: weight broadcast points.
-        .with_barrier_rate(1e-6)
-}
-
-/// Look up a registered workload by name, case-insensitively (`TPCC` is
-/// accepted for `TPC-C`).  Covers the paper's Table 2 plus the four
-/// post-paper generators.  Returns `None` for unknown names — callers
-/// with their own (α, β, ρ) should construct [`WorkloadParams`] directly.
-pub fn workload_by_name(name: &str) -> Option<WorkloadParams> {
-    match name.to_ascii_uppercase().as_str() {
-        "FFT" => Some(workload_fft()),
-        "LU" => Some(workload_lu()),
-        "RADIX" => Some(workload_radix()),
-        "EDGE" => Some(workload_edge()),
-        "TPC-C" | "TPCC" => Some(workload_tpcc()),
-        "STENCIL4D" | "STENCIL" => Some(workload_stencil4d()),
-        "STREAM" => Some(workload_stream()),
-        "GRAPHWALK" | "GRAPH" => Some(workload_graphwalk()),
-        "INFERENCE" | "INFER" => Some(workload_inference()),
-        _ => None,
-    }
-}
-
-/// Canonical names of every characterized workload, Table-2 kernels
-/// first, in [`workload_by_name`] order — the list error messages quote.
-pub fn workload_names() -> Vec<&'static str> {
-    vec![
-        "FFT",
-        "LU",
-        "Radix",
-        "EDGE",
-        "TPC-C",
-        "Stencil4D",
-        "Stream",
-        "GraphWalk",
-        "Inference",
-    ]
-}
-
-/// All four Table-2 kernels, in the paper's order.
-pub fn paper_workloads() -> Vec<WorkloadParams> {
-    vec![
-        workload_fft(),
-        workload_lu(),
-        workload_radix(),
-        workload_edge(),
-    ]
 }
 
 /// The paper's platform configurations (Tables 3–5), all at 200 MHz.
@@ -333,28 +208,6 @@ mod tests {
     use crate::platform::PlatformKind;
 
     #[test]
-    fn table2_constants() {
-        let w = paper_workloads();
-        assert_eq!(w.len(), 4);
-        assert_eq!(w[0].name, "FFT");
-        assert_eq!(w[0].locality.alpha, 1.21);
-        assert_eq!(w[0].locality.beta, 103.26);
-        assert_eq!(w[0].rho, 0.20);
-        assert_eq!(w[2].name, "Radix");
-        assert_eq!(w[2].rho, 0.37);
-        assert_eq!(w[3].locality.alpha, 1.71);
-    }
-
-    #[test]
-    fn tpcc_beta_is_ten_times_scientific() {
-        // §5.2: TPC-C's β is over 10x any scientific program's.
-        let t = workload_tpcc();
-        for w in paper_workloads() {
-            assert!(t.locality.beta > 10.0 * w.locality.beta);
-        }
-    }
-
-    #[test]
     fn config_counts_and_names() {
         assert_eq!(configs::smp_configs().len(), 6);
         assert_eq!(configs::cow_configs().len(), 5);
@@ -407,34 +260,5 @@ mod tests {
         assert_eq!(configs::ft8().network, Some(NetworkKind::FatTree));
         // The paper set stays exactly C1-C15.
         assert_eq!(configs::all_configs().len(), 15);
-    }
-
-    #[test]
-    fn new_workloads_resolve_by_name() {
-        for (name, expect) in [
-            ("stencil4d", "Stencil4D"),
-            ("Stream", "Stream"),
-            ("GRAPHWALK", "GraphWalk"),
-            ("inference", "Inference"),
-        ] {
-            let w = workload_by_name(name).expect(name);
-            assert_eq!(w.name, expect);
-            assert!(w.locality.alpha > 1.0, "{name} alpha must exceed 1");
-            assert!(w.locality.footprint.is_some(), "{name} needs a footprint");
-        }
-        // Stream's measured fit drives beta to its floor: no reuse
-        // beyond the cache line itself.
-        let s = workload_stream().locality.beta;
-        assert!(s < 1.1, "stream beta {s} should sit at the fit floor");
-    }
-
-    #[test]
-    fn footprints_fit_in_paper_memories() {
-        // Every kernel's data fits in even the smallest studied memory
-        // (32 MB), so disk traffic in a paging simulator is cold-miss only.
-        for w in paper_workloads() {
-            let fp = w.locality.footprint.unwrap();
-            assert!(fp < 32.0 * 1024.0 * 1024.0, "{} footprint {fp}", w.name);
-        }
     }
 }

@@ -187,7 +187,7 @@ pub fn analyze(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params;
+    use crate::WorkloadKind;
 
     fn cow_baseline() -> ClusterSpec {
         ClusterSpec::cluster(
@@ -202,7 +202,7 @@ mod tests {
         let r = analyze(
             &AnalyticModel::default(),
             &cow_baseline(),
-            &params::workload_fft(),
+            &WorkloadKind::Fft.params(),
         );
         let names: Vec<&str> = r.factors.iter().map(|f| f.factor.as_str()).collect();
         assert!(names.contains(&"cache capacity"));
@@ -218,7 +218,7 @@ mod tests {
         let r = analyze(
             &AnalyticModel::default(),
             &cow_baseline(),
-            &params::workload_lu(),
+            &WorkloadKind::Lu.params(),
         );
         let clock = r
             .factors
@@ -233,7 +233,7 @@ mod tests {
         let r = analyze(
             &AnalyticModel::default(),
             &cow_baseline(),
-            &params::workload_fft(),
+            &WorkloadKind::Fft.params(),
         );
         let net = r
             .factors
@@ -247,7 +247,7 @@ mod tests {
     fn hierarchy_length_penalizes_clusters() {
         // The headline claim: the 5-level platform is slower than the
         // 3-level SMP at equal q for the paper's kernels.
-        for w in params::paper_workloads() {
+        for w in WorkloadKind::PAPER.map(|k| k.params()) {
             let r = analyze(&AnalyticModel::default(), &cow_baseline(), &w);
             assert!(
                 r.hierarchy.ratio > 1.0,
@@ -263,7 +263,7 @@ mod tests {
         let r = analyze(
             &AnalyticModel::default(),
             &cow_baseline(),
-            &params::workload_radix(),
+            &WorkloadKind::Radix.params(),
         );
         for w in r.factors.windows(2) {
             assert!(w[0].elasticity.abs() >= w[1].elasticity.abs());
@@ -274,7 +274,7 @@ mod tests {
     #[test]
     fn smp_baseline_skips_network_factor() {
         let smp = ClusterSpec::single(MachineSpec::new(4, 256, 128, 200.0));
-        let r = analyze(&AnalyticModel::default(), &smp, &params::workload_fft());
+        let r = analyze(&AnalyticModel::default(), &smp, &WorkloadKind::Fft.params());
         assert!(r.factors.iter().all(|f| f.factor != "network speed"));
         assert!(r.factors.iter().all(|f| f.factor != "machine count"));
     }

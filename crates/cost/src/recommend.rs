@@ -135,33 +135,33 @@ pub fn recommendation_json(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memhier_core::params;
+    use memhier_core::WorkloadKind;
 
     #[test]
     fn paper_examples_classify_as_stated() {
         // §6 names an example program for each rule.
         assert_eq!(
-            recommend(&params::workload_lu()).platform,
+            recommend(&WorkloadKind::Lu.params()).platform,
             RecommendedPlatform::ManyWorkstationsSlowNetwork,
             "LU"
         );
         assert_eq!(
-            recommend(&params::workload_fft()).platform,
+            recommend(&WorkloadKind::Fft.params()).platform,
             RecommendedPlatform::FewWorkstationsFastNetwork,
             "FFT"
         );
         assert_eq!(
-            recommend(&params::workload_edge()).platform,
+            recommend(&WorkloadKind::Edge.params()).platform,
             RecommendedPlatform::WorkstationsLargeMemory,
             "EDGE"
         );
         assert_eq!(
-            recommend(&params::workload_radix()).platform,
+            recommend(&WorkloadKind::Radix.params()).platform,
             RecommendedPlatform::SingleSmp,
             "Radix"
         );
         assert_eq!(
-            recommend(&params::workload_tpcc()).platform,
+            recommend(&WorkloadKind::Tpcc.params()).platform,
             RecommendedPlatform::SmpOrFastClusterOfSmps,
             "TPC-C"
         );
@@ -169,14 +169,14 @@ mod tests {
 
     #[test]
     fn rationale_mentions_parameters() {
-        let r = recommend(&params::workload_radix());
+        let r = recommend(&WorkloadKind::Radix.params());
         assert!(r.rationale.contains("0.37"));
         assert!(r.rationale.contains("120.8"));
     }
 
     #[test]
     fn recommendation_json_shape() {
-        let w = params::workload_fft();
+        let w = WorkloadKind::Fft.params();
         let r = recommend(&w);
         let v = recommendation_json(&w, &r, None);
         assert_eq!(v["workload"].as_str(), Some("FFT"));
@@ -189,9 +189,9 @@ mod tests {
 
     #[test]
     fn upgrade_advice_follows_locality() {
-        let good = recommend(&params::workload_edge());
+        let good = recommend(&WorkloadKind::Edge.params());
         assert!(good.upgrade_advice.contains("cache/memory"));
-        let poor = recommend(&params::workload_fft());
+        let poor = recommend(&WorkloadKind::Fft.params());
         assert!(poor.upgrade_advice.contains("network"));
     }
 }

@@ -25,7 +25,7 @@ use crate::prices::PriceTable;
 use crate::recommend::{Recommendation, RecommendedPlatform};
 use memhier_core::locality::WorkloadParams;
 use memhier_core::machine::NetworkKind;
-use memhier_core::params;
+use memhier_core::WorkloadKind;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::fmt;
@@ -35,7 +35,7 @@ use std::str::FromStr;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum CostError {
-    /// The named workload is not one of the paper's Table-2 kernels.
+    /// The named workload is not a row of the workload table.
     UnknownWorkload(String),
     /// A required field was never supplied.
     Missing(&'static str),
@@ -53,13 +53,7 @@ pub enum CostError {
 impl fmt::Display for CostError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CostError::UnknownWorkload(name) => {
-                write!(
-                    f,
-                    "unknown workload `{name}` ({})",
-                    params::workload_names().join("|")
-                )
-            }
+            CostError::UnknownWorkload(name) => f.write_str(&WorkloadKind::unknown(name)),
             CostError::Missing(field) => write!(f, "`{field}` is required"),
             CostError::Invalid(field, why) => write!(f, "`{field}`: {why}"),
             CostError::UnknownField(key) => write!(f, "unknown request field `{key}`"),
@@ -96,6 +90,10 @@ pub fn network_by_name(name: &str) -> Result<NetworkKind, CostError> {
     })
 }
 
+fn parse_workload(name: &str) -> Result<WorkloadKind, CostError> {
+    WorkloadKind::parse(name).ok_or_else(|| CostError::UnknownWorkload(name.to_string()))
+}
+
 /// Problem-size tiers simulation confirmation may run at.  The cost
 /// crate cannot depend on the bench runner, so the three stable tier
 /// names are validated here and resolved downstream.
@@ -113,13 +111,13 @@ fn validate_confirm_size(name: &str) -> Result<String, CostError> {
     }
 }
 
-/// The workload a request optimizes for: a paper kernel by name, or raw
+/// The workload a request optimizes for: a table workload by name, or raw
 /// `(α, β, ρ)` parameters for a workload characterized elsewhere (e.g.
 /// by `memhier fit`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum WorkloadSpec {
-    /// A Table-2 kernel, stored under its canonical name (`FFT`, `LU`,
-    /// `Radix`, `EDGE`, `TPC-C`).
+    /// A workload-table row, stored under its canonical key (`FFT`,
+    /// `TPC-C`, `Stencil4D`, ...).
     Named(String),
     /// Custom locality/memory-pressure parameters.
     Custom {
@@ -133,18 +131,16 @@ pub enum WorkloadSpec {
 }
 
 impl WorkloadSpec {
-    /// A named paper workload, canonicalized; errors on unknown names.
+    /// A named table workload, canonicalized; errors on unknown names.
     pub fn named(name: &str) -> Result<Self, CostError> {
-        let params = params::workload_by_name(name)
-            .ok_or_else(|| CostError::UnknownWorkload(name.to_string()))?;
-        Ok(WorkloadSpec::Named(params.name.clone()))
+        let kind = parse_workload(name)?;
+        Ok(WorkloadSpec::Named(kind.name().to_string()))
     }
 
     /// Resolve to concrete model parameters.
     pub fn resolve(&self) -> Result<WorkloadParams, CostError> {
         match self {
-            WorkloadSpec::Named(name) => params::workload_by_name(name)
-                .ok_or_else(|| CostError::UnknownWorkload(name.clone())),
+            WorkloadSpec::Named(name) => parse_workload(name).map(|k| k.params()),
             WorkloadSpec::Custom { alpha, beta, rho } => {
                 WorkloadParams::new("custom", *alpha, *beta, *rho)
                     .map_err(|e| CostError::Invalid("workload", e.to_string()))

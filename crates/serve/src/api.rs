@@ -41,7 +41,6 @@
 use crate::cache::ResponseCache;
 use crate::http::{HttpError, Request, Response};
 use crate::metrics::Metrics;
-use memhier_bench::names::paper_params;
 use memhier_bench::{run_optimize, run_recommend, run_sweep, Scenario, Sizes};
 use memhier_core::model::AnalyticModel;
 use memhier_cost::{CostError, OptimizeRequest, RecommendRequest};
@@ -431,7 +430,7 @@ fn v1_model(v: &Value) -> Result<String, HttpError> {
     // The body is a `Scenario` (the model endpoint just has no use for
     // its size/observer fields).
     let scenario = Scenario::from_json(v)?;
-    let w = paper_params(scenario.workload);
+    let w = scenario.workload.params();
     let p = AnalyticModel::default()
         .evaluate(&scenario.config, &w)
         .map_err(|e| HttpError::status(422, e.to_string()))?;
@@ -583,7 +582,7 @@ mod tests {
             serde_json::from_str(std::str::from_utf8(&r.body).unwrap().trim()).unwrap();
         let scenario: Scenario = "C5:FFT".parse().unwrap();
         let direct = AnalyticModel::default()
-            .evaluate(&scenario.config, &paper_params(scenario.workload))
+            .evaluate(&scenario.config, &scenario.workload.params())
             .unwrap();
         assert_eq!(
             body["e_instr_seconds"].as_f64(),

@@ -1,73 +1,23 @@
-//! The string-keyed workload registry.
+//! Parameter schemas and the parameter-map builder: the rest of the
+//! generator half of the workload table.
 //!
-//! Where [`crate::registry::WorkloadKind`] enumerates the built-in
-//! kernels, this module is the *open* face of the workload universe: every
-//! generator — built-in or registered at runtime by a downstream crate —
-//! is a [`WorkloadSpec`] trait object keyed by name, carrying a typed
-//! parameter schema ([`ParamInfo`], shared with the platform registry in
-//! `memhier-core`) and a builder from a JSON parameter map.
-//!
-//! Built-in specs resolve to a sized [`Workload`] (so they flow through
-//! every pipeline: fixtures, fitting, the cost optimizer); out-of-tree
-//! specs may instead return a ready [`SpmdProgram`], which the simulate
-//! and trace paths accept directly.
+//! Every workload row in `memhier-core` has one schema here (a typed
+//! [`ParamInfo`] list, shared with the platform registry) and one arm in
+//! [`Workload::build`], which applies a JSON parameter map on top of a
+//! size tier.
 //!
 //! ```
-//! use memhier_workloads::{workload_by_key, ResolvedWorkload};
+//! use memhier_workloads::{Workload, WorkloadKind};
 //! use serde::__private::Value;
 //!
-//! let spec = workload_by_key("stencil4d").unwrap();
-//! match spec.build(&Value::Null).unwrap() {
-//!     ResolvedWorkload::Sized(w) => assert!(w.supports_processes(4)),
-//!     ResolvedWorkload::Program(_) => unreachable!("builtins are sized"),
-//! }
+//! let kind = WorkloadKind::parse("stencil4d").unwrap();
+//! let w = Workload::build(kind, &Value::Null).unwrap();
+//! assert!(w.supports_processes(4));
 //! ```
 
 use crate::registry::{Workload, WorkloadKind};
-use crate::spmd::SpmdProgram;
 use memhier_core::ParamInfo;
 use serde::__private::Value;
-use std::sync::{Arc, OnceLock, RwLock};
-
-/// What a registry key resolves to.
-pub enum ResolvedWorkload {
-    /// A sized built-in — usable everywhere (simulation, analytic model,
-    /// fixtures, cost search).
-    Sized(Workload),
-    /// A custom program from a runtime-registered spec — usable on the
-    /// simulation and trace paths.
-    Program(Arc<dyn SpmdProgram>),
-}
-
-impl std::fmt::Debug for ResolvedWorkload {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ResolvedWorkload::Sized(w) => f.debug_tuple("Sized").field(w).finish(),
-            ResolvedWorkload::Program(p) => f.debug_tuple("Program").field(&p.name()).finish(),
-        }
-    }
-}
-
-/// A workload back-end: a named, parameterized address-stream generator.
-pub trait WorkloadSpec: Sync + Send {
-    /// Canonical registry key (the kind's display name for built-ins).
-    fn key(&self) -> &'static str;
-    /// Additional accepted spellings.
-    fn aliases(&self) -> &'static [&'static str] {
-        &[]
-    }
-    /// One-line description for registry listings.
-    fn description(&self) -> &'static str;
-    /// The typed parameter schema this generator accepts.
-    fn params(&self) -> &'static [ParamInfo];
-    /// The built-in kind this spec wraps, when it wraps one.
-    fn kind(&self) -> Option<WorkloadKind> {
-        None
-    }
-    /// Build from a JSON object of parameters (missing keys take the
-    /// schema defaults; unknown keys are rejected).
-    fn build(&self, params: &Value) -> Result<ResolvedWorkload, String>;
-}
 
 /// The `size` parameter every built-in accepts.
 const SIZE_PARAM: ParamInfo = ParamInfo {
@@ -77,22 +27,23 @@ const SIZE_PARAM: ParamInfo = ParamInfo {
     default: "paper",
 };
 
-fn check_unknown_keys(spec: &dyn WorkloadSpec, params: &Value) -> Result<(), String> {
+fn check_unknown_keys(kind: WorkloadKind, params: &Value) -> Result<(), String> {
     let Value::Object(fields) = params else {
         if params.is_null() {
             return Ok(());
         }
         return Err(format!(
             "workload `{}` parameters must be a JSON object",
-            spec.key()
+            kind.name()
         ));
     };
+    let schema = Workload::schema(kind);
     for (k, _) in fields {
-        if !spec.params().iter().any(|p| p.name == k) {
-            let known: Vec<&str> = spec.params().iter().map(|p| p.name).collect();
+        if !schema.iter().any(|p| p.name == k) {
+            let known: Vec<&str> = schema.iter().map(|p| p.name).collect();
             return Err(format!(
                 "workload `{}` has no parameter `{k}` (known: {})",
-                spec.key(),
+                kind.name(),
                 known.join(", ")
             ));
         }
@@ -136,14 +87,6 @@ fn base_size(kind: WorkloadKind, params: &Value) -> Result<Workload, String> {
     }
 }
 
-/// A built-in spec: a kind, a schema, and field-override plumbing.
-struct BuiltinSpec {
-    kind: WorkloadKind,
-    aliases: &'static [&'static str],
-    description: &'static str,
-    params: &'static [ParamInfo],
-}
-
 macro_rules! p {
     ($name:literal, $kind:literal, $about:literal, $default:literal) => {
         ParamInfo {
@@ -155,82 +98,79 @@ macro_rules! p {
     };
 }
 
-static FFT_PARAMS: [ParamInfo; 2] = [
-    SIZE_PARAM,
-    p!(
-        "points",
-        "u64",
-        "Total complex points (a power of 4)",
-        "65536"
-    ),
-];
-static LU_PARAMS: [ParamInfo; 3] = [
-    SIZE_PARAM,
-    p!("n", "u64", "Matrix dimension", "512"),
-    p!("block", "u64", "Block dimension", "16"),
-];
-static RADIX_PARAMS: [ParamInfo; 4] = [
-    SIZE_PARAM,
-    p!("keys", "u64", "Number of keys", "1048576"),
-    p!("radix", "u64", "Digit radix (a power of two)", "1024"),
-    p!("key_bits", "u32", "Key width in bits", "20"),
-];
-static EDGE_PARAMS: [ParamInfo; 3] = [
-    SIZE_PARAM,
-    p!("dim", "u64", "Image dimension", "128"),
-    p!("iterations", "u64", "Blur/register/match iterations", "4"),
-];
-static TPCC_PARAMS: [ParamInfo; 3] = [
-    SIZE_PARAM,
-    p!("db_cells", "u64", "Cells per database region", "131072"),
-    p!(
-        "refs_per_proc",
-        "u64",
-        "References each process issues",
-        "500000"
-    ),
-];
-static STENCIL_PARAMS: [ParamInfo; 3] = [
-    SIZE_PARAM,
-    p!("l", "u64", "Lattice extent per dimension", "16"),
-    p!("iterations", "u64", "Relaxation sweeps", "8"),
-];
-static STREAM_PARAMS: [ParamInfo; 3] = [
-    SIZE_PARAM,
-    p!("elems", "u64", "Elements per array", "1048576"),
-    p!("passes", "u64", "Scan passes", "4"),
-];
-static GRAPH_PARAMS: [ParamInfo; 3] = [
-    SIZE_PARAM,
-    p!("nodes", "u64", "Permutation size", "262144"),
-    p!("steps", "u64", "Hops each process takes", "500000"),
-];
-static INFER_PARAMS: [ParamInfo; 4] = [
-    SIZE_PARAM,
-    p!("dim", "u64", "Layer width", "128"),
-    p!("layers", "u64", "Layer count", "4"),
-    p!("batch", "u64", "Batch rows", "32"),
+/// Parameter schemas, one per workload in [`WorkloadKind::ALL`] order
+/// (indexed by [`WorkloadKind::index`]).  The defaults are the paper tier.
+static SCHEMAS: [&[ParamInfo]; 9] = [
+    &[
+        SIZE_PARAM,
+        p!(
+            "points",
+            "u64",
+            "Total complex points (a power of 4)",
+            "65536"
+        ),
+    ],
+    &[
+        SIZE_PARAM,
+        p!("n", "u64", "Matrix dimension", "512"),
+        p!("block", "u64", "Block dimension", "16"),
+    ],
+    &[
+        SIZE_PARAM,
+        p!("keys", "u64", "Number of keys", "1048576"),
+        p!("radix", "u64", "Digit radix (a power of two)", "1024"),
+        p!("key_bits", "u32", "Key width in bits", "20"),
+    ],
+    &[
+        SIZE_PARAM,
+        p!("dim", "u64", "Image dimension", "128"),
+        p!("iterations", "u64", "Blur/register/match iterations", "4"),
+    ],
+    &[
+        SIZE_PARAM,
+        p!("db_cells", "u64", "Cells per database region", "131072"),
+        p!(
+            "refs_per_proc",
+            "u64",
+            "References each process issues",
+            "500000"
+        ),
+    ],
+    &[
+        SIZE_PARAM,
+        p!("l", "u64", "Lattice extent per dimension", "16"),
+        p!("iterations", "u64", "Relaxation sweeps", "8"),
+    ],
+    &[
+        SIZE_PARAM,
+        p!("elems", "u64", "Elements per array", "1048576"),
+        p!("passes", "u64", "Scan passes", "4"),
+    ],
+    &[
+        SIZE_PARAM,
+        p!("nodes", "u64", "Permutation size", "262144"),
+        p!("steps", "u64", "Hops each process takes", "500000"),
+    ],
+    &[
+        SIZE_PARAM,
+        p!("dim", "u64", "Layer width", "128"),
+        p!("layers", "u64", "Layer count", "4"),
+        p!("batch", "u64", "Batch rows", "32"),
+    ],
 ];
 
-impl WorkloadSpec for BuiltinSpec {
-    fn key(&self) -> &'static str {
-        self.kind.name()
+impl Workload {
+    /// The typed parameter schema `kind`'s generator accepts.
+    pub fn schema(kind: WorkloadKind) -> &'static [ParamInfo] {
+        SCHEMAS[kind.index()]
     }
-    fn aliases(&self) -> &'static [&'static str] {
-        self.aliases
-    }
-    fn description(&self) -> &'static str {
-        self.description
-    }
-    fn params(&self) -> &'static [ParamInfo] {
-        self.params
-    }
-    fn kind(&self) -> Option<WorkloadKind> {
-        Some(self.kind)
-    }
-    fn build(&self, params: &Value) -> Result<ResolvedWorkload, String> {
-        check_unknown_keys(self, params)?;
-        let mut w = base_size(self.kind, params)?;
+
+    /// Build `kind` from a JSON object of parameters: `size` picks the
+    /// base tier (default paper), the other keys override its fields.
+    /// Unknown keys are rejected.
+    pub fn build(kind: WorkloadKind, params: &Value) -> Result<Workload, String> {
+        check_unknown_keys(kind, params)?;
+        let mut w = base_size(kind, params)?;
         match &mut w {
             Workload::Fft { points } => {
                 *points = get_usize(params, "points", *points)?;
@@ -292,172 +232,81 @@ impl WorkloadSpec for BuiltinSpec {
                 *batch = get_usize(params, "batch", *batch)?;
             }
         }
-        Ok(ResolvedWorkload::Sized(w))
+        Ok(w)
     }
-}
-
-fn builtin_workloads() -> Vec<&'static dyn WorkloadSpec> {
-    static BUILTINS: [BuiltinSpec; 9] = [
-        BuiltinSpec {
-            kind: WorkloadKind::Fft,
-            aliases: &[],
-            description: "Six-step complex 1-D FFT (SPLASH-2 kernel)",
-            params: &FFT_PARAMS,
-        },
-        BuiltinSpec {
-            kind: WorkloadKind::Lu,
-            aliases: &[],
-            description: "Blocked dense LU factorization (SPLASH-2 kernel)",
-            params: &LU_PARAMS,
-        },
-        BuiltinSpec {
-            kind: WorkloadKind::Radix,
-            aliases: &[],
-            description: "Iterative radix sort (SPLASH-2 kernel)",
-            params: &RADIX_PARAMS,
-        },
-        BuiltinSpec {
-            kind: WorkloadKind::Edge,
-            aliases: &[],
-            description: "Iterative parallel edge detection",
-            params: &EDGE_PARAMS,
-        },
-        BuiltinSpec {
-            kind: WorkloadKind::Tpcc,
-            aliases: &["TPCC"],
-            description: "Synthetic commercial workload at the paper's TPC-C locality",
-            params: &TPCC_PARAMS,
-        },
-        BuiltinSpec {
-            kind: WorkloadKind::Stencil4D,
-            aliases: &["STENCIL"],
-            description: "QCD-style 4-D nearest-neighbor stencil with halo exchange",
-            params: &STENCIL_PARAMS,
-        },
-        BuiltinSpec {
-            kind: WorkloadKind::Stream,
-            aliases: &[],
-            description: "Streaming scan: touch-once locality (alpha -> 1)",
-            params: &STREAM_PARAMS,
-        },
-        BuiltinSpec {
-            kind: WorkloadKind::GraphWalk,
-            aliases: &["GRAPH"],
-            description: "Pointer-chasing traversal of a random permutation cycle",
-            params: &GRAPH_PARAMS,
-        },
-        BuiltinSpec {
-            kind: WorkloadKind::Inference,
-            aliases: &["INFER"],
-            description: "Batched weight-streaming neural-network inference",
-            params: &INFER_PARAMS,
-        },
-    ];
-    BUILTINS.iter().map(|s| s as &dyn WorkloadSpec).collect()
-}
-
-fn workload_registry() -> &'static RwLock<Vec<&'static dyn WorkloadSpec>> {
-    static REG: OnceLock<RwLock<Vec<&'static dyn WorkloadSpec>>> = OnceLock::new();
-    REG.get_or_init(|| RwLock::new(builtin_workloads()))
-}
-
-/// Every registered workload generator, built-ins first.
-pub fn workload_specs() -> Vec<&'static dyn WorkloadSpec> {
-    workload_registry()
-        .read()
-        .expect("workload registry poisoned")
-        .clone()
-}
-
-/// Canonical keys of every registered workload.
-pub fn workload_keys() -> Vec<&'static str> {
-    workload_specs().iter().map(|s| s.key()).collect()
-}
-
-/// Look a generator up by key or alias, case-insensitively.
-pub fn workload_by_key(name: &str) -> Option<&'static dyn WorkloadSpec> {
-    workload_specs().into_iter().find(|s| {
-        s.key().eq_ignore_ascii_case(name)
-            || s.aliases().iter().any(|a| a.eq_ignore_ascii_case(name))
-    })
-}
-
-/// Register an out-of-tree generator.  The spec is leaked (registries live
-/// for the process); a key or alias collision is rejected.
-pub fn register_workload(spec: Box<dyn WorkloadSpec>) -> Result<&'static dyn WorkloadSpec, String> {
-    if workload_by_key(spec.key()).is_some()
-        || spec.aliases().iter().any(|a| workload_by_key(a).is_some())
-    {
-        return Err(format!("workload `{}` is already registered", spec.key()));
-    }
-    let leaked: &'static dyn WorkloadSpec = Box::leak(spec);
-    workload_registry()
-        .write()
-        .expect("workload registry poisoned")
-        .push(leaked);
-    Ok(leaked)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spmd::{run_spmd, SpmdCtx};
     use serde_json::json;
 
-    fn sized(r: ResolvedWorkload) -> Workload {
-        match r {
-            ResolvedWorkload::Sized(w) => w,
-            ResolvedWorkload::Program(_) => panic!("expected a sized workload"),
-        }
-    }
-
     #[test]
-    fn every_builtin_kind_is_registered() {
+    fn every_kind_has_a_schema_with_a_size() {
         for kind in WorkloadKind::ALL {
-            let spec = workload_by_key(kind.name())
-                .unwrap_or_else(|| panic!("{} not in registry", kind.name()));
-            assert_eq!(spec.kind(), Some(kind));
-            assert!(!spec.description().is_empty());
-            assert!(spec.params().iter().any(|p| p.name == "size"));
+            assert!(Workload::schema(kind).iter().any(|p| p.name == "size"));
         }
-        assert!(workload_keys().len() >= 9);
-    }
-
-    #[test]
-    fn lookup_is_case_insensitive_and_alias_aware() {
-        for (spelling, kind) in [
-            ("fft", WorkloadKind::Fft),
-            ("tpcc", WorkloadKind::Tpcc),
-            ("TPC-C", WorkloadKind::Tpcc),
-            ("stencil", WorkloadKind::Stencil4D),
-            ("GRAPH", WorkloadKind::GraphWalk),
-            ("infer", WorkloadKind::Inference),
-        ] {
-            assert_eq!(
-                workload_by_key(spelling).map(|s| s.kind()),
-                Some(Some(kind)),
-                "{spelling}"
-            );
-        }
-        assert!(workload_by_key("no-such-kernel").is_none());
     }
 
     #[test]
     fn null_params_build_paper_sizes() {
         for kind in WorkloadKind::ALL {
-            let spec = workload_by_key(kind.name()).unwrap();
-            let w = sized(spec.build(&Value::Null).unwrap());
+            let w = Workload::build(kind, &Value::Null).unwrap();
             assert_eq!(w, Workload::paper(kind), "{}", kind.name());
+        }
+    }
+
+    /// The paper sizes are spelled three ways — `core::params::sizes`, the
+    /// paper tier and the schema defaults — and the model row names the
+    /// kernel a fourth time.  All of them must agree.
+    #[test]
+    fn paper_sizes_agree_across_their_spellings() {
+        use memhier_core::params::sizes;
+        for kind in WorkloadKind::ALL {
+            let paper = Workload::paper(kind);
+            // Every default, applied at once, rebuilds the paper tier.
+            let fields: Vec<String> = Workload::schema(kind)
+                .iter()
+                .map(|p| match p.kind {
+                    "string" => format!("\"{}\": \"{}\"", p.name, p.default),
+                    _ => format!("\"{}\": {}", p.name, p.default),
+                })
+                .collect();
+            let defaults: Value =
+                serde_json::from_str(&format!("{{{}}}", fields.join(", "))).unwrap();
+            assert_eq!(Workload::build(kind, &defaults), Ok(paper), "{kind:?}");
+            let core_sizes = match paper {
+                Workload::Fft { points } => points == sizes::FFT_POINTS,
+                Workload::Lu { n, .. } => n == sizes::LU_N,
+                Workload::Radix { keys, radix, .. } => {
+                    keys == sizes::RADIX_KEYS && radix == sizes::RADIX_RADIX
+                }
+                Workload::Edge { dim, .. } => dim == sizes::EDGE_DIM,
+                Workload::Tpcc { .. } => true, // §5.2 gives no TPC-C size
+                Workload::Stencil4D { l, .. } => l == sizes::STENCIL_L,
+                Workload::Stream { elems, .. } => elems == sizes::STREAM_ELEMS,
+                Workload::GraphWalk { nodes, .. } => nodes == sizes::GRAPH_NODES,
+                Workload::Inference { dim, layers, batch } => {
+                    dim == sizes::INFER_DIM
+                        && layers == sizes::INFER_LAYERS
+                        && batch == sizes::INFER_BATCH
+                }
+            };
+            assert!(
+                core_sizes,
+                "{kind:?}: paper tier {paper:?} disagrees with params::sizes"
+            );
+            assert_eq!(kind.params().name, kind.name());
         }
     }
 
     #[test]
     fn size_and_field_overrides_compose() {
-        let spec = workload_by_key("Stencil4D").unwrap();
-        let w = sized(
-            spec.build(&json!({"size": "small", "iterations": 5}))
-                .unwrap(),
-        );
+        let w = Workload::build(
+            WorkloadKind::Stencil4D,
+            &json!({"size": "small", "iterations": 5}),
+        )
+        .unwrap();
         assert_eq!(
             w,
             Workload::Stencil4D {
@@ -466,87 +315,23 @@ mod tests {
             }
         );
 
-        let spec = workload_by_key("FFT").unwrap();
-        let w = sized(spec.build(&json!({"points": 16384})).unwrap());
+        let w = Workload::build(WorkloadKind::Fft, &json!({"points": 16384})).unwrap();
         assert_eq!(w, Workload::Fft { points: 16384 });
     }
 
     #[test]
     fn bad_params_are_rejected_with_known_keys() {
-        let spec = workload_by_key("Stream").unwrap();
-        let err = spec.build(&json!({"stride": 2})).unwrap_err();
+        let err = Workload::build(WorkloadKind::Stream, &json!({"stride": 2})).unwrap_err();
         assert!(err.contains("no parameter `stride`"), "{err}");
         assert!(err.contains("elems"), "{err}");
 
-        let err = spec.build(&json!({"elems": 0})).unwrap_err();
+        let err = Workload::build(WorkloadKind::Stream, &json!({"elems": 0})).unwrap_err();
         assert!(err.contains("positive"), "{err}");
 
-        let spec = workload_by_key("FFT").unwrap();
-        let err = spec.build(&json!({"points": 1000})).unwrap_err();
+        let err = Workload::build(WorkloadKind::Fft, &json!({"points": 1000})).unwrap_err();
         assert!(err.contains("power of 4"), "{err}");
 
-        let err = spec.build(&json!({"size": "jumbo"})).unwrap_err();
+        let err = Workload::build(WorkloadKind::Fft, &json!({"size": "jumbo"})).unwrap_err();
         assert!(err.contains("unknown size"), "{err}");
-    }
-
-    /// A minimal out-of-tree generator: each process ping-pongs between
-    /// two cells.
-    struct PingPong;
-    struct PingPongProgram {
-        procs: usize,
-        swaps: usize,
-    }
-
-    impl crate::spmd::SpmdProgram for PingPongProgram {
-        fn processes(&self) -> usize {
-            self.procs
-        }
-        fn run(&self, pid: usize, ctx: &mut SpmdCtx) {
-            let base = 0x1000 + (pid as u64) * 64;
-            for _ in 0..self.swaps {
-                ctx.read(base);
-                ctx.write(base + 8);
-            }
-            ctx.barrier();
-        }
-    }
-
-    static PINGPONG_PARAMS: [ParamInfo; 1] = [p!("swaps", "u64", "Round trips per process", "100")];
-
-    impl WorkloadSpec for PingPong {
-        fn key(&self) -> &'static str {
-            "PingPong"
-        }
-        fn description(&self) -> &'static str {
-            "test-only two-cell ping-pong"
-        }
-        fn params(&self) -> &'static [ParamInfo] {
-            &PINGPONG_PARAMS
-        }
-        fn build(&self, params: &Value) -> Result<ResolvedWorkload, String> {
-            check_unknown_keys(self, params)?;
-            let swaps = get_usize(params, "swaps", 100)?;
-            Ok(ResolvedWorkload::Program(Arc::new(PingPongProgram {
-                procs: 2,
-                swaps,
-            })))
-        }
-    }
-
-    #[test]
-    fn runtime_registration_extends_the_universe() {
-        let spec = register_workload(Box::new(PingPong)).expect("first registration");
-        assert_eq!(spec.key(), "PingPong");
-        assert!(register_workload(Box::new(PingPong)).is_err(), "dup");
-
-        let found = workload_by_key("pingpong").expect("resolvable by key");
-        match found.build(&json!({"swaps": 7})).unwrap() {
-            ResolvedWorkload::Program(p) => {
-                let c = run_spmd(p);
-                assert_eq!(c.mem_refs(), 2 * 2 * 7);
-            }
-            ResolvedWorkload::Sized(_) => panic!("expected a program"),
-        }
-        assert!(workload_keys().contains(&"PingPong"));
     }
 }

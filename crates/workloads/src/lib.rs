@@ -25,9 +25,11 @@
 //!   dependent loads, no spatial locality.
 //! * **Inference** — batched weight-streaming MLP forward pass.
 //!
-//! The [`catalog`] module is the open face of this universe: a
-//! string-keyed registry of [`catalog::WorkloadSpec`] trait objects with
-//! typed parameter schemas, extensible at runtime by downstream crates.
+//! Each workload is one core row plus one generator arm: its name,
+//! aliases and `(α, β, ρ)` are a row of `memhier-core`'s workload table
+//! behind the [`WorkloadKind`] handle, and this crate keys the generator
+//! half by the same handle — the size tiers in [`registry`], the parameter
+//! schema and parameter-map builder in [`catalog`].
 //!
 //! Every kernel is a *real computation* — tests check numeric results —
 //! executed under the [`spmd`] harness, which runs one OS thread per
@@ -53,9 +55,5 @@ pub mod stream;
 pub mod tpcc;
 pub mod traced;
 
-pub use catalog::{
-    register_workload, workload_by_key, workload_keys, workload_specs, ResolvedWorkload,
-    WorkloadSpec,
-};
 pub use registry::{Workload, WorkloadKind};
 pub use spmd::{run_spmd, SpmdCtx, SpmdProgram, TraceSink};

@@ -1,5 +1,7 @@
-//! Workload registry: the paper's problem sizes (§5.2), scaled variants,
-//! and a uniform instantiation interface for the experiment harness.
+//! Sized workloads: the generator half of the workload table.  The
+//! paper's problem sizes (§5.2) and the scaled tiers are a static table
+//! indexed by the core [`WorkloadKind`] handle; [`Workload::instantiate`]
+//! turns a sized workload into a runnable SPMD program.
 
 use crate::edge::EdgeProgram;
 use crate::fft::FftProgram;
@@ -13,97 +15,7 @@ use crate::stream::StreamProgram;
 use crate::tpcc::TpccProgram;
 use std::sync::Arc;
 
-/// The built-in workloads.
-///
-/// `#[non_exhaustive]`: more kernels may be added; match with a wildcard.
-/// Out-of-tree generators enter through [`crate::catalog::register_workload`]
-/// rather than this enum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum WorkloadKind {
-    /// Six-step complex 1-D FFT.
-    Fft,
-    /// Blocked dense LU factorization.
-    Lu,
-    /// Iterative radix sort.
-    Radix,
-    /// Iterative edge detection.
-    Edge,
-    /// Synthetic TPC-C-like commercial workload.
-    Tpcc,
-    /// QCD-style 4-D nearest-neighbor stencil with halo exchange.
-    Stencil4D,
-    /// Streaming scan: touch-once locality (α → 1).
-    Stream,
-    /// Pointer-chasing traversal of a random single-cycle permutation.
-    GraphWalk,
-    /// Batched weight-streaming neural-network inference.
-    Inference,
-}
-
-impl WorkloadKind {
-    /// The four Table-2 kernels, in paper order.
-    pub const PAPER: [WorkloadKind; 4] = [
-        WorkloadKind::Fft,
-        WorkloadKind::Lu,
-        WorkloadKind::Radix,
-        WorkloadKind::Edge,
-    ];
-
-    /// Every built-in workload, paper kernels first.
-    pub const ALL: [WorkloadKind; 9] = [
-        WorkloadKind::Fft,
-        WorkloadKind::Lu,
-        WorkloadKind::Radix,
-        WorkloadKind::Edge,
-        WorkloadKind::Tpcc,
-        WorkloadKind::Stencil4D,
-        WorkloadKind::Stream,
-        WorkloadKind::GraphWalk,
-        WorkloadKind::Inference,
-    ];
-
-    /// Canonical display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            WorkloadKind::Fft => "FFT",
-            WorkloadKind::Lu => "LU",
-            WorkloadKind::Radix => "Radix",
-            WorkloadKind::Edge => "EDGE",
-            WorkloadKind::Tpcc => "TPC-C",
-            WorkloadKind::Stencil4D => "Stencil4D",
-            WorkloadKind::Stream => "Stream",
-            WorkloadKind::GraphWalk => "GraphWalk",
-            WorkloadKind::Inference => "Inference",
-        }
-    }
-}
-
-/// Serializes as the canonical display name (`"FFT"`, `"TPC-C"`, ...),
-/// matching what the CLI flags and `memhierd` request bodies spell.
-impl serde::Serialize for WorkloadKind {
-    fn to_json_value(&self) -> serde::__private::Value {
-        serde::__private::Value::String(self.name().to_string())
-    }
-}
-
-impl serde::Deserialize for WorkloadKind {
-    fn from_json_value(v: serde::__private::Value) -> Result<Self, String> {
-        let name = v.as_str().ok_or("workload must be a string")?;
-        match name.to_ascii_uppercase().as_str() {
-            "FFT" => Ok(WorkloadKind::Fft),
-            "LU" => Ok(WorkloadKind::Lu),
-            "RADIX" => Ok(WorkloadKind::Radix),
-            "EDGE" => Ok(WorkloadKind::Edge),
-            "TPC-C" | "TPCC" => Ok(WorkloadKind::Tpcc),
-            "STENCIL4D" | "STENCIL" => Ok(WorkloadKind::Stencil4D),
-            "STREAM" => Ok(WorkloadKind::Stream),
-            "GRAPHWALK" | "GRAPH" => Ok(WorkloadKind::GraphWalk),
-            "INFERENCE" | "INFER" => Ok(WorkloadKind::Inference),
-            other => Err(format!("unknown workload `{other}`")),
-        }
-    }
-}
+pub use memhier_core::WorkloadKind;
 
 /// A fully-specified workload: kind plus problem size.
 ///
@@ -179,82 +91,135 @@ pub enum Workload {
     },
 }
 
+/// Problem-size tiers, `[small, medium, paper]`, one row per workload in
+/// [`WorkloadKind::ALL`] order (indexed by [`WorkloadKind::index`]).
+static TIERS: [[Workload; 3]; 9] = [
+    [
+        Workload::Fft { points: 4096 },
+        Workload::Fft { points: 16 * 1024 }, // 512 KB data
+        Workload::Fft { points: 64 * 1024 },
+    ],
+    [
+        Workload::Lu { n: 64, block: 8 },
+        Workload::Lu { n: 192, block: 16 }, // 288 KB matrix
+        Workload::Lu { n: 512, block: 16 },
+    ],
+    [
+        Workload::Radix {
+            keys: 16 * 1024,
+            radix: 256,
+            key_bits: 16,
+        },
+        Workload::Radix {
+            keys: 128 * 1024,
+            radix: 1024,
+            key_bits: 20,
+        }, // 2 MB
+        Workload::Radix {
+            keys: 1024 * 1024,
+            radix: 1024,
+            key_bits: 20,
+        },
+    ],
+    [
+        Workload::Edge {
+            dim: 32,
+            iterations: 2,
+        },
+        Workload::Edge {
+            dim: 128,
+            iterations: 4,
+        }, // paper size
+        Workload::Edge {
+            dim: 128,
+            iterations: 4,
+        },
+    ],
+    [
+        Workload::Tpcc {
+            db_cells: 1 << 12,
+            refs_per_proc: 20_000,
+        },
+        Workload::Tpcc {
+            db_cells: 1 << 16,
+            refs_per_proc: 100_000,
+        },
+        Workload::Tpcc {
+            db_cells: 1 << 17,
+            refs_per_proc: 500_000,
+        },
+    ],
+    [
+        Workload::Stencil4D {
+            l: 8,
+            iterations: 2,
+        },
+        Workload::Stencil4D {
+            l: 16,
+            iterations: 2,
+        }, // 1 MB of field data
+        Workload::Stencil4D {
+            l: 16,
+            iterations: 8,
+        },
+    ],
+    [
+        Workload::Stream {
+            elems: 64 * 1024,
+            passes: 2,
+        },
+        Workload::Stream {
+            elems: 256 * 1024,
+            passes: 2,
+        }, // 4 MB
+        Workload::Stream {
+            elems: 1024 * 1024,
+            passes: 4,
+        },
+    ],
+    [
+        Workload::GraphWalk {
+            nodes: 16 * 1024,
+            steps: 20_000,
+        },
+        Workload::GraphWalk {
+            nodes: 64 * 1024,
+            steps: 100_000,
+        }, // 1 MB
+        Workload::GraphWalk {
+            nodes: 256 * 1024,
+            steps: 500_000,
+        },
+    ],
+    [
+        Workload::Inference {
+            dim: 48,
+            layers: 2,
+            batch: 16,
+        },
+        Workload::Inference {
+            dim: 96,
+            layers: 3,
+            batch: 16,
+        }, // 216 KB of weights
+        Workload::Inference {
+            dim: 128,
+            layers: 4,
+            batch: 32,
+        },
+    ],
+];
+
 impl Workload {
     /// The paper's §5.2 problem sizes: FFT 64 K points, LU 512 × 512,
     /// Radix 1 M integers radix 1024, EDGE 128 × 128.
     pub fn paper(kind: WorkloadKind) -> Workload {
-        match kind {
-            WorkloadKind::Fft => Workload::Fft { points: 64 * 1024 },
-            WorkloadKind::Lu => Workload::Lu { n: 512, block: 16 },
-            WorkloadKind::Radix => Workload::Radix {
-                keys: 1024 * 1024,
-                radix: 1024,
-                key_bits: 20,
-            },
-            WorkloadKind::Edge => Workload::Edge {
-                dim: 128,
-                iterations: 4,
-            },
-            WorkloadKind::Tpcc => Workload::Tpcc {
-                db_cells: 1 << 17,
-                refs_per_proc: 500_000,
-            },
-            WorkloadKind::Stencil4D => Workload::Stencil4D {
-                l: 16,
-                iterations: 8,
-            },
-            WorkloadKind::Stream => Workload::Stream {
-                elems: 1024 * 1024,
-                passes: 4,
-            },
-            WorkloadKind::GraphWalk => Workload::GraphWalk {
-                nodes: 256 * 1024,
-                steps: 500_000,
-            },
-            WorkloadKind::Inference => Workload::Inference {
-                dim: 128,
-                layers: 4,
-                batch: 32,
-            },
-        }
+        TIERS[kind.index()][2]
     }
 
     /// Small sizes for fast tests and CI (same structure, ~100× less work).
     pub fn small(kind: WorkloadKind) -> Workload {
-        match kind {
-            WorkloadKind::Fft => Workload::Fft { points: 4096 },
-            WorkloadKind::Lu => Workload::Lu { n: 64, block: 8 },
-            WorkloadKind::Radix => Workload::Radix {
-                keys: 16 * 1024,
-                radix: 256,
-                key_bits: 16,
-            },
-            WorkloadKind::Edge => Workload::Edge {
-                dim: 32,
-                iterations: 2,
-            },
-            WorkloadKind::Tpcc => Workload::Tpcc {
-                db_cells: 1 << 12,
-                refs_per_proc: 20_000,
-            },
-            WorkloadKind::Stencil4D => Workload::Stencil4D {
-                l: 8,
-                iterations: 2,
-            },
-            WorkloadKind::Stream => Workload::Stream {
-                elems: 64 * 1024,
-                passes: 2,
-            },
-            WorkloadKind::GraphWalk => Workload::GraphWalk {
-                nodes: 16 * 1024,
-                steps: 20_000,
-            },
-            WorkloadKind::Inference => Workload::Inference {
-                dim: 48,
-                layers: 2,
-                batch: 16,
-            },
-        }
+        TIERS[kind.index()][0]
     }
 
     /// Medium sizes for the experiment harness's default mode — working
@@ -262,42 +227,7 @@ impl Workload {
     /// exercised) while a 15-configuration × 4-application sweep stays in
     /// the minutes range.
     pub fn medium(kind: WorkloadKind) -> Workload {
-        match kind {
-            WorkloadKind::Fft => Workload::Fft { points: 16 * 1024 }, // 512 KB data
-            WorkloadKind::Lu => Workload::Lu { n: 192, block: 16 },   // 288 KB matrix
-            WorkloadKind::Radix => {
-                Workload::Radix {
-                    keys: 128 * 1024,
-                    radix: 1024,
-                    key_bits: 20,
-                } // 2 MB
-            }
-            WorkloadKind::Edge => Workload::Edge {
-                dim: 128,
-                iterations: 4,
-            }, // paper size
-            WorkloadKind::Tpcc => Workload::Tpcc {
-                db_cells: 1 << 16,
-                refs_per_proc: 100_000,
-            },
-            WorkloadKind::Stencil4D => Workload::Stencil4D {
-                l: 16,
-                iterations: 2,
-            }, // 1 MB of field data
-            WorkloadKind::Stream => Workload::Stream {
-                elems: 256 * 1024,
-                passes: 2,
-            }, // 4 MB
-            WorkloadKind::GraphWalk => Workload::GraphWalk {
-                nodes: 64 * 1024,
-                steps: 100_000,
-            }, // 1 MB
-            WorkloadKind::Inference => Workload::Inference {
-                dim: 96,
-                layers: 3,
-                batch: 16,
-            }, // 216 KB of weights
-        }
+        TIERS[kind.index()][1]
     }
 
     /// Which workload this is.
@@ -446,36 +376,10 @@ mod tests {
             for procs in [1usize, 2, 4] {
                 let p = Workload::small(k).instantiate(procs);
                 assert_eq!(p.processes(), procs);
+                assert_eq!(p.name(), k.name(), "programs are named by their table key");
                 let c = run_spmd(p);
                 assert!(c.mem_refs() > 0, "{k:?} on {procs} procs produced no refs");
             }
-        }
-    }
-
-    #[test]
-    fn names() {
-        assert_eq!(WorkloadKind::Fft.name(), "FFT");
-        assert_eq!(WorkloadKind::Tpcc.name(), "TPC-C");
-        assert_eq!(WorkloadKind::Stencil4D.name(), "Stencil4D");
-        assert_eq!(WorkloadKind::GraphWalk.name(), "GraphWalk");
-        assert_eq!(WorkloadKind::PAPER.len(), 4);
-        assert_eq!(WorkloadKind::ALL.len(), 9);
-    }
-
-    #[test]
-    fn new_kind_spellings_deserialize() {
-        use serde::{__private::Value, Deserialize};
-        for (spelling, kind) in [
-            ("stencil4d", WorkloadKind::Stencil4D),
-            ("STENCIL", WorkloadKind::Stencil4D),
-            ("Stream", WorkloadKind::Stream),
-            ("graph", WorkloadKind::GraphWalk),
-            ("GraphWalk", WorkloadKind::GraphWalk),
-            ("INFER", WorkloadKind::Inference),
-            ("Inference", WorkloadKind::Inference),
-        ] {
-            let v = Value::String(spelling.to_string());
-            assert_eq!(WorkloadKind::from_json_value(v), Ok(kind), "{spelling}");
         }
     }
 

@@ -8,7 +8,7 @@
 //! ```
 
 use memhier::core::model::AnalyticModel;
-use memhier::core::params;
+use memhier::core::WorkloadKind;
 use memhier::cost::{optimize, recommend, CandidateSpace, PriceTable};
 
 fn main() {
@@ -27,8 +27,11 @@ fn main() {
     let model = AnalyticModel::default();
     let prices = PriceTable::circa_1999();
     let space = CandidateSpace::paper_market();
-    let mut workloads = params::paper_workloads();
-    workloads.push(params::workload_tpcc());
+    let workloads: Vec<_> = WorkloadKind::PAPER
+        .into_iter()
+        .chain([WorkloadKind::Tpcc])
+        .map(|k| k.params())
+        .collect();
 
     for budget in budgets {
         println!("=== Budget: ${budget:.0} ===");

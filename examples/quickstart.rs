@@ -6,14 +6,15 @@
 //! ```
 
 use memhier::core::model::AnalyticModel;
-use memhier::core::params::{self, configs};
+use memhier::core::params::configs;
+use memhier::core::WorkloadKind;
 
 fn main() {
     let model = AnalyticModel::default();
 
     // The paper's Table-2 characterization of the FFT kernel
     // (α = 1.21, β = 103.26, ρ = 0.20).
-    let fft = params::workload_fft();
+    let fft = WorkloadKind::Fft.params();
 
     // C5: a 4-processor SMP with 256 KB caches and 128 MB memory (Table 3).
     let cluster = configs::c5();

@@ -9,8 +9,8 @@
 
 use memhier::core::machine::{MachineSpec, NetworkKind};
 use memhier::core::model::AnalyticModel;
-use memhier::core::params;
 use memhier::core::platform::ClusterSpec;
+use memhier::core::WorkloadKind;
 use memhier::cost::{plan_upgrade, PriceTable};
 
 fn main() {
@@ -32,7 +32,7 @@ fn main() {
     let model = AnalyticModel::default();
     let prices = PriceTable::circa_1999();
 
-    for w in params::paper_workloads() {
+    for w in WorkloadKind::PAPER.map(|k| k.params()) {
         let before = model.evaluate_or_inf(&existing, &w);
         let plans = plan_upgrade(&existing, extra, &w, &model, &prices);
         let best = &plans[0];

@@ -22,10 +22,11 @@
 //!
 //! ```
 //! use memhier::core::model::AnalyticModel;
-//! use memhier::core::params::{self, configs};
+//! use memhier::core::params::configs;
+//! use memhier::core::WorkloadKind;
 //!
 //! let model = AnalyticModel::default();
-//! let fft = params::workload_fft();
+//! let fft = WorkloadKind::Fft.params();
 //! let prediction = model.evaluate(&configs::c5(), &fft).unwrap();
 //! println!("E(Instr) on C5 = {:.3e} s", prediction.e_instr_seconds);
 //! ```

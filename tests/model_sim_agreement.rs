@@ -29,28 +29,15 @@ fn sim_seconds(kind: WorkloadKind, cluster: &ClusterSpec) -> f64 {
     report.e_instr_seconds
 }
 
-fn paper_params(kind: WorkloadKind) -> memhier::core::locality::WorkloadParams {
-    match kind {
-        WorkloadKind::Fft => memhier::core::params::workload_fft(),
-        WorkloadKind::Lu => memhier::core::params::workload_lu(),
-        WorkloadKind::Radix => memhier::core::params::workload_radix(),
-        WorkloadKind::Edge => memhier::core::params::workload_edge(),
-        WorkloadKind::Tpcc => memhier::core::params::workload_tpcc(),
-        // WorkloadKind is non_exhaustive; this test only names the five
-        // paper programs.
-        other => panic!("no paper parameters for {other:?}"),
-    }
-}
-
 fn model_seconds(kind: WorkloadKind, cluster: &ClusterSpec) -> f64 {
-    AnalyticModel::default().evaluate_or_inf(cluster, &paper_params(kind))
+    AnalyticModel::default().evaluate_or_inf(cluster, &kind.params())
 }
 
 /// Rendered per-level [`memhier::core::model::ModelReport`] for assertion
 /// messages, so a disagreement is explainable level by level.
 fn model_diag(kind: WorkloadKind, cluster: &ClusterSpec) -> String {
     AnalyticModel::default()
-        .evaluate(cluster, &paper_params(kind))
+        .evaluate(cluster, &kind.params())
         .map(|p| p.report().render())
         .unwrap_or_else(|e| format!("(model unevaluable: {e})"))
 }
@@ -111,7 +98,7 @@ fn model_within_two_orders_of_magnitude_of_sim() {
     // A very loose absolute sanity band for the *uncalibrated* model with
     // paper Table-2 parameters against small-size simulations: same units,
     // same ballpark.  (Tight comparisons happen, calibrated, in the
-    // experiment binaries at medium/paper sizes.)
+    // `memhier reproduce` experiments at medium/paper sizes.)
     let configs = [
         ClusterSpec::single(MachineSpec::new(2, 256, 64, 200.0)),
         ClusterSpec::single(MachineSpec::new(4, 256, 128, 200.0)),

@@ -2,7 +2,7 @@
 //! the model and the price table.
 
 use memhier::core::model::AnalyticModel;
-use memhier::core::params;
+use memhier::core::WorkloadKind;
 use memhier::cost::{optimize, plan_upgrade, CandidateSpace, PriceTable};
 
 #[test]
@@ -13,7 +13,7 @@ fn reported_numbers_are_reproducible() {
     let prices = PriceTable::circa_1999();
     let ranked = optimize(
         15_000.0,
-        &params::workload_radix(),
+        &WorkloadKind::Radix.params(),
         &model,
         &prices,
         &CandidateSpace::paper_market(),
@@ -22,7 +22,7 @@ fn reported_numbers_are_reproducible() {
     for r in ranked.iter().take(10) {
         let cost = prices.cluster_cost(&r.spec).expect("pricable");
         assert_eq!(cost, r.cost);
-        let e = model.evaluate_or_inf(&r.spec, &params::workload_radix());
+        let e = model.evaluate_or_inf(&r.spec, &WorkloadKind::Radix.params());
         assert!((e - r.e_instr_seconds).abs() / e < 1e-12);
     }
 }
@@ -33,7 +33,7 @@ fn optimum_is_actually_minimal() {
     let model = AnalyticModel::default();
     let prices = PriceTable::circa_1999();
     let space = CandidateSpace::paper_market();
-    let w = params::workload_edge();
+    let w = WorkloadKind::Edge.params();
     let budget = 10_000.0;
     let ranked = optimize(budget, &w, &model, &prices, &space);
     let best = &ranked[0];
@@ -66,7 +66,7 @@ fn upgrades_monotone_in_budget() {
             NetworkKind::Ethernet10,
         )
     };
-    let w = params::workload_fft();
+    let w = WorkloadKind::Fft.params();
     let mut prev_best = f64::INFINITY;
     for budget in [0.0, 500.0, 2000.0, 8000.0] {
         let plans = plan_upgrade(&existing, budget, &w, &model, &prices);

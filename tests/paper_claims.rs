@@ -3,8 +3,8 @@
 
 use memhier::core::machine::{MachineSpec, NetworkKind};
 use memhier::core::model::AnalyticModel;
-use memhier::core::params;
 use memhier::core::platform::ClusterSpec;
+use memhier::core::WorkloadKind;
 use memhier::cost::{recommend, RecommendedPlatform};
 
 #[test]
@@ -13,7 +13,7 @@ fn fft_ethernet_vs_atm_gap_is_large() {
     // slow Ethernet of workstations than that on a fast ATM network of
     // workstations" (4 × 64 MB Ethernet vs 3 × 32 MB ATM, same cost).
     let model = AnalyticModel::default();
-    let w = params::workload_fft();
+    let w = WorkloadKind::Fft.params();
     let eth = ClusterSpec::cluster(
         MachineSpec::new(1, 256, 64, 200.0),
         4,
@@ -40,7 +40,7 @@ fn hierarchy_length_is_the_sensitive_factor() {
         4,
         NetworkKind::Ethernet10,
     );
-    for w in params::paper_workloads() {
+    for w in WorkloadKind::PAPER.map(|k| k.params()) {
         let (e_smp, e_cow) = (
             model.evaluate_or_inf(&smp, &w),
             model.evaluate_or_inf(&cow, &w),
@@ -58,11 +58,13 @@ fn recommendation_matrix_matches_section_6() {
         ("Radix", RecommendedPlatform::SingleSmp),
         ("TPC-C", RecommendedPlatform::SmpOrFastClusterOfSmps),
     ];
-    let mut all = params::paper_workloads();
-    all.push(params::workload_tpcc());
-    for w in &all {
+    for w in WorkloadKind::PAPER
+        .into_iter()
+        .chain([WorkloadKind::Tpcc])
+        .map(|k| k.params())
+    {
         let expect = cases.iter().find(|c| c.0 == w.name).unwrap().1;
-        assert_eq!(recommend(w).platform, expect, "{}", w.name);
+        assert_eq!(recommend(&w).platform, expect, "{}", w.name);
     }
 }
 
@@ -82,7 +84,7 @@ fn upgrading_memory_helps_good_locality_network_helps_poor() {
     let mut faster_net = base.clone();
     faster_net.network = Some(NetworkKind::Atm155);
 
-    let fft = params::workload_fft();
+    let fft = WorkloadKind::Fft.params();
     let gain_mem = model.evaluate_or_inf(&base, &fft) / model.evaluate_or_inf(&more_mem, &fft);
     let gain_net = model.evaluate_or_inf(&base, &fft) / model.evaluate_or_inf(&faster_net, &fft);
     assert!(
@@ -97,7 +99,7 @@ fn tpcc_wants_the_shortest_hierarchy() {
     // worse; among equal-cost-ish options the SMP (or clustered SMPs over
     // a fast switch) must win by a wide margin over Ethernet workstations.
     let model = AnalyticModel::default();
-    let w = params::workload_tpcc();
+    let w = WorkloadKind::Tpcc.params();
     let smp = ClusterSpec::single(MachineSpec::new(4, 512, 128, 200.0));
     let cow = ClusterSpec::cluster(
         MachineSpec::new(1, 512, 128, 200.0),
