@@ -18,6 +18,7 @@ use std::hint::black_box;
 fn bench_model(c: &mut Criterion) {
     let mut g = c.benchmark_group("model_evaluate");
     let workloads = WorkloadKind::PAPER.map(|k| k.params());
+    let cfgs = configs::all_configs();
     for arrival in [ArrivalModel::Open, ArrivalModel::SelfConsistent] {
         let model = AnalyticModel {
             arrival,
@@ -29,9 +30,9 @@ fn bench_model(c: &mut Criterion) {
             |b, model| {
                 b.iter(|| {
                     let mut acc = 0.0;
-                    for cfg in configs::all_configs() {
+                    for cfg in &cfgs {
                         for w in &workloads {
-                            acc += model.evaluate_or_inf(black_box(&cfg), black_box(w));
+                            acc += model.evaluate_or_inf(black_box(cfg), black_box(w));
                         }
                     }
                     acc
@@ -45,16 +46,14 @@ fn bench_model(c: &mut Criterion) {
 fn bench_sim(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulation");
     g.sample_size(10);
+    let c5 = configs::by_name("C5").expect("C5 is a named config");
     for kind in [WorkloadKind::Edge, WorkloadKind::Fft] {
         g.bench_with_input(
             BenchmarkId::new("small_on_C5", kind.name()),
             &kind,
             |b, &kind| {
                 b.iter(|| {
-                    simulate_workload(
-                        black_box(&Sizes::Small.workload(kind)),
-                        black_box(&configs::c5()),
-                    )
+                    simulate_workload(black_box(&Sizes::Small.workload(kind)), black_box(&c5))
                 })
             },
         );

@@ -251,12 +251,26 @@ pub fn figure_experiment(
     (t, rows, cal)
 }
 
+/// The paper configurations of one platform family: Table 3 (SMPs),
+/// Table 4 (COWs) or Table 5 (CLUMPs).
+fn paper_table(kind: PlatformKind) -> Vec<ClusterSpec> {
+    configs::all_configs()
+        .into_iter()
+        .filter(|c| c.platform() == kind)
+        .collect()
+}
+
+/// A named configuration (`"C5"`), for the experiments that fix one.
+fn named(name: &str) -> ClusterSpec {
+    configs::by_name(name).expect("a named config")
+}
+
 /// E3 — Figure 2 (+ Table 3 configs): SMPs C1–C6.
 pub fn fig2_smp(sizes: Sizes, chars: &[Characterization]) -> (Table, Vec<FigureRow>) {
     let (t, rows, _) = figure_experiment(
         "fig2_smp",
         "Figure 2: modeled vs simulated E(Instr) on SMPs C1-C6",
-        &configs::smp_configs(),
+        &paper_table(PlatformKind::Smp),
         sizes,
         chars,
     );
@@ -268,7 +282,7 @@ pub fn fig3_cow(sizes: Sizes, chars: &[Characterization]) -> (Table, Vec<FigureR
     let (t, rows, _) = figure_experiment(
         "fig3_cow",
         "Figure 3: modeled vs simulated E(Instr) on clusters of workstations C7-C11",
-        &configs::cow_configs(),
+        &paper_table(PlatformKind::ClusterOfWorkstations),
         sizes,
         chars,
     );
@@ -280,7 +294,7 @@ pub fn fig4_clump(sizes: Sizes, chars: &[Characterization]) -> (Table, Vec<Figur
     let (t, rows, _) = figure_experiment(
         "fig4_clump",
         "Figure 4: modeled vs simulated E(Instr) on clusters of SMPs C12-C15",
-        &configs::clump_configs(),
+        &paper_table(PlatformKind::ClusterOfSmps),
         sizes,
         chars,
     );
@@ -292,7 +306,7 @@ pub fn fig4_clump(sizes: Sizes, chars: &[Characterization]) -> (Table, Vec<Figur
 /// 7.2%, EDGE 2.1%).
 pub fn coherence_traffic(sizes: Sizes) -> Table {
     let paper = [("FFT", 6.3), ("LU", 4.7), ("Radix", 7.2), ("EDGE", 2.1)];
-    let cfg = configs::c5();
+    let cfg = named("C5");
     let mut t = Table::new(
         "Coherence share of SMP bus traffic (C5)",
         &["App", "ours", "paper"],
@@ -318,7 +332,7 @@ pub fn coherence_traffic(sizes: Sizes) -> Table {
 /// E6 — the §5.3.3 closing claim: modeling takes well under a second and
 /// ~a hundred bytes, simulation takes orders of magnitude longer.
 pub fn speedup(sizes: Sizes) -> Table {
-    let cfg = configs::c5();
+    let cfg = named("C5");
     let w = WorkloadKind::Fft.params();
     let model = AnalyticModel::default();
     let t0 = std::time::Instant::now();
@@ -563,7 +577,7 @@ pub fn sweep_map(budget: f64) -> String {
 /// what footprint truncation removes.
 pub fn ablation() -> Table {
     use memhier_core::model::{ArrivalModel, TailMode};
-    let clusters = [configs::c5(), configs::c8(), configs::c11()];
+    let clusters = [named("C5"), named("C8"), named("C11")];
     let mut t = Table::new(
         "Ablation: arrival model x tail mode, E(Instr) seconds",
         &[
@@ -625,7 +639,7 @@ pub fn utilization(sizes: Sizes, chars: &[Characterization]) -> Table {
         &["Config", "App", "model util", "sim util"],
     );
     let mut artifact = Vec::new();
-    let clusters = [configs::c7(), configs::c8(), configs::c10()];
+    let clusters = [named("C7"), named("C8"), named("C10")];
     let kinds: Vec<WorkloadKind> = chars.iter().map(Characterization::kind).collect();
     let plan = SweepPlan::new("utilization", sizes).cross(&clusters, &kinds);
     for r in run_sweep(&plan) {
@@ -726,13 +740,8 @@ mod tests {
         // One config, one kernel, small size: the full pipeline holds
         // together and produces finite numbers.
         let (_, chars) = table2(Sizes::Small, false);
-        let (t, rows, _) = figure_experiment(
-            "smoke",
-            "smoke",
-            &[configs::c1()],
-            Sizes::Small,
-            &chars[..1],
-        );
+        let (t, rows, _) =
+            figure_experiment("smoke", "smoke", &[named("C1")], Sizes::Small, &chars[..1]);
         assert_eq!(rows.len(), 1);
         assert!(rows[0].sim_seconds.is_finite() && rows[0].sim_seconds > 0.0);
         assert!(rows[0].model_calibrated_seconds.is_finite());

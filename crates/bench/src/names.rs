@@ -15,11 +15,7 @@ use memhier_workloads::registry::WorkloadKind;
 /// Resolve a named configuration: the paper's `C1`..`C15` or the
 /// extended `N4`/`N8`/`FT8`/`FT16` NUMA and fat-tree configs.
 pub fn config_by_name(name: &str) -> Result<ClusterSpec, String> {
-    configs::all_configs()
-        .into_iter()
-        .chain(configs::extended_configs())
-        .find(|c| c.name.as_deref() == Some(name))
-        .ok_or_else(|| format!("unknown config `{name}` (try `memhier configs`)"))
+    configs::by_name(name).ok_or_else(|| format!("unknown config `{name}` (try `memhier configs`)"))
 }
 
 /// Resolve a workload kind by registry key or alias (case-insensitive).
@@ -49,9 +45,9 @@ mod tests {
 
     #[test]
     fn config_lookup_roundtrips() {
-        for c in configs::all_configs() {
-            let name = c.name.clone().unwrap();
-            assert_eq!(config_by_name(&name).unwrap().name.as_deref(), Some(&*name));
+        for row in &configs::NAMED {
+            let c = config_by_name(row.name).unwrap();
+            assert_eq!(c.name.as_deref(), Some(row.name));
         }
         assert!(config_by_name("C99").is_err());
     }
@@ -73,13 +69,6 @@ mod tests {
             err.contains("Stencil4D"),
             "error lists registry keys: {err}"
         );
-    }
-
-    #[test]
-    fn extended_configs_resolve_by_name() {
-        for name in ["N4", "N8", "FT8", "FT16"] {
-            assert_eq!(config_by_name(name).unwrap().name.as_deref(), Some(name));
-        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! The registry listing: one JSON document describing every registered
-//! workload, platform back-end, and network medium, with their typed
-//! parameter schemas.
+//! The registry listing: one JSON document describing every workload,
+//! platform family, and network medium, with their typed parameter
+//! schemas.
 //!
 //! `memhier workloads`, `memhier platforms`, and memhierd's
 //! `GET /v1/registry` all render from [`registry_json`], so the CLI and
@@ -8,7 +8,7 @@
 //! `serve_parity.rs`).
 
 use memhier_core::machine::NetworkKind;
-use memhier_core::{platform_specs, ParamInfo};
+use memhier_core::{ParamInfo, FAMILIES};
 use memhier_workloads::{Workload, WorkloadKind};
 use serde_json::Value;
 
@@ -55,24 +55,24 @@ pub fn workloads_json() -> Value {
     )
 }
 
-/// Every registered platform back-end, in registration order.
+/// Every platform family, in table order.
 pub fn platforms_json() -> Value {
     Value::Array(
-        platform_specs()
+        FAMILIES
             .iter()
-            .map(|spec| {
+            .map(|f| {
                 serde_json::json!({
-                    "key": spec.key(),
-                    "aliases": str_array(spec.aliases()),
-                    "description": spec.description(),
-                    "params": params_json(spec.params()),
+                    "key": f.key,
+                    "aliases": str_array(f.aliases),
+                    "description": f.description,
+                    "params": params_json(f.params),
                 })
             })
             .collect(),
     )
 }
 
-/// Every registered network medium, in registration order.
+/// Every network medium, in table order.
 pub fn networks_json() -> Value {
     Value::Array(
         NetworkKind::registered()

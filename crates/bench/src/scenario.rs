@@ -652,7 +652,7 @@ pub fn size_name(size: Sizes) -> &'static str {
 }
 
 /// Build a [`ClusterSpec`] from the `{"platform": key, "params": {...}}`
-/// config form via the platform registry.
+/// config form via the platform family table.
 fn platform_config_from_json(v: &Value) -> Result<ClusterSpec, ScenarioError> {
     if let Value::Object(fields) = v {
         for (k, _) in fields {
@@ -668,7 +668,7 @@ fn platform_config_from_json(v: &Value) -> Result<ClusterSpec, ScenarioError> {
             "config",
             "`platform` must be a registry key string".to_string(),
         ))?;
-    let spec = platform_by_key(key).ok_or_else(|| {
+    let family = platform_by_key(key).ok_or_else(|| {
         ScenarioError::Invalid(
             "config",
             format!(
@@ -678,7 +678,8 @@ fn platform_config_from_json(v: &Value) -> Result<ClusterSpec, ScenarioError> {
         )
     })?;
     let params = v.get("params").cloned().unwrap_or(Value::Null);
-    spec.build(&params)
+    family
+        .build(&params)
         .map_err(|e| ScenarioError::Invalid("config", e.to_string()))
 }
 

@@ -7,7 +7,11 @@
 //! kernel in Figures 2–4, and whether our measured (α, β, ρ) land above
 //! or below the paper's published Table 2 values.
 //!
-//! Each test runs the experiment (which writes its JSON artifact under
+//! `configs.json` pins every named configuration `memhier configs` lists
+//! — its serialized `ClusterSpec` and its `describe()` line — so a
+//! change to how configs are built cannot move a single byte of them.
+//!
+//! Each figure test runs the experiment (which writes its JSON artifact under
 //! `target/experiments/`), re-reads that artifact — so the provenance
 //! path itself is exercised — reduces it to a stable text fingerprint,
 //! and compares against a checked-in `tests/golden/*.snap` file.
@@ -25,6 +29,7 @@ use memhier_bench::experiments;
 use memhier_bench::runner::{simulate_workload_threads, ObserverConfig, Sizes};
 use memhier_bench::tables::experiments_dir;
 use memhier_core::machine::{LatencyParams, MachineSpec, NetworkKind};
+use memhier_core::params::configs;
 use memhier_core::platform::ClusterSpec;
 use memhier_workloads::registry::WorkloadKind;
 
@@ -32,10 +37,10 @@ fn snap_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
-/// Compare `actual` against `tests/golden/<name>.snap`, or rewrite the
+/// Compare `actual` against `tests/golden/<file>`, or rewrite the
 /// snapshot when `MEMHIER_BLESS` is set.
-fn check_snapshot(name: &str, actual: &str) {
-    let path = snap_dir().join(format!("{name}.snap"));
+fn check_snapshot(file: &str, actual: &str) {
+    let path = snap_dir().join(file);
     if std::env::var_os("MEMHIER_BLESS").is_some() {
         fs::create_dir_all(snap_dir()).expect("create snapshot dir");
         fs::write(&path, actual).expect("write snapshot");
@@ -51,7 +56,7 @@ fn check_snapshot(name: &str, actual: &str) {
     assert_eq!(
         expected.trim(),
         actual.trim(),
-        "fingerprint for `{name}` diverged from the golden snapshot.\n\
+        "fingerprint for `{file}` diverged from the golden snapshot.\n\
          If the ordering change is an intentional model improvement,\n\
          re-bless with MEMHIER_BLESS=1 and explain it in the PR."
     );
@@ -119,7 +124,7 @@ fn table2_signs_match_golden() {
             sign(r["rho"].as_f64().unwrap(), p.3),
         ));
     }
-    check_snapshot("table2_signs", &lines.join("\n"));
+    check_snapshot("table2_signs.snap", &lines.join("\n"));
 }
 
 #[test]
@@ -127,7 +132,7 @@ fn fig2_smp_ranking_matches_golden() {
     let (_, chars) = experiments::table2(Sizes::Small, false);
     let _ = experiments::fig2_smp(Sizes::Small, &chars);
     check_snapshot(
-        "fig2_smp_ranking",
+        "fig2_smp_ranking.snap",
         &ranking_fingerprint(&load_artifact("fig2_smp")),
     );
 }
@@ -137,7 +142,7 @@ fn fig3_cow_ranking_matches_golden() {
     let (_, chars) = experiments::table2(Sizes::Small, false);
     let _ = experiments::fig3_cow(Sizes::Small, &chars);
     check_snapshot(
-        "fig3_cow_ranking",
+        "fig3_cow_ranking.snap",
         &ranking_fingerprint(&load_artifact("fig3_cow")),
     );
 }
@@ -210,7 +215,7 @@ fn metrics_json_schema_matches_golden() {
     let v: serde_json::Value = serde_json::from_str(&json).expect("parse metrics JSON");
     let mut lines = Vec::new();
     schema_fingerprint("", &v, &mut lines);
-    check_snapshot("metrics_schema", &lines.join("\n"));
+    check_snapshot("metrics_schema.snap", &lines.join("\n"));
 
     // The trace is JSONL: every line parses alone and knows its kind.
     let log = out.trace.expect("trace requested");
@@ -225,7 +230,26 @@ fn fig4_clump_ranking_matches_golden() {
     let (_, chars) = experiments::table2(Sizes::Small, false);
     let _ = experiments::fig4_clump(Sizes::Small, &chars);
     check_snapshot(
-        "fig4_clump_ranking",
+        "fig4_clump_ranking.snap",
         &ranking_fingerprint(&load_artifact("fig4_clump")),
     );
+}
+
+/// Every named configuration, in `memhier configs` order, with its
+/// serialized spec and its one-line description: one JSON object per line.
+#[test]
+fn named_configs_match_golden() {
+    let rows: Vec<String> = configs::all_configs()
+        .into_iter()
+        .chain(configs::extended_configs())
+        .map(|c| {
+            let row = serde_json::json!({
+                "name": c.name,
+                "describe": c.describe(),
+                "spec": c,
+            });
+            serde_json::to_string(&row).expect("serialize config")
+        })
+        .collect();
+    check_snapshot("configs.json", &format!("[\n{}\n]", rows.join(",\n")));
 }

@@ -1,7 +1,7 @@
 //! `memhier` — the command-line front end to the IPPS'99 reproduction.
 //!
 //! ```text
-//! memhier configs                              list C1..C15
+//! memhier configs                              list C1..C15, N4, N8, FT8, FT16
 //! memhier model --config C5 --workload FFT     analytic E(Instr)
 //! memhier model --all                          all configs x kernels
 //! memhier simulate --config C8 --workload LU   program-driven simulation
@@ -85,7 +85,7 @@ USAGE:
   memhier platforms [--json]                   list platform back-ends & networks
   memhier model    --config <C1..C15|N4|N8|FT8|FT16> --workload <NAME> [--json]
   memhier model    --all [--json]
-  memhier simulate --config <C1..C15> --workload <name> [--small|--paper] [--json]
+  memhier simulate --config <C1..C15|N4|N8|FT8|FT16> --workload <name> [--small|--paper] [--json]
                    [--sim-threads <N>] [--metrics <out.json> [--window <cycles>]]
                    [--trace <out.jsonl> [--trace-cap <n>]]
   memhier record   --scenario <CONFIG:WORKLOAD[:SIZE]> -o <trace.mtr>
@@ -117,6 +117,10 @@ USAGE:
                     [--small|--paper] [--jobs N]
 
 Every subcommand accepts --help for its own flag list.";
+
+/// `--config` help: every name it accepts (the rows `memhier configs`
+/// lists).
+const CONFIG_HELP: &str = "named configuration: C1..C15, N4, N8, FT8 or FT16";
 
 /// Parse a subcommand's arguments; `Ok(None)` means `--help` was printed.
 fn sub(parser: &FlagParser, rest: &[String]) -> Result<Option<Matches>, String> {
@@ -195,13 +199,8 @@ fn cmd_platforms(rest: &[String]) -> Result<(), MemhierError> {
         return Ok(());
     }
     println!("Registered platform back-ends:");
-    for spec in memhier_core::platform_specs() {
-        print_registry_entry(
-            spec.key(),
-            spec.aliases(),
-            spec.description(),
-            spec.params(),
-        );
+    for f in &memhier_core::FAMILIES {
+        print_registry_entry(f.key, f.aliases, f.description, f.params);
     }
     println!("Registered network media:");
     for net in NetworkKind::registered() {
@@ -240,7 +239,7 @@ fn print_registry_entry(
 
 fn cmd_model(rest: &[String]) -> Result<(), MemhierError> {
     let parser = FlagParser::new("memhier model", "analytic E(Instr) prediction")
-        .option("--config", "C1..C15", "paper configuration")
+        .option("--config", "NAME", CONFIG_HELP)
         .option(
             "--workload",
             "NAME",
@@ -320,7 +319,7 @@ fn cmd_model(rest: &[String]) -> Result<(), MemhierError> {
 
 fn cmd_simulate(rest: &[String]) -> Result<(), MemhierError> {
     let parser = FlagParser::new("memhier simulate", "program-driven simulation of one run")
-        .option("--config", "C1..C15", "paper configuration")
+        .option("--config", "NAME", CONFIG_HELP)
         .option(
             "--workload",
             "NAME",

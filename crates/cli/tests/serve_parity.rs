@@ -97,6 +97,28 @@ fn v1_simulate_matches_cli_json_bytes() {
     server.shutdown();
 }
 
+/// `/v1/model` must be byte-identical to `memhier model --json` for every
+/// named configuration.
+#[test]
+fn v1_model_matches_cli_json_bytes() {
+    let server = server();
+    for row in &memhier_core::params::configs::NAMED {
+        let from_service = serve_body(
+            &server,
+            "/v1/model",
+            &format!(r#"{{"config": "{}", "workload": "FFT"}}"#, row.name),
+        );
+        let from_cli =
+            memhier_stdout(&["model", "--config", row.name, "--workload", "FFT", "--json"]);
+        assert_eq!(
+            from_service, from_cli,
+            "{}: service and CLI diverge",
+            row.name
+        );
+    }
+    server.shutdown();
+}
+
 /// `/v1/recommend` must be byte-identical to `memhier recommend --format
 /// json` for the same paper workload.
 #[test]

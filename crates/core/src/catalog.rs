@@ -1,18 +1,20 @@
-//! The platform registry: string-keyed, trait-object back-ends that build
-//! [`ClusterSpec`]s from typed parameter maps.
+//! The platform family table: one row per family of clusters, each a
+//! typed parameter schema plus a plain builder from a parameter map to a
+//! [`ClusterSpec`].
 //!
 //! The paper's closed universe (SMP / COW / CLUMP over three networks) is
-//! one set of entries in this registry; the NUMA-aware SMP and multi-rack
-//! fat-tree back-ends are two more, and downstream crates can
-//! [`register_platform`] their own.  Every entry publishes a typed
-//! parameter schema ([`ParamInfo`]) so `memhier platforms` and
-//! `GET /v1/registry` are discoverable instead of folklore.
+//! four of the six rows; the NUMA-aware SMP and multi-rack fat-tree
+//! families are the other two.  Every row publishes its schema
+//! ([`ParamInfo`]) so `memhier platforms` and `GET /v1/registry` are
+//! discoverable instead of folklore, and every builder reads a missing
+//! parameter from that schema's default, so each default is written once.
+//! The named configurations (C1–C15, N4, N8, FT8, FT16) are points in
+//! these families ([`crate::params::configs`]).
 
 use crate::error::ModelError;
 use crate::machine::{MachineSpec, NetworkKind};
 use crate::platform::ClusterSpec;
-use serde::__private::Value;
-use std::sync::{OnceLock, RwLock};
+use serde::__private::{Number, Value};
 
 /// One named, typed parameter a platform (or workload) back-end accepts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,358 +29,315 @@ pub struct ParamInfo {
     pub default: &'static str,
 }
 
-/// A platform back-end: builds a [`ClusterSpec`] from a JSON parameter map.
-pub trait PlatformSpec: Sync + Send {
-    /// Canonical registry key (e.g. `"numa-smp"`).
-    fn key(&self) -> &'static str;
-    /// Additional accepted spellings.
-    fn aliases(&self) -> &'static [&'static str] {
-        &[]
-    }
+/// One row of the family table.
+#[derive(Debug)]
+pub struct PlatformFamily {
+    /// Canonical key (e.g. `"numa-smp"`).
+    pub key: &'static str,
+    /// Additional accepted spellings (matched case-insensitively, like the
+    /// key).
+    pub aliases: &'static [&'static str],
     /// One-line description for registry listings.
-    fn description(&self) -> &'static str;
-    /// The typed parameter schema this back-end accepts.
-    fn params(&self) -> &'static [ParamInfo];
+    pub description: &'static str,
+    /// The typed parameter schema, defaults included.
+    pub params: &'static [ParamInfo],
+    builder: fn(&Params) -> Result<ClusterSpec, ModelError>,
+}
+
+impl PlatformFamily {
     /// Build a validated cluster from a JSON object of parameters
     /// (missing keys take the schema defaults; unknown keys are rejected).
-    fn build(&self, params: &Value) -> Result<ClusterSpec, ModelError>;
-}
-
-/// Reject parameter keys outside the declared schema — a typo'd knob must
-/// fail loudly, not silently fall back to its default.
-fn check_unknown_keys(spec: &dyn PlatformSpec, params: &Value) -> Result<(), ModelError> {
-    let Value::Object(fields) = params else {
-        if params.is_null() {
-            return Ok(());
-        }
-        return Err(ModelError::InvalidSpec(format!(
-            "platform `{}` parameters must be a JSON object",
-            spec.key()
-        )));
-    };
-    for (k, _) in fields {
-        if !spec.params().iter().any(|p| p.name == k) {
-            let known: Vec<&str> = spec.params().iter().map(|p| p.name).collect();
-            return Err(ModelError::InvalidSpec(format!(
-                "platform `{}` has no parameter `{k}` (known: {})",
-                spec.key(),
-                known.join(", ")
-            )));
-        }
+    pub fn build(&self, params: &Value) -> Result<ClusterSpec, ModelError> {
+        self.check_unknown_keys(params)?;
+        let cluster = (self.builder)(&Params {
+            schema: self.params,
+            values: params,
+        })?;
+        cluster.validate()?;
+        Ok(cluster)
     }
-    Ok(())
+
+    /// Reject parameter keys outside the declared schema — a typo'd knob
+    /// must fail loudly, not silently fall back to its default.
+    fn check_unknown_keys(&self, params: &Value) -> Result<(), ModelError> {
+        let Value::Object(fields) = params else {
+            if params.is_null() {
+                return Ok(());
+            }
+            return Err(ModelError::InvalidSpec(format!(
+                "platform `{}` parameters must be a JSON object",
+                self.key
+            )));
+        };
+        for (k, _) in fields {
+            if !self.params.iter().any(|p| p.name == k) {
+                let known: Vec<&str> = self.params.iter().map(|p| p.name).collect();
+                return Err(ModelError::InvalidSpec(format!(
+                    "platform `{}` has no parameter `{k}` (known: {})",
+                    self.key,
+                    known.join(", ")
+                )));
+            }
+        }
+        Ok(())
+    }
 }
 
-fn get_u32(params: &Value, key: &str, default: u32) -> Result<u32, ModelError> {
-    match params.get(key) {
-        None => Ok(default),
-        Some(v) => v
+/// A parameter map seen through its family's schema: a missing key reads
+/// the schema default.
+struct Params<'a> {
+    schema: &'static [ParamInfo],
+    values: &'a Value,
+}
+
+impl Params<'_> {
+    fn get(&self, key: &str) -> Value {
+        if let Some(v) = self.values.get(key) {
+            return v.clone();
+        }
+        let info = self
+            .schema
+            .iter()
+            .find(|p| p.name == key)
+            .expect("builders read only schema parameters");
+        let default = match info.kind {
+            "u32" | "u64" => info.default.parse().ok().map(Number::U64),
+            "f64" => info.default.parse().ok().map(Number::F64),
+            _ => return Value::String(info.default.to_string()),
+        };
+        Value::Number(
+            default.unwrap_or_else(|| panic!("default of `{key}` is not a {}", info.kind)),
+        )
+    }
+
+    fn u32(&self, key: &str) -> Result<u32, ModelError> {
+        self.get(key)
             .as_u64()
             .and_then(|n| u32::try_from(n).ok())
-            .ok_or_else(|| ModelError::InvalidSpec(format!("parameter `{key}` must be a u32"))),
+            .ok_or_else(|| ModelError::InvalidSpec(format!("parameter `{key}` must be a u32")))
     }
-}
 
-fn get_u64(params: &Value, key: &str, default: u64) -> Result<u64, ModelError> {
-    match params.get(key) {
-        None => Ok(default),
-        Some(v) => v
+    fn u64(&self, key: &str) -> Result<u64, ModelError> {
+        self.get(key)
             .as_u64()
-            .ok_or_else(|| ModelError::InvalidSpec(format!("parameter `{key}` must be a u64"))),
+            .ok_or_else(|| ModelError::InvalidSpec(format!("parameter `{key}` must be a u64")))
     }
-}
 
-fn get_f64(params: &Value, key: &str, default: f64) -> Result<f64, ModelError> {
-    match params.get(key) {
-        None => Ok(default),
-        Some(v) => v
+    fn f64(&self, key: &str) -> Result<f64, ModelError> {
+        self.get(key)
             .as_f64()
-            .ok_or_else(|| ModelError::InvalidSpec(format!("parameter `{key}` must be a number"))),
+            .ok_or_else(|| ModelError::InvalidSpec(format!("parameter `{key}` must be a number")))
+    }
+
+    fn network(&self, key: &str) -> Result<NetworkKind, ModelError> {
+        let v = self.get(key);
+        let name = v.as_str().ok_or_else(|| {
+            ModelError::InvalidSpec(format!("parameter `{key}` must be a network name"))
+        })?;
+        NetworkKind::parse(name).ok_or_else(|| {
+            ModelError::InvalidSpec(format!(
+                "unknown network `{name}` (known: {})",
+                NetworkKind::known_keys().join("|")
+            ))
+        })
+    }
+
+    /// One machine of `n_procs` processors from the shared geometry
+    /// parameters.
+    fn machine(&self, n_procs: u32) -> Result<MachineSpec, ModelError> {
+        Ok(MachineSpec::new(
+            n_procs,
+            self.u64("cache_kb")?,
+            self.u64("memory_mb")?,
+            self.f64("clock_mhz")?,
+        ))
     }
 }
 
-fn get_network(params: &Value, key: &str, default: NetworkKind) -> Result<NetworkKind, ModelError> {
-    match params.get(key) {
-        None => Ok(default),
-        Some(v) => {
-            let name = v.as_str().ok_or_else(|| {
-                ModelError::InvalidSpec(format!("parameter `{key}` must be a network name"))
-            })?;
-            NetworkKind::parse(name).ok_or_else(|| {
-                ModelError::InvalidSpec(format!(
-                    "unknown network `{name}` (known: {})",
-                    NetworkKind::known_keys().join("|")
-                ))
-            })
-        }
-    }
-}
+/// Per-processor cache capacity, shared by every family.
+const CACHE_KB: ParamInfo = ParamInfo {
+    name: "cache_kb",
+    kind: "u64",
+    about: "per-processor cache capacity, KB",
+    default: "256",
+};
 
-/// Shared machine-geometry parameters every built-in accepts.
-const MACHINE_PARAMS: [ParamInfo; 3] = [
-    ParamInfo {
-        name: "cache_kb",
-        kind: "u64",
-        about: "per-processor cache capacity, KB",
-        default: "256",
-    },
+/// Per-machine memory capacity; each family sets its own default.
+const fn memory_mb(default: &'static str) -> ParamInfo {
     ParamInfo {
         name: "memory_mb",
         kind: "u64",
         about: "per-machine memory capacity, MB",
-        default: "64",
-    },
-    ParamInfo {
-        name: "clock_mhz",
-        kind: "f64",
-        about: "processor clock, MHz",
-        default: "200",
-    },
-];
-
-fn machine_from(params: &Value, n_procs: u32, memory_mb: u64) -> Result<MachineSpec, ModelError> {
-    Ok(MachineSpec::new(
-        n_procs,
-        get_u64(params, "cache_kb", 256)?,
-        get_u64(params, "memory_mb", memory_mb)?,
-        get_f64(params, "clock_mhz", 200.0)?,
-    ))
-}
-
-macro_rules! builtin_platform {
-    ($ty:ident, $key:literal, $aliases:expr, $desc:literal, $params:expr, |$p:ident| $build:expr) => {
-        struct $ty;
-        impl PlatformSpec for $ty {
-            fn key(&self) -> &'static str {
-                $key
-            }
-            fn aliases(&self) -> &'static [&'static str] {
-                $aliases
-            }
-            fn description(&self) -> &'static str {
-                $desc
-            }
-            fn params(&self) -> &'static [ParamInfo] {
-                $params
-            }
-            fn build(&self, $p: &Value) -> Result<ClusterSpec, ModelError> {
-                check_unknown_keys(self, $p)?;
-                let cluster: ClusterSpec = $build;
-                cluster.validate()?;
-                Ok(cluster)
-            }
-        }
-    };
-}
-
-static UNI_PARAMS: &[ParamInfo] = &MACHINE_PARAMS;
-builtin_platform!(
-    Uniprocessor,
-    "uniprocessor",
-    &["uni"],
-    "one machine, one processor: the paper's baseline 3-level hierarchy",
-    UNI_PARAMS,
-    |p| ClusterSpec::single(machine_from(p, 1, 64)?)
-);
-
-static SMP_PARAMS: &[ParamInfo] = &[
-    ParamInfo {
-        name: "procs",
-        kind: "u32",
-        about: "processors sharing the memory bus",
-        default: "2",
-    },
-    MACHINE_PARAMS[0],
-    MACHINE_PARAMS[1],
-    MACHINE_PARAMS[2],
-];
-builtin_platform!(
-    Smp,
-    "smp",
-    &[],
-    "a single bus-based SMP (paper Table 3 family)",
-    SMP_PARAMS,
-    |p| ClusterSpec::single(machine_from(p, get_u32(p, "procs", 2)?, 128)?)
-);
-
-static COW_PARAMS: &[ParamInfo] = &[
-    ParamInfo {
-        name: "machines",
-        kind: "u32",
-        about: "workstations in the cluster",
-        default: "4",
-    },
-    ParamInfo {
-        name: "network",
-        kind: "string",
-        about: "cluster network (any registered NetworkKind)",
-        default: "Ethernet100",
-    },
-    MACHINE_PARAMS[0],
-    MACHINE_PARAMS[1],
-    MACHINE_PARAMS[2],
-];
-builtin_platform!(
-    Cow,
-    "cow",
-    &["cluster", "cluster-of-workstations"],
-    "a cluster of single-processor workstations (paper Table 4 family)",
-    COW_PARAMS,
-    |p| ClusterSpec::cluster(
-        machine_from(p, 1, 64)?,
-        get_u32(p, "machines", 4)?,
-        get_network(p, "network", NetworkKind::Ethernet100)?,
-    )
-);
-
-static CLUMP_PARAMS: &[ParamInfo] = &[
-    ParamInfo {
-        name: "machines",
-        kind: "u32",
-        about: "SMP nodes in the cluster",
-        default: "2",
-    },
-    ParamInfo {
-        name: "procs",
-        kind: "u32",
-        about: "processors per node",
-        default: "2",
-    },
-    ParamInfo {
-        name: "network",
-        kind: "string",
-        about: "cluster network (any registered NetworkKind)",
-        default: "Ethernet100",
-    },
-    MACHINE_PARAMS[0],
-    MACHINE_PARAMS[1],
-    MACHINE_PARAMS[2],
-];
-builtin_platform!(
-    Clump,
-    "clump",
-    &["cluster-of-smps"],
-    "a cluster of SMP nodes (paper Table 5 family)",
-    CLUMP_PARAMS,
-    |p| ClusterSpec::cluster(
-        {
-            let mut m = machine_from(p, get_u32(p, "procs", 2)?, 128)?;
-            m.memory_bytes = get_u64(p, "memory_mb", 128)? * 1024 * 1024;
-            m
-        },
-        get_u32(p, "machines", 2)?,
-        get_network(p, "network", NetworkKind::Ethernet100)?,
-    )
-);
-
-static NUMA_PARAMS: &[ParamInfo] = &[
-    ParamInfo {
-        name: "procs",
-        kind: "u32",
-        about: "processors in the machine",
-        default: "4",
-    },
-    ParamInfo {
-        name: "domains",
-        kind: "u32",
-        about: "NUMA domains (memory controllers); must divide procs",
-        default: "2",
-    },
-    ParamInfo {
-        name: "remote_penalty_cycles",
-        kind: "f64",
-        about: "extra cycles for a cross-domain memory access",
-        default: "40",
-    },
-    MACHINE_PARAMS[0],
-    MACHINE_PARAMS[1],
-    MACHINE_PARAMS[2],
-];
-builtin_platform!(
-    NumaSmp,
-    "numa-smp",
-    &["numa"],
-    "a NUMA-aware SMP: per-domain memory buses with a remote-domain latency penalty",
-    NUMA_PARAMS,
-    |p| ClusterSpec::single(machine_from(p, get_u32(p, "procs", 4)?, 128)?.with_numa(
-        get_u32(p, "domains", 2)?,
-        get_f64(p, "remote_penalty_cycles", 40.0)?,
-    ))
-);
-
-static FATTREE_PARAMS: &[ParamInfo] = &[
-    ParamInfo {
-        name: "machines",
-        kind: "u32",
-        about: "workstations across the racks (4 per rack)",
-        default: "8",
-    },
-    MACHINE_PARAMS[0],
-    MACHINE_PARAMS[1],
-    MACHINE_PARAMS[2],
-];
-builtin_platform!(
-    FatTreeCow,
-    "fattree-cow",
-    &["fattree", "fat-tree-cow"],
-    "workstations on a multi-rack 1Gb fat tree: per-port switching in-rack, oversubscribed uplinks across",
-    FATTREE_PARAMS,
-    |p| ClusterSpec::cluster(
-        machine_from(p, 1, 64)?,
-        get_u32(p, "machines", 8)?,
-        NetworkKind::FatTree,
-    )
-);
-
-fn builtin_platforms() -> Vec<&'static dyn PlatformSpec> {
-    vec![&Uniprocessor, &Smp, &Cow, &Clump, &NumaSmp, &FatTreeCow]
-}
-
-fn platform_registry() -> &'static RwLock<Vec<&'static dyn PlatformSpec>> {
-    static REG: OnceLock<RwLock<Vec<&'static dyn PlatformSpec>>> = OnceLock::new();
-    REG.get_or_init(|| RwLock::new(builtin_platforms()))
-}
-
-/// Every registered platform back-end, built-ins first.
-pub fn platform_specs() -> Vec<&'static dyn PlatformSpec> {
-    platform_registry()
-        .read()
-        .expect("platform registry poisoned")
-        .clone()
-}
-
-/// Canonical keys of every registered platform.
-pub fn platform_keys() -> Vec<&'static str> {
-    platform_specs().iter().map(|p| p.key()).collect()
-}
-
-/// Resolve a platform back-end by key or alias (case-insensitive).
-pub fn platform_by_key(name: &str) -> Option<&'static dyn PlatformSpec> {
-    platform_specs().into_iter().find(|p| {
-        p.key().eq_ignore_ascii_case(name)
-            || p.aliases().iter().any(|a| a.eq_ignore_ascii_case(name))
-    })
-}
-
-/// Register a new platform back-end at runtime.  The spec is leaked
-/// (handles are `'static`); duplicate keys/aliases are rejected.
-pub fn register_platform(
-    spec: Box<dyn PlatformSpec>,
-) -> Result<&'static dyn PlatformSpec, ModelError> {
-    if platform_by_key(spec.key()).is_some()
-        || spec.aliases().iter().any(|a| platform_by_key(a).is_some())
-    {
-        return Err(ModelError::InvalidSpec(format!(
-            "platform `{}` is already registered",
-            spec.key()
-        )));
+        default,
     }
-    let leaked: &'static dyn PlatformSpec = Box::leak(spec);
-    platform_registry()
-        .write()
-        .expect("platform registry poisoned")
-        .push(leaked);
-    Ok(leaked)
+}
+
+/// Processor clock, shared by every family.
+const CLOCK_MHZ: ParamInfo = ParamInfo {
+    name: "clock_mhz",
+    kind: "f64",
+    about: "processor clock, MHz",
+    default: "200",
+};
+
+/// The cluster network of the COW and CLUMP families.
+const NETWORK: ParamInfo = ParamInfo {
+    name: "network",
+    kind: "string",
+    about: "cluster network (any registered NetworkKind)",
+    default: "Ethernet100",
+};
+
+/// The six families, in listing order.
+pub static FAMILIES: [PlatformFamily; 6] = [
+    PlatformFamily {
+        key: "uniprocessor",
+        aliases: &["uni"],
+        description: "one machine, one processor: the paper's baseline 3-level hierarchy",
+        params: &[CACHE_KB, memory_mb("64"), CLOCK_MHZ],
+        builder: |p| Ok(ClusterSpec::single(p.machine(1)?)),
+    },
+    PlatformFamily {
+        key: "smp",
+        aliases: &[],
+        description: "a single bus-based SMP (paper Table 3 family)",
+        params: &[
+            ParamInfo {
+                name: "procs",
+                kind: "u32",
+                about: "processors sharing the memory bus",
+                default: "2",
+            },
+            CACHE_KB,
+            memory_mb("128"),
+            CLOCK_MHZ,
+        ],
+        builder: |p| Ok(ClusterSpec::single(p.machine(p.u32("procs")?)?)),
+    },
+    PlatformFamily {
+        key: "cow",
+        aliases: &["cluster", "cluster-of-workstations"],
+        description: "a cluster of single-processor workstations (paper Table 4 family)",
+        params: &[
+            ParamInfo {
+                name: "machines",
+                kind: "u32",
+                about: "workstations in the cluster",
+                default: "4",
+            },
+            NETWORK,
+            CACHE_KB,
+            memory_mb("64"),
+            CLOCK_MHZ,
+        ],
+        builder: |p| {
+            Ok(ClusterSpec::cluster(
+                p.machine(1)?,
+                p.u32("machines")?,
+                p.network("network")?,
+            ))
+        },
+    },
+    PlatformFamily {
+        key: "clump",
+        aliases: &["cluster-of-smps"],
+        description: "a cluster of SMP nodes (paper Table 5 family)",
+        params: &[
+            ParamInfo {
+                name: "machines",
+                kind: "u32",
+                about: "SMP nodes in the cluster",
+                default: "2",
+            },
+            ParamInfo {
+                name: "procs",
+                kind: "u32",
+                about: "processors per node",
+                default: "2",
+            },
+            NETWORK,
+            CACHE_KB,
+            memory_mb("128"),
+            CLOCK_MHZ,
+        ],
+        builder: |p| {
+            Ok(ClusterSpec::cluster(
+                p.machine(p.u32("procs")?)?,
+                p.u32("machines")?,
+                p.network("network")?,
+            ))
+        },
+    },
+    PlatformFamily {
+        key: "numa-smp",
+        aliases: &["numa"],
+        description: "a NUMA-aware SMP: per-domain memory buses with a remote-domain latency penalty",
+        params: &[
+            ParamInfo {
+                name: "procs",
+                kind: "u32",
+                about: "processors in the machine",
+                default: "4",
+            },
+            ParamInfo {
+                name: "domains",
+                kind: "u32",
+                about: "NUMA domains (memory controllers); must divide procs",
+                default: "2",
+            },
+            ParamInfo {
+                name: "remote_penalty_cycles",
+                kind: "f64",
+                about: "extra cycles for a cross-domain memory access",
+                default: "40",
+            },
+            CACHE_KB,
+            memory_mb("128"),
+            CLOCK_MHZ,
+        ],
+        builder: |p| {
+            let machine = p.machine(p.u32("procs")?)?;
+            Ok(ClusterSpec::single(machine.with_numa(
+                p.u32("domains")?,
+                p.f64("remote_penalty_cycles")?,
+            )))
+        },
+    },
+    PlatformFamily {
+        key: "fattree-cow",
+        aliases: &["fattree", "fat-tree-cow"],
+        description: "workstations on a multi-rack 1Gb fat tree: per-port switching in-rack, oversubscribed uplinks across",
+        params: &[
+            ParamInfo {
+                name: "machines",
+                kind: "u32",
+                about: "workstations across the racks (4 per rack)",
+                default: "8",
+            },
+            CACHE_KB,
+            memory_mb("64"),
+            CLOCK_MHZ,
+        ],
+        builder: |p| {
+            Ok(ClusterSpec::cluster(
+                p.machine(1)?,
+                p.u32("machines")?,
+                NetworkKind::FatTree,
+            ))
+        },
+    },
+];
+
+/// Canonical keys of every family, in table order.
+pub fn platform_keys() -> Vec<&'static str> {
+    FAMILIES.iter().map(|f| f.key).collect()
+}
+
+/// Resolve a family by key or alias (case-insensitive).
+pub fn platform_by_key(name: &str) -> Option<&'static PlatformFamily> {
+    FAMILIES.iter().find(|f| {
+        f.key.eq_ignore_ascii_case(name) || f.aliases.iter().any(|a| a.eq_ignore_ascii_case(name))
+    })
 }
 
 #[cfg(test)]
@@ -389,28 +348,44 @@ mod tests {
 
     #[test]
     fn builtin_keys_are_discoverable() {
-        let keys = platform_keys();
-        for k in [
-            "uniprocessor",
-            "smp",
-            "cow",
-            "clump",
-            "numa-smp",
-            "fattree-cow",
-        ] {
-            assert!(keys.contains(&k), "missing builtin {k}");
-        }
+        assert_eq!(
+            platform_keys(),
+            [
+                "uniprocessor",
+                "smp",
+                "cow",
+                "clump",
+                "numa-smp",
+                "fattree-cow"
+            ]
+        );
         assert!(platform_by_key("NUMA").is_some(), "alias lookup");
         assert!(platform_by_key("nonesuch").is_none());
     }
 
+    /// Every family builds from `{}`, and builds what it advertises:
+    /// setting each parameter to its published default string, parsed by
+    /// its kind, gives the same cluster.
     #[test]
-    fn every_builtin_builds_with_defaults() {
-        for p in platform_specs() {
-            let c = p
-                .build(&serde::__private::Value::Object(vec![]))
-                .unwrap_or_else(|e| panic!("{}: {e}", p.key()));
-            assert!(c.validate().is_ok(), "{}", p.key());
+    fn every_family_builds_its_advertised_defaults() {
+        for f in &FAMILIES {
+            let explicit = Value::Object(
+                f.params
+                    .iter()
+                    .map(|p| {
+                        let v = match p.kind {
+                            "u32" | "u64" => json!(p.default.parse::<u64>().unwrap()),
+                            "f64" => json!(p.default.parse::<f64>().unwrap()),
+                            _ => json!(p.default),
+                        };
+                        (p.name.to_string(), v)
+                    })
+                    .collect(),
+            );
+            let built = f
+                .build(&Value::Object(vec![]))
+                .unwrap_or_else(|e| panic!("{}: {e}", f.key));
+            assert_eq!(built, f.build(&explicit).unwrap(), "{}", f.key);
         }
     }
 
@@ -465,28 +440,5 @@ mod tests {
         let numa = platform_by_key("numa-smp").unwrap();
         // 3 domains don't divide 4 procs.
         assert!(numa.build(&json!({"procs": 4, "domains": 3})).is_err());
-    }
-
-    #[test]
-    fn runtime_platform_registration() {
-        struct Mesh;
-        impl PlatformSpec for Mesh {
-            fn key(&self) -> &'static str {
-                "test-mesh"
-            }
-            fn description(&self) -> &'static str {
-                "test entry"
-            }
-            fn params(&self) -> &'static [ParamInfo] {
-                &[]
-            }
-            fn build(&self, _: &Value) -> Result<ClusterSpec, ModelError> {
-                Ok(ClusterSpec::single(MachineSpec::new(1, 256, 64, 200.0)))
-            }
-        }
-        let p = register_platform(Box::new(Mesh)).expect("fresh key registers");
-        assert_eq!(p.key(), "test-mesh");
-        assert!(platform_by_key("test-mesh").is_some());
-        assert!(register_platform(Box::new(Mesh)).is_err(), "dup key");
     }
 }

@@ -29,8 +29,12 @@
 //! * [`platform`] — cluster specifications and platform classification
 //!   (paper Table 1).
 //! * [`model`] — the analytic model proper: `T` and `E(Instr)` per platform.
+//! * [`catalog`] — the platform family table: SMP, COW, CLUMP, NUMA SMP,
+//!   fat-tree COW and the uniprocessor, each a parameter schema plus a
+//!   builder.
 //! * [`params`] — the paper's published constants: problem sizes (§5.2)
-//!   and configurations C1–C15 (Tables 3–5).
+//!   and the named configurations (C1–C15 of Tables 3–5, plus
+//!   N4/N8/FT8/FT16), each a row over a platform family.
 //! * [`workload`] — the workload table: one row per program with its
 //!   name, aliases and Table-2 `(α, β, ρ)`, behind the [`WorkloadKind`]
 //!   handle.
@@ -45,7 +49,7 @@
 //! let model = AnalyticModel::default();
 //! let fft = WorkloadKind::Fft.params();
 //! // C5: 4-processor SMP, 256 KB cache, 128 MB memory, 200 MHz.
-//! let pred = model.evaluate(&configs::c5(), &fft).unwrap();
+//! let pred = model.evaluate(&configs::by_name("C5").unwrap(), &fft).unwrap();
 //! assert!(pred.e_instr_seconds > 0.0);
 //! ```
 
@@ -60,7 +64,7 @@ pub mod platform;
 pub mod sensitivity;
 pub mod workload;
 
-pub use catalog::{platform_by_key, platform_keys, platform_specs, ParamInfo, PlatformSpec};
+pub use catalog::{platform_by_key, platform_keys, ParamInfo, PlatformFamily, FAMILIES};
 pub use error::ModelError;
 pub use locality::{Locality, WorkloadParams};
 pub use machine::{LatencyParams, MachineSpec, NetworkKind, NetworkTopology};

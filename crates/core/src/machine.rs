@@ -1,18 +1,14 @@
 //! Machine, network, and latency parameter types (paper §2, §5.1).
 //!
-//! Since the registry redesign, a [`NetworkKind`] is a handle into a
-//! string-keyed registry of [`NetworkSpec`] entries rather than a closed
-//! enum: the paper's three media (`Ethernet10`, `Ethernet100`, `Atm155`)
-//! are built in alongside a multi-rack [`fat-tree`](NetworkKind::FatTree)
-//! switch fabric, and downstream crates can [`register`](NetworkKind::register)
-//! new media at runtime without touching this crate.  The three paper
-//! names keep their exact wire spellings and latency constants, so every
-//! pre-registry scenario, fixture, and request body parses unchanged.
+//! A [`NetworkKind`] is a handle into a static table of [`NetworkSpec`]
+//! rows: the paper's three media (`Ethernet10`, `Ethernet100`, `Atm155`)
+//! plus a multi-rack [`fat-tree`](NetworkKind::FatTree) switch fabric.
+//! The three paper media keep their exact wire spellings and §5.1
+//! latency constants.
 
 use crate::error::ModelError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::{OnceLock, RwLock};
 
 /// NUMA geometry of one SMP machine: `domains` memory controllers, with
 /// an extra `remote_penalty_cycles` charged when a processor reaches a
@@ -288,17 +284,9 @@ const BUILTIN_NETWORKS: [NetworkSpec; 4] = [
     },
 ];
 
-/// Runtime-registered media beyond the built-ins (leaked so handles stay
-/// `Copy` and `'static`).
-fn extra_networks() -> &'static RwLock<Vec<&'static NetworkSpec>> {
-    static EXTRA: OnceLock<RwLock<Vec<&'static NetworkSpec>>> = OnceLock::new();
-    EXTRA.get_or_init(|| RwLock::new(Vec::new()))
-}
-
-/// Physical medium of Networks 2/3 (the cluster network): a registry-backed
-/// handle.  The paper's three media are associated constants, so existing
-/// call sites (`NetworkKind::Atm155`, ...) read unchanged; new media come
-/// from [`parse`](Self::parse) or [`register`](Self::register).
+/// Physical medium of Networks 2/3 (the cluster network): a handle to one
+/// row of the network table.  Every medium is an associated constant
+/// (`NetworkKind::Atm155`, ...); [`parse`](Self::parse) resolves names.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NetworkKind(u16);
 
@@ -314,7 +302,7 @@ impl NetworkKind {
     pub const FatTree: NetworkKind = NetworkKind(3);
 
     /// The three network kinds the paper evaluates, in bandwidth order.
-    /// (Registry media beyond the paper's are enumerated by
+    /// (Every medium, the paper's and the fat tree, is enumerated by
     /// [`registered`](Self::registered).)
     pub const ALL: [NetworkKind; 3] = [
         NetworkKind::Ethernet10,
@@ -322,18 +310,9 @@ impl NetworkKind {
         NetworkKind::Atm155,
     ];
 
-    /// The registry entry behind this handle.
+    /// The table row behind this handle.
     pub fn spec(&self) -> &'static NetworkSpec {
-        let i = self.0 as usize;
-        if i < BUILTIN_NETWORKS.len() {
-            return &BUILTIN_NETWORKS[i];
-        }
-        extra_networks()
-            .read()
-            .expect("network registry poisoned")
-            .get(i - BUILTIN_NETWORKS.len())
-            .copied()
-            .expect("dangling NetworkKind handle")
+        &BUILTIN_NETWORKS[self.0 as usize]
     }
 
     /// Canonical registry key (also the JSON wire spelling).
@@ -368,30 +347,19 @@ impl NetworkKind {
 
     /// Resolve a medium by key, wire spelling, or alias (case-insensitive).
     pub fn parse(name: &str) -> Option<NetworkKind> {
-        let lower = name.to_ascii_lowercase();
-        let matches = |spec: &NetworkSpec| {
-            spec.key.eq_ignore_ascii_case(&lower)
-                || spec.wire.eq_ignore_ascii_case(&lower)
-                || spec.aliases.iter().any(|a| a.eq_ignore_ascii_case(&lower))
-        };
-        for (i, spec) in BUILTIN_NETWORKS.iter().enumerate() {
-            if matches(spec) {
-                return Some(NetworkKind(i as u16));
-            }
-        }
-        let extras = extra_networks().read().expect("network registry poisoned");
-        for (i, spec) in extras.iter().enumerate() {
-            if matches(spec) {
-                return Some(NetworkKind((BUILTIN_NETWORKS.len() + i) as u16));
-            }
-        }
-        None
+        BUILTIN_NETWORKS
+            .iter()
+            .position(|spec| {
+                spec.key.eq_ignore_ascii_case(name)
+                    || spec.wire.eq_ignore_ascii_case(name)
+                    || spec.aliases.iter().any(|a| a.eq_ignore_ascii_case(name))
+            })
+            .map(|i| NetworkKind(i as u16))
     }
 
-    /// Every registered medium, built-ins first, in registration order.
+    /// Every medium, in table order.
     pub fn registered() -> Vec<NetworkKind> {
-        let extras = extra_networks().read().expect("network registry poisoned");
-        (0..BUILTIN_NETWORKS.len() + extras.len())
+        (0..BUILTIN_NETWORKS.len())
             .map(|i| NetworkKind(i as u16))
             .collect()
     }
@@ -400,23 +368,6 @@ impl NetworkKind {
     /// registry listings).
     pub fn known_keys() -> Vec<&'static str> {
         NetworkKind::registered().iter().map(|n| n.key()).collect()
-    }
-
-    /// Register a new medium at runtime.  The spec is leaked (handles are
-    /// `Copy + 'static`); duplicate keys/aliases are rejected.
-    pub fn register(spec: NetworkSpec) -> Result<NetworkKind, ModelError> {
-        if NetworkKind::parse(spec.key).is_some()
-            || spec.aliases.iter().any(|a| NetworkKind::parse(a).is_some())
-        {
-            return Err(ModelError::InvalidSpec(format!(
-                "network `{}` is already registered",
-                spec.key
-            )));
-        }
-        let mut extras = extra_networks().write().expect("network registry poisoned");
-        let handle = NetworkKind((BUILTIN_NETWORKS.len() + extras.len()) as u16);
-        extras.push(Box::leak(Box::new(spec)));
-        Ok(handle)
     }
 }
 
@@ -719,34 +670,6 @@ mod tests {
             l.remote_service(NetworkKind::Ethernet100, false, -3.0),
             4575.0
         );
-    }
-
-    #[test]
-    fn runtime_registration_extends_the_universe() {
-        // Registering a new medium yields a working handle without
-        // touching the built-ins; duplicate keys are rejected.
-        static MYRINET: NetworkSpec = NetworkSpec {
-            key: "TestMyrinet",
-            wire: "test-myrinet",
-            aliases: &[],
-            display: "1.28Gb Myrinet",
-            description: "test medium",
-            mbps: 1280.0,
-            topology: NetworkTopology::Switch,
-            remote_node_cow: 1200.0,
-            remote_cached_cow: 2400.0,
-            remote_node_clump: 1203.0,
-            remote_cached_clump: 2403.0,
-            machines_per_rack: 0,
-            rack_crossing_cycles: 0.0,
-            oversubscription: 1.0,
-        };
-        let k = NetworkKind::register(MYRINET.clone()).expect("fresh key registers");
-        assert_eq!(NetworkKind::parse("test-myrinet"), Some(k));
-        assert_eq!(k.mbps(), 1280.0);
-        assert_eq!(LatencyParams::paper().remote_node(k, false), 1200.0);
-        assert!(NetworkKind::register(MYRINET.clone()).is_err(), "dup key");
-        assert!(NetworkKind::registered().contains(&k));
     }
 
     #[test]

@@ -2,9 +2,6 @@
 //! (C1–C15) and problem sizes (§5.2).  Table 2's workload characteristics
 //! are rows of the workload table ([`crate::workload`]).
 
-use crate::machine::{MachineSpec, NetworkKind};
-use crate::platform::ClusterSpec;
-
 /// Paper problem sizes (§5.2) and the resulting data footprints in bytes.
 pub mod sizes {
     /// FFT: 64 K complex points (two arrays of complex doubles).
@@ -50,192 +47,155 @@ pub mod sizes {
         (INFER_LAYERS * INFER_DIM * INFER_DIM * 8 + 2 * INFER_BATCH * INFER_DIM * 8) as f64;
 }
 
-/// The paper's platform configurations (Tables 3–5), all at 200 MHz.
+/// The named configurations: the paper's Tables 3–5 (C1–C15, all at
+/// 200 MHz) and the post-paper N4/N8/FT8/FT16, each one row naming a point
+/// in a platform family ([`crate::catalog::FAMILIES`]).
 pub mod configs {
-    use super::*;
+    use crate::catalog::platform_by_key;
+    use crate::platform::ClusterSpec;
+    use serde::__private::{Number, Value};
 
-    /// Table 3 — C1: 2P SMP, 256 KB cache, 64 MB memory.
-    pub fn c1() -> ClusterSpec {
-        ClusterSpec::single(MachineSpec::new(2, 256, 64, 200.0)).named("C1")
+    /// An override value, as a Scenario's `"params"` JSON carries it.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub enum Arg {
+        /// A whole number (`"procs": 4`).
+        Int(u64),
+        /// A string (`"network": "Atm155"`).
+        Str(&'static str),
     }
-    /// Table 3 — C2: 2P SMP, 512 KB, 64 MB.
-    pub fn c2() -> ClusterSpec {
-        ClusterSpec::single(MachineSpec::new(2, 512, 64, 200.0)).named("C2")
-    }
-    /// Table 3 — C3: 2P SMP, 256 KB, 128 MB.
-    pub fn c3() -> ClusterSpec {
-        ClusterSpec::single(MachineSpec::new(2, 256, 128, 200.0)).named("C3")
-    }
-    /// Table 3 — C4: 2P SMP, 512 KB, 128 MB.
-    pub fn c4() -> ClusterSpec {
-        ClusterSpec::single(MachineSpec::new(2, 512, 128, 200.0)).named("C4")
-    }
-    /// Table 3 — C5: 4P SMP, 256 KB, 128 MB.
-    pub fn c5() -> ClusterSpec {
-        ClusterSpec::single(MachineSpec::new(4, 256, 128, 200.0)).named("C5")
-    }
-    /// Table 3 — C6: 4P SMP, 512 KB, 128 MB.
-    pub fn c6() -> ClusterSpec {
-        ClusterSpec::single(MachineSpec::new(4, 512, 128, 200.0)).named("C6")
-    }
+    use Arg::{Int, Str};
 
-    /// Table 4 — C7: 2 workstations, 256 KB, 32 MB, 10 Mb bus.
-    pub fn c7() -> ClusterSpec {
-        ClusterSpec::cluster(
-            MachineSpec::new(1, 256, 32, 200.0),
-            2,
-            NetworkKind::Ethernet10,
-        )
-        .named("C7")
-    }
-    /// Table 4 — C8: 4 workstations, 256 KB, 64 MB, 100 Mb bus.
-    pub fn c8() -> ClusterSpec {
-        ClusterSpec::cluster(
-            MachineSpec::new(1, 256, 64, 200.0),
-            4,
-            NetworkKind::Ethernet100,
-        )
-        .named("C8")
-    }
-    /// Table 4 — C9: 4 workstations, 512 KB, 64 MB, 100 Mb bus.
-    pub fn c9() -> ClusterSpec {
-        ClusterSpec::cluster(
-            MachineSpec::new(1, 512, 64, 200.0),
-            4,
-            NetworkKind::Ethernet100,
-        )
-        .named("C9")
-    }
-    /// Table 4 — C10: 4 workstations, 256 KB, 64 MB, 155 Mb switch.
-    pub fn c10() -> ClusterSpec {
-        ClusterSpec::cluster(MachineSpec::new(1, 256, 64, 200.0), 4, NetworkKind::Atm155)
-            .named("C10")
-    }
-    /// Table 4 — C11: 8 workstations, 512 KB, 64 MB, 155 Mb switch.
-    pub fn c11() -> ClusterSpec {
-        ClusterSpec::cluster(MachineSpec::new(1, 512, 64, 200.0), 8, NetworkKind::Atm155)
-            .named("C11")
+    /// One row of the named table: a family key and the parameters that
+    /// differ from the family's defaults.
+    #[derive(Debug)]
+    pub struct NamedConfig {
+        /// Configuration name (`"C5"`).
+        pub name: &'static str,
+        /// Platform family key ([`crate::catalog::platform_by_key`]).
+        pub family: &'static str,
+        /// `{"param": value}` overrides of the family defaults.
+        pub overrides: &'static [(&'static str, Arg)],
     }
 
-    /// Table 5 — C12: 2 × 2P SMPs, 256 KB, 64 MB, 10 Mb bus.
-    pub fn c12() -> ClusterSpec {
-        ClusterSpec::cluster(
-            MachineSpec::new(2, 256, 64, 200.0),
-            2,
-            NetworkKind::Ethernet10,
-        )
-        .named("C12")
-    }
-    /// Table 5 — C13: 2 × 2P SMPs, 256 KB, 128 MB, 100 Mb bus.
-    pub fn c13() -> ClusterSpec {
-        ClusterSpec::cluster(
-            MachineSpec::new(2, 256, 128, 200.0),
-            2,
-            NetworkKind::Ethernet100,
-        )
-        .named("C13")
-    }
-    /// Table 5 — C14: 2 × 4P SMPs, 256 KB, 128 MB, 100 Mb bus.
-    pub fn c14() -> ClusterSpec {
-        ClusterSpec::cluster(
-            MachineSpec::new(4, 256, 128, 200.0),
-            2,
-            NetworkKind::Ethernet100,
-        )
-        .named("C14")
-    }
-    /// Table 5 — C15: 2 × 4P SMPs, 256 KB, 128 MB, 155 Mb switch.
-    pub fn c15() -> ClusterSpec {
-        ClusterSpec::cluster(MachineSpec::new(4, 256, 128, 200.0), 2, NetworkKind::Atm155)
-            .named("C15")
+    impl NamedConfig {
+        /// The overrides as the JSON parameter map a Scenario would send.
+        fn params(&self) -> Value {
+            Value::Object(
+                self.overrides
+                    .iter()
+                    .map(|&(k, v)| {
+                        let v = match v {
+                            Int(n) => Value::Number(Number::U64(n)),
+                            Str(s) => Value::String(s.to_string()),
+                        };
+                        (k.to_string(), v)
+                    })
+                    .collect(),
+            )
+        }
+
+        /// Build the configuration through its family's builder.
+        fn build(&self) -> ClusterSpec {
+            platform_by_key(self.family)
+                .expect("named rows use family keys")
+                .build(&self.params())
+                .unwrap_or_else(|e| panic!("named config {}: {e}", self.name))
+                .named(self.name)
+        }
     }
 
-    /// Table 3's SMP configurations C1–C6.
-    pub fn smp_configs() -> Vec<ClusterSpec> {
-        vec![c1(), c2(), c3(), c4(), c5(), c6()]
-    }
-    /// Table 4's cluster-of-workstations configurations C7–C11.
-    pub fn cow_configs() -> Vec<ClusterSpec> {
-        vec![c7(), c8(), c9(), c10(), c11()]
-    }
-    /// Table 5's cluster-of-SMPs configurations C12–C15.
-    pub fn clump_configs() -> Vec<ClusterSpec> {
-        vec![c12(), c13(), c14(), c15()]
-    }
+    /// Every named configuration: C1–C15 in paper order, then the
+    /// post-paper NUMA SMPs and fat-tree clusters.
+    #[rustfmt::skip]
+    pub static NAMED: [NamedConfig; 19] = [
+        // Table 3: SMPs.
+        NamedConfig { name: "C1", family: "smp", overrides: &[("memory_mb", Int(64))] },
+        NamedConfig { name: "C2", family: "smp", overrides: &[("cache_kb", Int(512)), ("memory_mb", Int(64))] },
+        NamedConfig { name: "C3", family: "smp", overrides: &[] },
+        NamedConfig { name: "C4", family: "smp", overrides: &[("cache_kb", Int(512))] },
+        NamedConfig { name: "C5", family: "smp", overrides: &[("procs", Int(4))] },
+        NamedConfig { name: "C6", family: "smp", overrides: &[("procs", Int(4)), ("cache_kb", Int(512))] },
+        // Table 4: clusters of workstations.
+        NamedConfig { name: "C7", family: "cow", overrides: &[("machines", Int(2)), ("memory_mb", Int(32)), ("network", Str("Ethernet10"))] },
+        NamedConfig { name: "C8", family: "cow", overrides: &[] },
+        NamedConfig { name: "C9", family: "cow", overrides: &[("cache_kb", Int(512))] },
+        NamedConfig { name: "C10", family: "cow", overrides: &[("network", Str("Atm155"))] },
+        NamedConfig { name: "C11", family: "cow", overrides: &[("machines", Int(8)), ("cache_kb", Int(512)), ("network", Str("Atm155"))] },
+        // Table 5: clusters of SMPs.
+        NamedConfig { name: "C12", family: "clump", overrides: &[("memory_mb", Int(64)), ("network", Str("Ethernet10"))] },
+        NamedConfig { name: "C13", family: "clump", overrides: &[] },
+        NamedConfig { name: "C14", family: "clump", overrides: &[("procs", Int(4))] },
+        NamedConfig { name: "C15", family: "clump", overrides: &[("procs", Int(4)), ("network", Str("Atm155"))] },
+        // Post-paper: N4 is C5's geometry made NUMA-aware; FT8 and FT16
+        // span two and four fat-tree racks.
+        NamedConfig { name: "N4", family: "numa-smp", overrides: &[] },
+        NamedConfig { name: "N8", family: "numa-smp", overrides: &[("procs", Int(8)), ("domains", Int(4)), ("cache_kb", Int(512)), ("memory_mb", Int(256))] },
+        NamedConfig { name: "FT8", family: "fattree-cow", overrides: &[] },
+        NamedConfig { name: "FT16", family: "fattree-cow", overrides: &[("machines", Int(16)), ("cache_kb", Int(512))] },
+    ];
+
+    /// How many rows of [`NAMED`] are the paper's C1–C15.
+    const PAPER_ROWS: usize = 15;
+
     /// Every configuration C1–C15 in paper order.
     pub fn all_configs() -> Vec<ClusterSpec> {
-        let mut v = smp_configs();
-        v.extend(cow_configs());
-        v.extend(clump_configs());
-        v
+        NAMED[..PAPER_ROWS].iter().map(NamedConfig::build).collect()
     }
 
-    /// Post-paper — N4: one 4P SMP, 256 KB, 128 MB, 2 NUMA domains with a
-    /// 40-cycle remote-domain penalty (C5's geometry made NUMA-aware).
-    pub fn n4() -> ClusterSpec {
-        ClusterSpec::single(MachineSpec::new(4, 256, 128, 200.0).with_numa(2, 40.0)).named("N4")
-    }
-    /// Post-paper — N8: one 8P SMP, 512 KB, 256 MB, 4 NUMA domains.
-    pub fn n8() -> ClusterSpec {
-        ClusterSpec::single(MachineSpec::new(8, 512, 256, 200.0).with_numa(4, 40.0)).named("N8")
-    }
-    /// Post-paper — FT8: 8 workstations, 256 KB, 64 MB, 1 Gb fat tree
-    /// (2 racks of 4).
-    pub fn ft8() -> ClusterSpec {
-        ClusterSpec::cluster(MachineSpec::new(1, 256, 64, 200.0), 8, NetworkKind::FatTree)
-            .named("FT8")
-    }
-    /// Post-paper — FT16: 16 workstations, 512 KB, 64 MB, 1 Gb fat tree
-    /// (4 racks of 4).
-    pub fn ft16() -> ClusterSpec {
-        ClusterSpec::cluster(
-            MachineSpec::new(1, 512, 64, 200.0),
-            16,
-            NetworkKind::FatTree,
-        )
-        .named("FT16")
-    }
     /// Post-paper configurations: NUMA SMPs and fat-tree clusters.  Kept
     /// separate from [`all_configs`] so the paper's C1–C15 net is pinned.
     pub fn extended_configs() -> Vec<ClusterSpec> {
-        vec![n4(), n8(), ft8(), ft16()]
+        NAMED[PAPER_ROWS..].iter().map(NamedConfig::build).collect()
+    }
+
+    /// Look up a named configuration (exact, case-sensitive name).
+    pub fn by_name(name: &str) -> Option<ClusterSpec> {
+        NAMED
+            .iter()
+            .find(|c| c.name == name)
+            .map(NamedConfig::build)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::platform::PlatformKind;
+    use crate::machine::NetworkKind;
+    use crate::platform::{ClusterSpec, PlatformKind};
+
+    fn named(name: &str) -> ClusterSpec {
+        configs::by_name(name).unwrap()
+    }
 
     #[test]
     fn config_counts_and_names() {
-        assert_eq!(configs::smp_configs().len(), 6);
-        assert_eq!(configs::cow_configs().len(), 5);
-        assert_eq!(configs::clump_configs().len(), 4);
         let all = configs::all_configs();
         assert_eq!(all.len(), 15);
         for (i, c) in all.iter().enumerate() {
             assert_eq!(c.name.as_deref(), Some(format!("C{}", i + 1).as_str()));
             assert!(c.validate().is_ok(), "{:?}", c.name);
         }
+        assert!(configs::by_name("C99").is_none());
+        assert!(configs::by_name("c5").is_none(), "names are case-sensitive");
     }
 
     #[test]
     fn config_platform_kinds() {
-        for c in configs::smp_configs() {
-            assert_eq!(c.platform(), PlatformKind::Smp);
-        }
-        for c in configs::cow_configs() {
-            assert_eq!(c.platform(), PlatformKind::ClusterOfWorkstations);
-        }
-        for c in configs::clump_configs() {
-            assert_eq!(c.platform(), PlatformKind::ClusterOfSmps);
+        // Tables 3, 4 and 5 are the SMP, COW and CLUMP families.
+        for (range, kind) in [
+            (1..=6, PlatformKind::Smp),
+            (7..=11, PlatformKind::ClusterOfWorkstations),
+            (12..=15, PlatformKind::ClusterOfSmps),
+        ] {
+            for i in range {
+                assert_eq!(named(&format!("C{i}")).platform(), kind, "C{i}");
+            }
         }
     }
 
     #[test]
     fn table5_geometry() {
-        let c14 = configs::c14();
+        let c14 = named("C14");
         assert_eq!(c14.machine.n_procs, 4);
         assert_eq!(c14.machines, 2);
         assert_eq!(c14.total_procs(), 8);
@@ -249,15 +209,12 @@ mod tests {
         for c in &ext {
             assert!(c.validate().is_ok(), "{:?}", c.name);
         }
-        assert_eq!(configs::n4().platform(), PlatformKind::Smp);
-        assert_eq!(configs::n4().machine.numa_domains(), 2);
-        assert_eq!(configs::n8().machine.numa_domains(), 4);
-        assert_eq!(
-            configs::ft8().platform(),
-            PlatformKind::ClusterOfWorkstations
-        );
-        assert_eq!(configs::ft16().machines, 16);
-        assert_eq!(configs::ft8().network, Some(NetworkKind::FatTree));
+        assert_eq!(named("N4").platform(), PlatformKind::Smp);
+        assert_eq!(named("N4").machine.numa_domains(), 2);
+        assert_eq!(named("N8").machine.numa_domains(), 4);
+        assert_eq!(named("FT8").platform(), PlatformKind::ClusterOfWorkstations);
+        assert_eq!(named("FT16").machines, 16);
+        assert_eq!(named("FT8").network, Some(NetworkKind::FatTree));
         // The paper set stays exactly C1-C15.
         assert_eq!(configs::all_configs().len(), 15);
     }

@@ -69,13 +69,12 @@ impl std::error::Error for CostError {}
 
 /// Canonical short name of a network medium on the wire
 /// (`eth10|eth100|atm|fattree`, matching the CLI's `--network`
-/// spellings) — the registry's `wire` spelling, so runtime-registered
-/// media serialize under their own names.
+/// spellings): the `wire` spelling from the medium's network-table row.
 pub fn network_name(net: NetworkKind) -> &'static str {
     net.spec().wire
 }
 
-/// Parse a network medium from any registry spelling (key, wire name,
+/// Parse a network medium from any network-table spelling (key, wire name,
 /// or alias, case-insensitive; `atm155` is accepted for `atm`).
 pub fn network_by_name(name: &str) -> Result<NetworkKind, CostError> {
     NetworkKind::parse(name).ok_or_else(|| {

@@ -2,7 +2,7 @@
 //! generator half of the workload table.
 //!
 //! Every workload row in `memhier-core` has one schema here (a typed
-//! [`ParamInfo`] list, shared with the platform registry) and one arm in
+//! [`ParamInfo`] list, shared with the platform family table) and one arm in
 //! [`Workload::build`], which applies a JSON parameter map on top of a
 //! size tier.
 //!

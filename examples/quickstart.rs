@@ -17,7 +17,7 @@ fn main() {
     let fft = WorkloadKind::Fft.params();
 
     // C5: a 4-processor SMP with 256 KB caches and 128 MB memory (Table 3).
-    let cluster = configs::c5();
+    let cluster = configs::by_name("C5").expect("C5 is a named config");
 
     let p = model.evaluate(&cluster, &fft).expect("model evaluates");
 

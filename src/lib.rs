@@ -27,7 +27,7 @@
 //!
 //! let model = AnalyticModel::default();
 //! let fft = WorkloadKind::Fft.params();
-//! let prediction = model.evaluate(&configs::c5(), &fft).unwrap();
+//! let prediction = model.evaluate(&configs::by_name("C5").unwrap(), &fft).unwrap();
 //! println!("E(Instr) on C5 = {:.3e} s", prediction.e_instr_seconds);
 //! ```
 //!
