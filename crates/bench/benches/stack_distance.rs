@@ -1,5 +1,6 @@
 //! Throughput of the trace-analysis substrate: exact stack distances
-//! (Bennett–Kruskal + Fenwick) vs the naive LRU-stack reference, and the
+//! (Bennett–Kruskal: a flat block table plus a hole bitset over a
+//! word-level Fenwick tree) vs the naive LRU-stack reference, and the
 //! (α, β) fitter.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

@@ -66,6 +66,14 @@ pub enum ScenarioError {
     Syntax(String),
     /// A batch operation needs every scenario to agree on a field.
     Mixed(&'static str),
+    /// The workload's problem does not split across the platform's
+    /// processes (e.g. EDGE's image rows over 12 processes).
+    Undecomposable {
+        /// The workload that cannot be split.
+        workload: WorkloadKind,
+        /// The platform's total process count.
+        processes: usize,
+    },
 }
 
 impl fmt::Display for ScenarioError {
@@ -85,6 +93,14 @@ impl fmt::Display for ScenarioError {
             ScenarioError::Mixed(field) => {
                 write!(f, "scenarios in one sweep must share the same `{field}`")
             }
+            ScenarioError::Undecomposable {
+                workload,
+                processes,
+            } => write!(
+                f,
+                "workload `{}` does not decompose into {processes} processes at this size",
+                workload.name()
+            ),
         }
     }
 }
@@ -624,13 +640,22 @@ impl ScenarioBuilder {
     pub fn build(self) -> Result<Scenario, ScenarioError> {
         let workload = self.workload.ok_or(ScenarioError::Missing("workload"))??;
         let size = self.size.unwrap_or(Ok(Sizes::Medium))?;
-        if let Some(params) = &self.workload_params {
-            // Validate against the registry schema now so `run` can't
-            // fail later.
-            resolve_workload_params(workload, size, params)?;
+        // Validate the params against the registry schema, and the
+        // problem against the platform, now so `run` can't fail later.
+        let resolved = match &self.workload_params {
+            None => size.workload(workload),
+            Some(params) => resolve_workload_params(workload, size, params)?,
+        };
+        let config = self.config.ok_or(ScenarioError::Missing("config"))??;
+        let processes = config.total_procs() as usize;
+        if !resolved.supports_processes(processes) {
+            return Err(ScenarioError::Undecomposable {
+                workload,
+                processes,
+            });
         }
         Ok(Scenario {
-            config: self.config.ok_or(ScenarioError::Missing("config"))??,
+            config,
             workload,
             workload_params: self.workload_params,
             size,
@@ -883,6 +908,31 @@ mod tests {
                 .unwrap();
         let msg = Scenario::from_json(&bad).unwrap_err().to_string();
         assert!(msg.contains("numa-smp"), "{msg}");
+    }
+
+    #[test]
+    fn undecomposable_workload_is_a_typed_error() {
+        let v: Value = serde_json::from_str(
+            r#"{"config": {"platform": "clump", "params": {"machines": 3, "procs": 4}},
+                "workload": "EDGE"}"#,
+        )
+        .unwrap();
+        let e = Scenario::from_json(&v).unwrap_err();
+        assert_eq!(
+            e,
+            ScenarioError::Undecomposable {
+                workload: WorkloadKind::Edge,
+                processes: 12,
+            }
+        );
+        assert!(e.to_string().contains("EDGE"), "{e}");
+        // The same platform takes a kernel that does split 12 ways.
+        let lu: Value = serde_json::from_str(
+            r#"{"config": {"platform": "clump", "params": {"machines": 3, "procs": 4}},
+                "workload": "LU"}"#,
+        )
+        .unwrap();
+        assert!(Scenario::from_json(&lu).is_ok());
     }
 
     #[test]

@@ -317,6 +317,30 @@ fn sweep_rejects_a_typoed_scenario_field() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A 12-process clump cannot split EDGE's image rows: the plan is
+/// rejected with a typed error before anything runs.
+#[test]
+fn sweep_rejects_an_undecomposable_scenario() {
+    let dir = std::env::temp_dir().join(format!("memhier-undecomposable-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let plan = dir.join("plan.json");
+    std::fs::write(
+        &plan,
+        r#"[{"config": {"platform": "clump", "params": {"machines": 3, "procs": 4}},
+             "workload": "EDGE", "size": "small"}]"#,
+    )
+    .unwrap();
+    let spec = format!("@{}", plan.display());
+    let (ok, _, err) = memhier(&["sweep", "--configs", &spec, "--json"]);
+    assert!(!ok);
+    assert!(
+        err.contains("does not decompose into 12 processes"),
+        "{err}"
+    );
+    assert!(!err.contains("panicked"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn malformed_integer_flag_fails_cleanly() {
     let (ok, _, err) = memhier(&[

@@ -776,6 +776,15 @@ mod tests {
                 400,
                 "bad_request",
             ),
+            (
+                post(
+                    "/v1/simulate",
+                    r#"{"config": {"platform": "clump", "params": {"machines": 3, "procs": 4}},
+                        "workload": "EDGE", "size": "small"}"#,
+                ),
+                400,
+                "bad_request",
+            ),
             (post("/v1/nothing", "{}"), 404, "not_found"),
         ];
         for (req, status, code) in cases {

@@ -170,11 +170,9 @@ fn lock_completions(c: &Mutex<Vec<Completion>>) -> std::sync::MutexGuard<'_, Vec
 /// A running `memhierd` instance.
 pub struct Server {
     local_addr: SocketAddr,
-    state: Arc<AppState>,
+    /// State, queue, poller and stop flag shared with the workers.
+    shared: Arc<WorkerShared>,
     stop: Arc<AtomicBool>,
-    workers_stop: Arc<AtomicBool>,
-    poller: Arc<Poller>,
-    queue: Queue,
     event_loop: Option<JoinHandle<()>>,
     supervisor: Option<JoinHandle<()>>,
 }
@@ -245,11 +243,8 @@ impl Server {
         state.set_ready();
         Ok(Server {
             local_addr,
-            state,
+            shared,
             stop,
-            workers_stop,
-            poller,
-            queue,
             event_loop: Some(event_loop),
             supervisor: Some(supervisor),
         })
@@ -263,14 +258,14 @@ impl Server {
     /// The shared cache/metrics state (used by tests and the CLI's
     /// shutdown report).
     pub fn state(&self) -> &AppState {
-        &self.state
+        &self.shared.state
     }
 
     /// Announce shutdown without taking it: `/readyz` flips to 503 so
     /// load balancers drain this instance, while every other endpoint
     /// keeps serving.  Call [`Server::shutdown`] after the grace window.
     pub fn begin_drain(&self) {
-        self.state.begin_drain();
+        self.shared.state.begin_drain();
     }
 
     /// Stop accepting, finish every in-flight and buffered request,
@@ -283,16 +278,16 @@ impl Server {
         if self.event_loop.is_none() {
             return;
         }
-        self.state.begin_drain();
+        self.shared.state.begin_drain();
         self.stop.store(true, Ordering::SeqCst);
-        let _ = self.poller.notify();
+        let _ = self.shared.poller.notify();
         if let Some(h) = self.event_loop.take() {
             let _ = h.join();
         }
         // Only now may the workers exit: the event loop has drained, so
         // no Work::Request can still be enqueued behind their backs.
-        self.workers_stop.store(true, Ordering::SeqCst);
-        self.queue.1.notify_all();
+        self.shared.workers_stop.store(true, Ordering::SeqCst);
+        self.shared.queue.1.notify_all();
         if let Some(h) = self.supervisor.take() {
             let _ = h.join();
         }
@@ -1157,24 +1152,28 @@ mod tests {
             ));
             c
         };
-        let _busy = send_miss(0);
-        let _queued = send_miss(1);
-        // Give the loop a beat to dispatch both.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let mut saw_429 = false;
-        let mut i = 2;
-        while Instant::now() < deadline && !saw_429 {
-            let mut c = send_miss(i);
-            i += 1;
-            let reply = c.read_one();
-            if reply.starts_with("HTTP/1.1 429") {
-                assert!(reply.contains("Retry-After: 1\r\n"), "{reply}");
-                saw_429 = true;
+        // Barriers on server state, not timing: the worker has popped
+        // the first miss (and sleeps in its delay fault), and the queue
+        // gauge shows the second one waiting behind it.
+        let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !done() {
+                assert!(Instant::now() < deadline, "timed out waiting for {what}");
+                std::thread::sleep(Duration::from_millis(1));
             }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert!(saw_429, "never saw a 429 while saturated");
-        assert!(server.state().metrics.rejected_count() >= 1);
+        };
+        let _busy = send_miss(0);
+        wait_for("the first miss to be dequeued", &|| {
+            server.shared.serve_seq.load(Ordering::SeqCst) == 1
+        });
+        let _queued = send_miss(1);
+        wait_for("the second miss to be queued", &|| {
+            server.state().metrics.queue_depth.load(Ordering::SeqCst) == 1
+        });
+        let reply = send_miss(2).read_one();
+        assert!(reply.starts_with("HTTP/1.1 429"), "{reply}");
+        assert!(reply.contains("Retry-After: 1\r\n"), "{reply}");
+        assert_eq!(server.state().metrics.rejected_count(), 1);
         server.shutdown();
     }
 

@@ -160,9 +160,12 @@ impl From<FitError> for TraceError {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected) lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected) slicing-by-8 tables, built at compile
+/// time.  `CRC_TABLES[0]` is the classic byte-at-a-time table;
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
+/// so eight table lookups fold eight input bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -175,17 +178,41 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
 
 /// CRC-32 (IEEE) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = !0u32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -339,6 +366,8 @@ impl<W: Write + Seek> TraceWriter<W> {
 pub struct TraceReader<R: Read> {
     src: R,
     header: TraceHeader,
+    /// Raw bytes of the current block, reused from block to block.
+    payload: Vec<u8>,
     block: Vec<u64>,
     pos: usize,
     prev: u64,
@@ -387,6 +416,7 @@ impl<R: Read> TraceReader<R> {
                 record_count,
                 total_instructions: u64::from_le_bytes(h[24..32].try_into().unwrap()),
             },
+            payload: Vec::new(),
             block: Vec::new(),
             pos: 0,
             prev: 0,
@@ -402,6 +432,13 @@ impl<R: Read> TraceReader<R> {
 
     /// Next address, `Ok(None)` at a clean end of trace.
     pub fn next_record(&mut self) -> Result<Option<u64>, TraceError> {
+        Ok(self.next_records(1)?.first().copied())
+    }
+
+    /// The next at most `max` addresses (`max ≥ 1`), as one slice of the
+    /// current decoded block; empty at a clean end of trace.  A slice
+    /// never spans two blocks.
+    pub(crate) fn next_records(&mut self, max: usize) -> Result<&[u64], TraceError> {
         if self.pos == self.block.len() && (self.done || !self.read_block()?) {
             // End of stream: the header must agree.
             if self.read_records != self.header.record_count {
@@ -410,12 +447,12 @@ impl<R: Read> TraceReader<R> {
                     read: self.read_records,
                 });
             }
-            return Ok(None);
+            return Ok(&[]);
         }
-        let addr = self.block[self.pos];
-        self.pos += 1;
-        self.read_records += 1;
-        Ok(Some(addr))
+        let start = self.pos;
+        self.pos += (self.block.len() - start).min(max);
+        self.read_records += (self.pos - start) as u64;
+        Ok(&self.block[start..self.pos])
     }
 
     /// Read and decode the next block; `Ok(false)` at clean EOF.
@@ -441,11 +478,12 @@ impl<R: Read> TraceReader<R> {
                 format!("implausible payload length {len}"),
             ));
         }
-        let mut payload = vec![0u8; len];
+        let payload = &mut self.payload;
+        payload.resize(len, 0);
         self.src
-            .read_exact(&mut payload)
+            .read_exact(payload)
             .map_err(|e| truncated_as(e, "block payload"))?;
-        let computed = crc32(&payload);
+        let computed = crc32(payload);
         if stored != computed {
             return Err(TraceError::CrcMismatch {
                 what: "block",
@@ -454,7 +492,9 @@ impl<R: Read> TraceReader<R> {
             });
         }
         self.block.clear();
-        self.block.reserve(count);
+        // Every record takes at least one byte, which bounds a corrupt
+        // count's allocation by the payload length.
+        self.block.reserve(count.min(len));
         let mut pos = 0usize;
         let mut prev = self.prev;
         while pos < payload.len() {
@@ -551,6 +591,42 @@ mod tests {
         // The classic check value for CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The byte-at-a-time CRC that slicing-by-8 must reproduce.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    #[test]
+    fn crc32_slicing_matches_bytewise() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let buf: Vec<u8> = (0..4096)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            })
+            .collect();
+        for start in 0..16 {
+            for len in (0..64).chain([255, 1000, 4000]) {
+                let bytes = &buf[start..start + len];
+                assert_eq!(crc32(bytes), crc32_bytewise(bytes), "at {start}+{len}");
+            }
+        }
+        let mut seed = 7u64;
+        for _ in 0..200 {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let start = (seed >> 40) as usize % 64;
+            let len = (seed >> 20) as usize % (buf.len() - start);
+            let bytes = &buf[start..start + len];
+            assert_eq!(crc32(bytes), crc32_bytewise(bytes), "at {start}+{len}");
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! # memhier-trace
 //!
 //! Address-trace collection and analysis for the IPPS'99 memory-hierarchy
-//! model: exact LRU **stack-distance** computation (Bennett–Kruskal with a
-//! Fenwick tree), distance **histograms** and empirical CDFs, least-squares
+//! model: exact LRU **stack-distance** computation (Bennett–Kruskal, counting
+//! holes in a bitset over a word-level Fenwick tree), distance **histograms** and empirical CDFs, least-squares
 //! **fitting** of the paper's locality parameters `(α, β)` (eq. 1), the
 //! memory-reference density **ρ**, and a **synthetic trace generator** that
 //! draws references from a target `(α, β)` distribution (used both for

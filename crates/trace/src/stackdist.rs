@@ -6,53 +6,205 @@
 //! fully-associative LRU store of capacity `C` blocks iff its stack
 //! distance is `< C`.
 //!
-//! [`StackDistanceAnalyzer`] implements the Bennett–Kruskal algorithm: a
-//! Fenwick (binary indexed) tree over reference time slots holds a 1 at the
-//! slot of each block's most recent access; the distance of a reuse is the
-//! count of set slots after the block's previous slot.  Slots are compacted
-//! when the index space fills, so memory is `O(live blocks)`, time
-//! `O(log M)` per reference.
+//! [`StackDistanceAnalyzer`] is a Bennett–Kruskal analyzer that counts
+//! *holes* rather than live flags.  Every reference takes the next time
+//! slot, and a flat block table remembers each block's latest slot.  When
+//! a block is reused, its old slot becomes a hole.  Each slot before `now`
+//! is either some block's latest reference or a hole, so the distance of
+//! a reuse whose previous slot was `old` is
+//!
+//! ```text
+//! d = (now − old − 1) − holes in (old, now)
+//! ```
+//!
+//! Holes are one bit per slot, with a Fenwick tree over the 64-slot
+//! words: a short gap resolves by popcount on one or two words, a long one
+//! adds one range query, and each reuse makes one word update.  A cold
+//! reference touches no bitset or tree at all.
+//!
+//! When the slots run out, compaction renumbers the live blocks in order.
+//! Afterwards there are no holes, so the bitset and tree are simply
+//! zeroed.  The slot space is then `SLOT_FACTOR` × live blocks (at least
+//! `INITIAL_SLOTS`), so a compaction is amortized over ≥ 7 references per
+//! live block.  Memory is `O(live blocks)`, time `O(log M)` per reference.
 //!
 //! [`NaiveStackDistance`] is the obviously-correct `O(M · B)` reference
 //! implementation (an explicit LRU stack) used by the property tests.
 
 use crate::histogram::DistanceHistogram;
-use std::collections::HashMap;
 
-/// Fenwick tree over time slots (1-based internally).
-struct Fenwick {
-    tree: Vec<u32>,
+/// Slot space after a compaction, as a multiple of the live blocks.
+const SLOT_FACTOR: usize = 8;
+/// Largest slot space: every slot fits a `u32` below [`EMPTY`].
+const MAX_SLOTS: usize = u32::MAX as usize & !63;
+/// Bucket slot of an empty table bucket.  Slots stay below
+/// [`MAX_SLOTS`], so occupancy needs no reserved key and every `u64`
+/// block is a valid key.
+const EMPTY: u32 = u32::MAX;
+
+/// One block-table bucket: the block key (split into halves so a bucket
+/// packs into 12 bytes) and the slot of its latest reference.
+#[derive(Clone, Copy)]
+struct Bucket {
+    key: [u32; 2],
+    slot: u32,
 }
 
-impl Fenwick {
-    fn new(capacity: usize) -> Self {
-        Fenwick {
-            tree: vec![0; capacity + 1],
+impl Bucket {
+    const VACANT: Bucket = Bucket {
+        key: [0; 2],
+        slot: EMPTY,
+    };
+
+    #[inline]
+    fn split(key: u64) -> [u32; 2] {
+        [key as u32, (key >> 32) as u32]
+    }
+}
+
+/// Flat block → latest-slot map, open-addressed with linear probing.
+/// Blocks are never deleted, so there are no tombstones; the table grows
+/// at 7/8 load, like `std`'s.
+struct BlockTable {
+    buckets: Vec<Bucket>,
+    /// Bucket-count mask (the count is a power of two).
+    mask: usize,
+    len: usize,
+}
+
+impl BlockTable {
+    const INITIAL_BUCKETS: usize = 1 << 10;
+
+    fn new() -> Self {
+        BlockTable {
+            buckets: vec![Bucket::VACANT; Self::INITIAL_BUCKETS],
+            mask: Self::INITIAL_BUCKETS - 1,
+            len: 0,
         }
     }
 
-    fn len(&self) -> usize {
-        self.tree.len() - 1
+    /// splitmix64 finalizer — the same mixing as `memhier-sim`'s
+    /// `DirTable`.
+    #[inline]
+    fn hash(key: u64) -> u64 {
+        let mut z = key ^ 0x9E37_79B9_7F4A_7C15;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
     }
 
-    /// Add `delta` at 0-based position `i`.
-    fn add(&mut self, i: usize, delta: i32) {
-        let mut i = i + 1;
+    /// Record `slot` as `key`'s latest slot, returning the previous one
+    /// (`None` for a new key).
+    #[inline]
+    fn replace(&mut self, key: u64, slot: u32) -> Option<u32> {
+        let want = Bucket::split(key);
+        let mut i = Self::hash(key) as usize & self.mask;
+        loop {
+            let b = &mut self.buckets[i];
+            if b.slot == EMPTY {
+                *b = Bucket { key: want, slot };
+                self.len += 1;
+                if self.len * 8 > self.buckets.len() * 7 {
+                    self.grow();
+                }
+                return None;
+            }
+            if b.key == want {
+                return Some(std::mem::replace(&mut b.slot, slot));
+            }
+            i = (i + 1) & self.mask;
+        }
+    }
+
+    fn grow(&mut self) {
+        let doubled = vec![Bucket::VACANT; self.buckets.len() * 2];
+        let old = std::mem::replace(&mut self.buckets, doubled);
+        self.mask = self.buckets.len() - 1;
+        for b in old.into_iter().filter(|b| b.slot != EMPTY) {
+            let key = u64::from(b.key[0]) | u64::from(b.key[1]) << 32;
+            let mut i = Self::hash(key) as usize & self.mask;
+            while self.buckets[i].slot != EMPTY {
+                i = (i + 1) & self.mask;
+            }
+            self.buckets[i] = b;
+        }
+    }
+}
+
+/// Hole bitset over the slot space plus a Fenwick tree of per-word hole
+/// counts (1-based: `tree[i]` sums the words ending at word `i - 1`).
+struct Holes {
+    bits: Vec<u64>,
+    tree: Vec<u32>,
+}
+
+impl Holes {
+    fn new(slots: usize) -> Self {
+        let words = slots / 64;
+        Holes {
+            bits: vec![0; words],
+            tree: vec![0; words + 1],
+        }
+    }
+
+    fn slots(&self) -> usize {
+        self.bits.len() * 64
+    }
+
+    /// Mark `slot` a hole.
+    #[inline]
+    fn set(&mut self, slot: usize) {
+        let w = slot / 64;
+        self.bits[w] |= 1 << (slot % 64);
+        let mut i = w + 1;
         while i < self.tree.len() {
-            self.tree[i] = (self.tree[i] as i64 + delta as i64) as u32;
+            self.tree[i] += 1;
             i += i & i.wrapping_neg();
         }
     }
 
-    /// Sum of positions `0..=i` (0-based).
-    fn prefix(&self, i: usize) -> u32 {
-        let mut i = i + 1;
-        let mut s = 0;
-        while i > 0 {
-            s += self.tree[i];
-            i -= i & i.wrapping_neg();
+    /// Holes strictly between slots `lo < hi`.
+    #[inline]
+    fn between(&self, lo: usize, hi: usize) -> u32 {
+        let (wl, wh) = (lo / 64, hi / 64);
+        let above = !0u64 << (lo % 64) << 1;
+        let below = (1u64 << (hi % 64)) - 1;
+        if wl == wh {
+            return (self.bits[wl] & above & below).count_ones();
         }
-        s
+        let ends = (self.bits[wl] & above).count_ones() + (self.bits[wh] & below).count_ones();
+        if wh == wl + 1 {
+            return ends;
+        }
+        // Words wl+1 .. wh: prefix(wh) − prefix(wl + 1), walking the
+        // larger index down until the two walks meet.
+        let (mut i, mut j) = (wh, wl + 1);
+        let mut sum = ends;
+        while i != j {
+            if i > j {
+                sum = sum.wrapping_add(self.tree[i]);
+                i &= i - 1;
+            } else {
+                sum = sum.wrapping_sub(self.tree[j]);
+                j &= j - 1;
+            }
+        }
+        sum
+    }
+
+    /// Close up the holes: move each live slot in `live` down by the
+    /// holes before it.  Uses the tree as scratch space for per-word
+    /// prefix counts, so the caller starts a fresh space afterwards.
+    fn close_up<'a>(&mut self, live: impl Iterator<Item = &'a mut u32>) {
+        let mut before = 0;
+        for (w, &word) in self.bits.iter().enumerate() {
+            self.tree[w] = before;
+            before += word.count_ones();
+        }
+        for slot in live {
+            let (w, b) = (*slot as usize / 64, *slot % 64);
+            *slot -= self.tree[w] + (self.bits[w] & ((1u64 << b) - 1)).count_ones();
+        }
     }
 }
 
@@ -63,17 +215,19 @@ impl Fenwick {
 /// [`StackDistanceAnalyzer::granularity`].
 pub struct StackDistanceAnalyzer {
     granularity: u64,
+    /// `log2(granularity)`.
+    shift: u32,
     /// Block → slot of its most recent access.
-    last_slot: HashMap<u64, usize>,
-    bit: Fenwick,
-    next_slot: usize,
+    blocks: BlockTable,
+    holes: Holes,
+    /// The slot the next reference takes.
+    now: usize,
     live: u32,
     hist: DistanceHistogram,
 }
 
 impl StackDistanceAnalyzer {
-    /// Initial Fenwick index space; grows by compaction, never allocation
-    /// beyond `2 × live blocks` after the first compaction.
+    /// Slot space before the first compaction, and its floor after.
     const INITIAL_SLOTS: usize = 1 << 16;
 
     /// Create an analyzer mapping addresses to `granularity`-byte blocks
@@ -85,9 +239,10 @@ impl StackDistanceAnalyzer {
         );
         StackDistanceAnalyzer {
             granularity,
-            last_slot: HashMap::new(),
-            bit: Fenwick::new(Self::INITIAL_SLOTS),
-            next_slot: 0,
+            shift: granularity.trailing_zeros(),
+            blocks: BlockTable::new(),
+            holes: Holes::new(Self::INITIAL_SLOTS),
+            now: 0,
             live: 0,
             hist: DistanceHistogram::new(granularity),
         }
@@ -100,26 +255,22 @@ impl StackDistanceAnalyzer {
 
     /// Process one reference to byte address `addr`.  Returns the stack
     /// distance in blocks, or `None` for a cold (first) reference.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> Option<u64> {
-        let block = addr / self.granularity;
-        if self.next_slot == self.bit.len() {
+        if self.now == self.holes.slots() {
             self.compact();
         }
-        let slot = self.next_slot;
-        self.next_slot += 1;
-        let d = match self.last_slot.insert(block, slot) {
+        let now = self.now;
+        self.now += 1;
+        let d = match self.blocks.replace(addr >> self.shift, now as u32) {
             Some(old) => {
-                // Distinct blocks touched strictly after `old`: every live
-                // block's flag sits at its latest slot, so count flags in
-                // (old, now) = live − prefix(old).
-                let d = (self.live - self.bit.prefix(old)) as u64;
-                self.bit.add(old, -1);
-                self.bit.add(slot, 1);
-                Some(d)
+                let old = old as usize;
+                let d = (now - old - 1) as u32 - self.holes.between(old, now);
+                self.holes.set(old);
+                Some(u64::from(d))
             }
             None => {
                 self.live += 1;
-                self.bit.add(slot, 1);
                 None
             }
         };
@@ -127,19 +278,24 @@ impl StackDistanceAnalyzer {
         d
     }
 
-    /// Rebuild the Fenwick index space, keeping only live flags in their
-    /// relative order.  Amortized O(1) per reference.
+    /// Squeeze the holes out of the full slot space: renumber every live
+    /// block by its rank, then start a hole-free space of
+    /// `SLOT_FACTOR × live` slots.  Amortized O(1) per reference.
     fn compact(&mut self) {
-        let mut order: Vec<(usize, u64)> = self.last_slot.iter().map(|(&b, &s)| (s, b)).collect();
-        order.sort_unstable();
-        let new_cap = (order.len() * 2).max(Self::INITIAL_SLOTS);
-        let mut bit = Fenwick::new(new_cap);
-        for (new_slot, &(_, block)) in order.iter().enumerate() {
-            bit.add(new_slot, 1);
-            *self.last_slot.get_mut(&block).expect("block is live") = new_slot;
-        }
-        self.next_slot = order.len();
-        self.bit = bit;
+        let live = self.live as usize;
+        assert!(live < MAX_SLOTS, "more live blocks than u32 slots");
+        self.holes.close_up(
+            self.blocks
+                .buckets
+                .iter_mut()
+                .filter(|b| b.slot != EMPTY)
+                .map(|b| &mut b.slot),
+        );
+        let slots = (live * SLOT_FACTOR)
+            .next_multiple_of(64)
+            .clamp(Self::INITIAL_SLOTS, MAX_SLOTS);
+        self.holes = Holes::new(slots);
+        self.now = live;
     }
 
     /// Number of distinct blocks seen so far.
@@ -147,18 +303,18 @@ impl StackDistanceAnalyzer {
         self.live
     }
 
-    /// Deterministic estimate of the analyzer's resident state in bytes
-    /// (Fenwick slots + block map entries + histogram buckets), computed
-    /// from container lengths so identical inputs report identical
-    /// sizes.  This is what the out-of-core pipeline's memory-bound
-    /// assertions measure: it scales with *live blocks*, never with
-    /// trace length.
+    /// Deterministic size of the analyzer's resident state in bytes
+    /// (block table buckets + hole bitset + Fenwick words + histogram
+    /// buckets), computed from container lengths so identical inputs
+    /// report identical sizes.  This is what the out-of-core pipeline's
+    /// memory-bound assertions measure: it scales with *live blocks*,
+    /// never with trace length.  Per live block that is 12 B table
+    /// buckets at 7/16–7/8 load plus 1.5 B for its eight slots (a bitset
+    /// byte and half a Fenwick word): about 15–29 B.
     pub fn state_bytes(&self) -> u64 {
-        let fenwick = self.bit.tree.len() as u64 * 4;
-        // HashMap entry: key + value + ~1/3 table overhead, rounded to
-        // 24 bytes per live block.
-        let map = self.last_slot.len() as u64 * 24;
-        fenwick + map + self.hist.state_bytes()
+        let table = self.blocks.buckets.len() * std::mem::size_of::<Bucket>();
+        let holes = self.holes.bits.len() * 8 + self.holes.tree.len() * 4;
+        (table + holes) as u64 + self.hist.state_bytes()
     }
 
     /// The accumulated distance histogram (distances in blocks; the

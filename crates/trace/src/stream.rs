@@ -35,7 +35,7 @@ pub const BETA_TOL: f64 = 0.05;
 
 /// Default analysis granularity in bytes (cache-line).
 pub const DEFAULT_GRANULARITY: u64 = 64;
-/// Default records per I/O chunk.
+/// Default most records per analyzer push in [`run_fit`].
 pub const DEFAULT_CHUNK_RECORDS: u64 = 65_536;
 
 /// One entry of a fit's convergence history: the parameters refit after
@@ -224,8 +224,8 @@ pub struct FitRequest {
     pub trace: String,
     /// Analysis granularity in bytes (power of two).
     pub granularity: u64,
-    /// Records per I/O chunk — a memory/latency knob only; results are
-    /// identical for every value.
+    /// The most records [`run_fit`] pushes at once — a latency knob
+    /// only; results are identical for every value.
     pub chunk_records: u64,
 }
 
@@ -411,28 +411,21 @@ impl StreamAnalyzer {
 }
 
 /// Execute a [`FitRequest`]: stream the trace file through a
-/// [`StreamAnalyzer`] in `chunk_records`-sized chunks and return the
-/// report.  The whole trace is never resident; peak memory is the chunk
-/// buffer plus the compaction-bounded analysis state.
+/// [`StreamAnalyzer`], pushing each decoded `.mtr` block in slices of at
+/// most `chunk_records` records, and return the report.  The whole trace
+/// is never resident; peak memory is one decoded block plus the
+/// compaction-bounded analysis state.
 pub fn run_fit(req: &FitRequest) -> Result<FitReport, TraceError> {
     let mut reader = TraceReader::open(Path::new(&req.trace))?;
     let total_instructions = reader.header().total_instructions;
     let mut analyzer = StreamAnalyzer::new(req.granularity);
-    // Cap the chunk buffer allocation independently of the request knob.
-    let cap = req.chunk_records.min(1 << 20) as usize;
-    let mut chunk: Vec<u64> = Vec::with_capacity(cap);
+    let max = usize::try_from(req.chunk_records).unwrap_or(usize::MAX);
     loop {
-        chunk.clear();
-        while (chunk.len() as u64) < req.chunk_records {
-            match reader.next_record()? {
-                Some(addr) => chunk.push(addr),
-                None => break,
-            }
-        }
+        let chunk = reader.next_records(max)?;
         if chunk.is_empty() {
             break;
         }
-        analyzer.push_chunk(&chunk);
+        analyzer.push_chunk(chunk);
     }
     Ok(analyzer.finish(total_instructions)?)
 }
