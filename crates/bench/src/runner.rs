@@ -33,9 +33,11 @@ impl Serialize for Sizes {
 }
 
 impl Deserialize for Sizes {
-    fn from_json_value(v: serde_json::Value) -> Result<Self, String> {
-        let name = v.as_str().ok_or("size must be a string")?;
-        crate::names::sizes_by_name(name)
+    fn from_json_value(v: serde_json::Value) -> Result<Self, serde::Error> {
+        let name = v
+            .as_str()
+            .ok_or_else(|| serde::Error::custom("size must be a string"))?;
+        crate::names::sizes_by_name(name).map_err(serde::Error::custom)
     }
 }
 

@@ -257,11 +257,7 @@ impl Scenario {
                         Value::Object(_) if value.get("platform").is_some() => {
                             b.config(platform_config_from_json(value)?)
                         }
-                        Value::Object(_) => {
-                            let spec = ClusterSpec::from_json_value(value.clone())
-                                .map_err(|e| ScenarioError::Invalid("config", e))?;
-                            b.config(spec)
-                        }
+                        Value::Object(_) => b.config(cluster_spec_from_json(value)?),
                         _ => {
                             return Err(ScenarioError::Invalid(
                                 "config",
@@ -350,8 +346,15 @@ impl Scenario {
     /// [..], "size"?}` — into one scenario per `configs × workloads`
     /// point, cluster-major (all workloads on the first config, then the
     /// second, ...).  This is the shape of `memhierd`'s `/v1/sweep` body
-    /// and of the CLI's `--configs`/`--workloads` lists.
+    /// and of the CLI's `--configs`/`--workloads` lists; any other key is
+    /// rejected as a typo.
     pub fn expand_grid(v: &Value, default_size: Sizes) -> Result<Vec<Scenario>, ScenarioError> {
+        if let Value::Object(fields) = v {
+            let known = ["configs", "workloads", "size", "sim_threads"];
+            if let Some((key, _)) = fields.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+                return Err(ScenarioError::UnknownField(key.clone()));
+            }
+        }
         let names = |key: &'static str| -> Result<Vec<&str>, ScenarioError> {
             v.get(key)
                 .and_then(Value::as_array)
@@ -524,8 +527,8 @@ impl Serialize for Scenario {
 }
 
 impl Deserialize for Scenario {
-    fn from_json_value(v: Value) -> Result<Self, String> {
-        Scenario::from_json(&v).map_err(|e| e.to_string())
+    fn from_json_value(v: Value) -> Result<Self, serde::Error> {
+        Scenario::from_json(&v).map_err(serde::Error::custom)
     }
 }
 
@@ -674,6 +677,20 @@ pub fn size_name(size: Sizes) -> &'static str {
         Sizes::Medium => "medium",
         Sizes::Paper => "paper",
     }
+}
+
+/// Decode an inline [`ClusterSpec`] object.  A typo'd key at any depth
+/// is an unknown `config.…` field (`config.machine.numaa`), not a flat
+/// machine that silently ignores it.
+fn cluster_spec_from_json(v: &Value) -> Result<ClusterSpec, ScenarioError> {
+    ClusterSpec::from_json_value(v.clone()).map_err(|e| match &e.kind {
+        serde::ErrorKind::UnknownField(key) => {
+            let mut path: Vec<&str> = e.path.iter().map(|&(_, field)| field).collect();
+            path.push(key);
+            ScenarioError::UnknownField(format!("config.{}", path.join(".")))
+        }
+        _ => ScenarioError::Invalid("config", e.to_string()),
+    })
 }
 
 /// Build a [`ClusterSpec`] from the `{"platform": key, "params": {...}}`
@@ -837,6 +854,56 @@ mod tests {
             "C5:FFT:small:extra".parse::<Scenario>().unwrap_err(),
             ScenarioError::Syntax(_)
         ));
+    }
+
+    #[test]
+    fn inline_cluster_spec_rejects_typos_at_any_depth() {
+        let spec = r#""machine": {"n_procs": 4, "cache_bytes": 262144,
+                                   "memory_bytes": 67108864, "clock_hz": 2e8}"#;
+        let parse = |config: String| {
+            let v: Value =
+                serde_json::from_str(&format!(r#"{{"config": {config}, "workload": "LU"}}"#))
+                    .unwrap();
+            Scenario::from_json(&v)
+        };
+        assert!(parse(format!(r#"{{{spec}, "machines": 1}}"#)).is_ok());
+        let e = parse(format!(r#"{{{spec}, "machines": 1, "nmae": "x"}}"#)).unwrap_err();
+        assert_eq!(e, ScenarioError::UnknownField("config.nmae".to_string()));
+        let numaa = spec.replace(
+            r#""clock_hz": 2e8"#,
+            r#""clock_hz": 2e8, "numaa": {"domains": 2, "remote_penalty_cycles": 40}"#,
+        );
+        let e = parse(format!(r#"{{{numaa}, "machines": 1}}"#)).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "unknown scenario field `config.machine.numaa`"
+        );
+        let domainz = spec.replace(
+            r#""clock_hz": 2e8"#,
+            r#""clock_hz": 2e8, "numa": {"domainz": 2, "remote_penalty_cycles": 40}"#,
+        );
+        let e = parse(format!(r#"{{{domainz}, "machines": 1}}"#)).unwrap_err();
+        assert_eq!(
+            e,
+            ScenarioError::UnknownField("config.machine.numa.domainz".to_string())
+        );
+    }
+
+    #[test]
+    fn sweep_grid_rejects_unknown_keys() {
+        let v: Value =
+            serde_json::from_str(r#"{"configs": ["C5"], "workloads": ["LU"], "sise": "paper"}"#)
+                .unwrap();
+        assert_eq!(
+            Scenario::expand_grid(&v, Sizes::Small).unwrap_err(),
+            ScenarioError::UnknownField("sise".to_string())
+        );
+        let v: Value =
+            serde_json::from_str(r#"{"configs": ["C5"], "workloads": ["LU"], "size": "paper"}"#)
+                .unwrap();
+        let grid = Scenario::expand_grid(&v, Sizes::Small).unwrap();
+        assert_eq!(grid.len(), 1);
+        assert_eq!(grid[0].size, Sizes::Paper);
     }
 
     #[test]

@@ -75,7 +75,9 @@ fn an_unknown_name_lists_the_same_keys_everywhere() {
             .unwrap_err()
             .to_string(),
         name.parse::<RecommendRequest>().unwrap_err().to_string(),
-        WorkloadKind::from_json_value(Value::String(name.to_string())).unwrap_err(),
+        WorkloadKind::from_json_value(Value::String(name.to_string()))
+            .unwrap_err()
+            .to_string(),
         memhier_bench::workload_kind_by_name(name).unwrap_err(),
     ];
     for err in errors {

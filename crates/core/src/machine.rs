@@ -15,6 +15,7 @@ use std::fmt;
 /// domain other than its own.  `domains == 1` is flat (UMA) and behaves
 /// exactly like a machine with no NUMA spec at all.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct NumaSpec {
     /// Number of NUMA domains (memory controllers) in the machine.
     pub domains: u32,
@@ -24,7 +25,8 @@ pub struct NumaSpec {
 
 /// One machine of the (homogeneous) cluster: an `n`-processor SMP when
 /// `n_procs > 1`, a uniprocessor workstation when `n_procs == 1`.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct MachineSpec {
     /// Processors per machine (`n` in the paper; 1, 2 or 4 in its studies).
     pub n_procs: u32,
@@ -35,7 +37,10 @@ pub struct MachineSpec {
     /// Processor speed `S` in instructions per second (clock rate at the
     /// paper's 1 instruction/cycle; 200 MHz in all its experiments).
     pub clock_hz: f64,
-    /// Optional NUMA geometry; `None` is a flat (UMA) machine.
+    /// Optional NUMA geometry; `None` is a flat (UMA) machine.  Omitted
+    /// from the JSON when absent, so every pre-NUMA spec (golden
+    /// fixtures, cached request bodies) keeps its exact bytes.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub numa: Option<NumaSpec>,
 }
 
@@ -110,54 +115,6 @@ impl MachineSpec {
             }
         }
         Ok(())
-    }
-}
-
-/// Hand-written so the optional `numa` key is *omitted* when absent:
-/// every pre-NUMA spec (golden fixtures, cached request bodies) keeps
-/// its exact bytes, and a spec without the key parses as a flat machine.
-impl serde::Serialize for MachineSpec {
-    fn to_json_value(&self) -> serde::__private::Value {
-        let mut fields = vec![
-            ("n_procs".to_string(), self.n_procs.to_json_value()),
-            ("cache_bytes".to_string(), self.cache_bytes.to_json_value()),
-            (
-                "memory_bytes".to_string(),
-                self.memory_bytes.to_json_value(),
-            ),
-            ("clock_hz".to_string(), self.clock_hz.to_json_value()),
-        ];
-        if let Some(numa) = &self.numa {
-            fields.push(("numa".to_string(), numa.to_json_value()));
-        }
-        serde::__private::Value::Object(fields)
-    }
-}
-
-impl serde::Deserialize for MachineSpec {
-    fn from_json_value(v: serde::__private::Value) -> Result<Self, String> {
-        let serde::__private::Value::Object(fields) = v else {
-            return Err(format!("expected object for MachineSpec, got {v:?}"));
-        };
-        let take = |key: &str| {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v.clone())
-                .unwrap_or(serde::__private::Value::Null)
-        };
-        Ok(MachineSpec {
-            n_procs: u32::from_json_value(take("n_procs"))
-                .map_err(|e| format!("MachineSpec.n_procs: {e}"))?,
-            cache_bytes: u64::from_json_value(take("cache_bytes"))
-                .map_err(|e| format!("MachineSpec.cache_bytes: {e}"))?,
-            memory_bytes: u64::from_json_value(take("memory_bytes"))
-                .map_err(|e| format!("MachineSpec.memory_bytes: {e}"))?,
-            clock_hz: f64::from_json_value(take("clock_hz"))
-                .map_err(|e| format!("MachineSpec.clock_hz: {e}"))?,
-            numa: Option::<NumaSpec>::from_json_value(take("numa"))
-                .map_err(|e| format!("MachineSpec.numa: {e}"))?,
-        })
     }
 }
 
@@ -396,15 +353,18 @@ impl serde::Serialize for NetworkKind {
 }
 
 impl serde::Deserialize for NetworkKind {
-    fn from_json_value(v: serde::__private::Value) -> Result<Self, String> {
-        let name = v
-            .as_str()
-            .ok_or_else(|| format!("expected string for NetworkKind, got {v:?}"))?;
+    fn from_json_value(v: serde::__private::Value) -> Result<Self, serde::Error> {
+        let Some(name) = v.as_str() else {
+            return Err(serde::Error::invalid(
+                serde::Expected::Variant("NetworkKind"),
+                v,
+            ));
+        };
         NetworkKind::parse(name).ok_or_else(|| {
-            format!(
+            serde::Error::custom(format!(
                 "unknown NetworkKind variant `{name}` (known: {})",
                 NetworkKind::known_keys().join("|")
-            )
+            ))
         })
     }
 }
@@ -625,6 +585,7 @@ mod tests {
         }
         assert!(NetworkKind::from_json_value(Value::String("wat".into()))
             .unwrap_err()
+            .to_string()
             .contains("Ethernet10|Ethernet100|Atm155|FatTree"));
     }
 

@@ -58,6 +58,7 @@ impl fmt::Display for PlatformKind {
 /// A complete homogeneous cluster: `machines` identical machines connected
 /// by `network` (None for a single machine, which needs no cluster network).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ClusterSpec {
     /// The per-machine specification.
     pub machine: MachineSpec,

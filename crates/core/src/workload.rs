@@ -287,9 +287,11 @@ impl serde::Serialize for WorkloadKind {
 }
 
 impl serde::Deserialize for WorkloadKind {
-    fn from_json_value(v: serde::__private::Value) -> Result<Self, String> {
-        let name = v.as_str().ok_or("workload must be a string")?;
-        WorkloadKind::parse(name).ok_or_else(|| WorkloadKind::unknown(name))
+    fn from_json_value(v: serde::__private::Value) -> Result<Self, serde::Error> {
+        let name = v
+            .as_str()
+            .ok_or_else(|| serde::Error::custom("workload must be a string"))?;
+        WorkloadKind::parse(name).ok_or_else(|| serde::Error::custom(WorkloadKind::unknown(name)))
     }
 }
 
@@ -384,6 +386,6 @@ mod tests {
             assert_eq!(WorkloadKind::from_json_value(k.to_json_value()), Ok(k));
         }
         let bad = WorkloadKind::from_json_value(serde::__private::Value::String("x".into()));
-        assert_eq!(bad, Err(WorkloadKind::unknown("x")));
+        assert_eq!(bad.unwrap_err().to_string(), WorkloadKind::unknown("x"));
     }
 }

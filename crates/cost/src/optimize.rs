@@ -90,13 +90,7 @@ pub fn evaluate_space(
 
     let mut stats = SearchStats {
         candidates: tallies.len(),
-        unpriced: 0,
-        over_budget: 0,
-        model_rejected: 0,
-        slo_filtered: 0,
-        feasible: 0,
-        confirmed: 0,
-        pruning_ratio: 0.0,
+        ..SearchStats::default()
     };
     let mut feasible = Vec::new();
     for t in tallies {

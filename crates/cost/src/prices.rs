@@ -13,8 +13,11 @@ use memhier_core::machine::{MachineSpec, NetworkKind};
 use memhier_core::platform::ClusterSpec;
 use serde::{Deserialize, Serialize};
 
-/// Price table in dollars.
+/// Price table in dollars.  On the wire every missing price takes its
+/// [`circa_1999`](PriceTable::circa_1999) value, so a request can
+/// override just one.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields, expecting = "`prices`")]
 pub struct PriceTable {
     /// Uniprocessor workstation base (200 MHz CPU, chassis, 256 KB cache).
     pub ws_base: f64,

@@ -12,6 +12,16 @@
 //! * errors are one `#[non_exhaustive]` enum with `From` conversions
 //!   into the workspace facade error and the service's HTTP error.
 //!
+//! The struct codecs are derived (`#[derive(Serialize, Deserialize)]`
+//! with `serde` attributes for defaults, omission and typo rejection);
+//! `From<serde::Error>` words the decoder's faults as [`CostError`]s, and
+//! each `from_json` adds the range checks a type cannot express.  Three
+//! shapes the derive does not model keep hand-written codecs: a
+//! [`WorkloadSpec`] is a name or an `{alpha, beta, rho}` object, a
+//! [`RecommendRequest`] flattens that object into its own keys, and a
+//! [`CandidateSpace`] spells networks by wire name and omits every key
+//! that equals the paper market.
+//!
 //! The same [`OptimizeRequest`]/[`OptimizeReport`] pair backs `memhier
 //! optimize --json` and `memhierd`'s `POST /v1/optimize`, and the same
 //! [`RecommendRequest`]/[`RecommendReport`] pair backs `memhier
@@ -26,7 +36,7 @@ use crate::recommend::{Recommendation, RecommendedPlatform};
 use memhier_core::locality::WorkloadParams;
 use memhier_core::machine::NetworkKind;
 use memhier_core::WorkloadKind;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, ErrorKind, Expected, Serialize};
 use serde_json::Value;
 use std::fmt;
 use std::str::FromStr;
@@ -66,6 +76,38 @@ impl fmt::Display for CostError {
 }
 
 impl std::error::Error for CostError {}
+
+/// Decoder faults in the request wording: the innermost key names the
+/// field, a non-object is a syntax error named by the struct's
+/// `expecting` text, and a `CostError` a hand-written codec raised comes
+/// back unchanged.
+impl From<serde::Error> for CostError {
+    fn from(e: serde::Error) -> Self {
+        if let Some(cost) = e.downcast_ref::<CostError>() {
+            return cost.clone();
+        }
+        let (ty, key) = e.field().unwrap_or(("", ""));
+        // A bad price is reported against the table, not the price.
+        let field = if ty == "PriceTable" { "prices" } else { key };
+        match e.kind {
+            ErrorKind::UnknownField(k) => CostError::UnknownField(k),
+            ErrorKind::Missing(_) => CostError::Missing(match (ty, key) {
+                // A confirmation's fields are named under its block.
+                ("SimConfirmation", "size") => "simulated.size",
+                ("SimConfirmation", "seconds") => "simulated.seconds",
+                ("SimConfirmation", "wall_cycles") => "simulated.wall_cycles",
+                _ => key,
+            }),
+            ErrorKind::Invalid(Expected::Object(what), _) => {
+                CostError::Syntax(format!("{what} must be a JSON object"))
+            }
+            ErrorKind::Invalid(expected, _) if !matches!(expected, Expected::Variant(_)) => {
+                CostError::Invalid(field, format!("must be {}", expected.describe()))
+            }
+            kind => CostError::Invalid(field, kind.to_string()),
+        }
+    }
+}
 
 /// Canonical short name of a network medium on the wire
 /// (`eth10|eth100|atm|fattree`, matching the CLI's `--network`
@@ -110,6 +152,50 @@ fn validate_confirm_size(name: &str) -> Result<String, CostError> {
     }
 }
 
+fn check_budget(budget: f64) -> Result<f64, CostError> {
+    if budget.is_finite() && budget >= 0.0 {
+        Ok(budget)
+    } else {
+        Err(CostError::Invalid(
+            "budget",
+            "must be finite and non-negative".to_string(),
+        ))
+    }
+}
+
+fn check_top(top: usize) -> Result<usize, CostError> {
+    if top >= 1 {
+        Ok(top)
+    } else {
+        Err(CostError::Invalid("top", "must be at least 1".to_string()))
+    }
+}
+
+/// Every price must be finite and non-negative.
+fn check_prices(prices: &PriceTable) -> Result<(), CostError> {
+    if let Value::Object(fields) = prices.to_json_value() {
+        for (key, price) in fields {
+            if !price.as_f64().is_some_and(|p| p.is_finite() && p >= 0.0) {
+                return Err(CostError::Invalid(
+                    "prices",
+                    format!("`{key}` must be finite and non-negative"),
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+fn is_circa_1999(prices: &PriceTable) -> bool {
+    *prices == PriceTable::circa_1999()
+}
+
+/// Optional wire fields are omitted when absent, never `null`: a key
+/// that is present must hold a value of the field's type.
+fn present<T: Deserialize>(v: Value) -> Result<Option<T>, serde::Error> {
+    T::from_json_value(v).map(Some)
+}
+
 /// The workload a request optimizes for: a table workload by name, or raw
 /// `(α, β, ρ)` parameters for a workload characterized elsewhere (e.g.
 /// by `memhier fit`).
@@ -147,245 +233,197 @@ impl WorkloadSpec {
         }
     }
 
-    fn to_json_field(&self) -> Value {
+    /// The `{alpha, beta, rho}` object form, validated at the boundary
+    /// so a bad request fails at parse time, not mid-search.
+    fn custom_from_json(fields: &[(String, Value)]) -> Result<Self, CostError> {
+        let (mut alpha, mut beta, mut rho) = (None, None, None);
+        for (key, value) in fields {
+            let slot = match key.as_str() {
+                "alpha" => &mut alpha,
+                "beta" => &mut beta,
+                "rho" => &mut rho,
+                other => return Err(CostError::UnknownField(other.to_string())),
+            };
+            *slot = Some(value.as_f64().ok_or_else(|| {
+                CostError::Invalid("workload", format!("`{key}` must be a number"))
+            })?);
+        }
+        let spec = WorkloadSpec::Custom {
+            alpha: alpha.ok_or(CostError::Missing("workload.alpha"))?,
+            beta: beta.ok_or(CostError::Missing("workload.beta"))?,
+            rho: rho.ok_or(CostError::Missing("workload.rho"))?,
+        };
+        spec.resolve()?;
+        Ok(spec)
+    }
+}
+
+/// A name string or an `{alpha, beta, rho}` object.
+impl Serialize for WorkloadSpec {
+    fn to_json_value(&self) -> Value {
         match self {
             WorkloadSpec::Named(name) => Value::String(name.clone()),
             WorkloadSpec::Custom { alpha, beta, rho } => Value::Object(vec![
-                ("alpha".to_string(), f64_value(*alpha)),
-                ("beta".to_string(), f64_value(*beta)),
-                ("rho".to_string(), f64_value(*rho)),
+                ("alpha".to_string(), alpha.to_json_value()),
+                ("beta".to_string(), beta.to_json_value()),
+                ("rho".to_string(), rho.to_json_value()),
             ]),
         }
     }
+}
 
-    fn from_json_field(v: &Value) -> Result<Self, CostError> {
+impl Deserialize for WorkloadSpec {
+    fn from_json_value(v: Value) -> Result<Self, serde::Error> {
         match v {
-            Value::String(name) => WorkloadSpec::named(name),
-            Value::Object(fields) => {
-                let (mut alpha, mut beta, mut rho) = (None, None, None);
-                for (key, value) in fields {
-                    let slot = match key.as_str() {
-                        "alpha" => &mut alpha,
-                        "beta" => &mut beta,
-                        "rho" => &mut rho,
-                        other => return Err(CostError::UnknownField(other.to_string())),
-                    };
-                    *slot = Some(value.as_f64().ok_or_else(|| {
-                        CostError::Invalid("workload", format!("`{key}` must be a number"))
-                    })?);
-                }
-                let spec = WorkloadSpec::Custom {
-                    alpha: alpha.ok_or(CostError::Missing("workload.alpha"))?,
-                    beta: beta.ok_or(CostError::Missing("workload.beta"))?,
-                    rho: rho.ok_or(CostError::Missing("workload.rho"))?,
-                };
-                // Validate (α, β, ρ) at the boundary so a bad request
-                // fails at parse time, not mid-search.
-                spec.resolve()?;
-                Ok(spec)
+            Value::String(name) => WorkloadSpec::named(&name),
+            Value::Object(fields) => WorkloadSpec::custom_from_json(&fields),
+            other => {
+                return Err(serde::Error::invalid(
+                    Expected::Other("a kernel name or an {alpha, beta, rho} object"),
+                    other,
+                ))
             }
-            _ => Err(CostError::Invalid(
-                "workload",
-                "must be a kernel name or an {alpha, beta, rho} object".to_string(),
-            )),
         }
+        .map_err(serde::Error::custom)
     }
 }
 
-fn u64_value(v: u64) -> Value {
-    Value::Number(serde_json::Number::U64(v))
-}
-
-fn f64_value(v: f64) -> Value {
-    Value::Number(serde_json::Number::F64(v))
-}
-
-fn as_object<'a>(v: &'a Value, what: &'static str) -> Result<&'a Vec<(String, Value)>, CostError> {
-    match v {
-        Value::Object(fields) => Ok(fields),
-        _ => Err(CostError::Syntax(format!("{what} must be a JSON object"))),
-    }
-}
-
-fn req_f64(field: &'static str, v: &Value) -> Result<f64, CostError> {
-    v.as_f64()
-        .ok_or_else(|| CostError::Invalid(field, "must be a number".to_string()))
-}
-
-fn req_u64(field: &'static str, v: &Value) -> Result<u64, CostError> {
-    v.as_u64()
-        .ok_or_else(|| CostError::Invalid(field, "must be a non-negative integer".to_string()))
-}
-
-fn req_str<'a>(field: &'static str, v: &'a Value) -> Result<&'a str, CostError> {
-    v.as_str()
-        .ok_or_else(|| CostError::Invalid(field, "must be a string".to_string()))
-}
-
-fn uint_list(field: &'static str, v: &Value) -> Result<Vec<u64>, CostError> {
-    let arr = v
-        .as_array()
-        .ok_or_else(|| CostError::Invalid(field, "must be an array of integers".to_string()))?;
-    if arr.is_empty() {
-        return Err(CostError::Invalid(field, "must not be empty".to_string()));
-    }
-    arr.iter().map(|e| req_u64(field, e)).collect()
-}
-
-/// Serialize a candidate space as the wire grid object, omitting keys
-/// that equal the paper-market default.
-pub fn space_to_json(space: &CandidateSpace) -> Value {
-    let default = CandidateSpace::paper_market();
-    let mut fields = Vec::new();
-    if space.proc_counts != default.proc_counts {
-        fields.push((
-            "procs".to_string(),
-            Value::Array(
-                space
-                    .proc_counts
-                    .iter()
-                    .map(|&n| u64_value(n as u64))
-                    .collect(),
-            ),
-        ));
-    }
-    if space.cache_kb != default.cache_kb {
-        fields.push((
-            "cache_kb".to_string(),
-            Value::Array(space.cache_kb.iter().map(|&n| u64_value(n)).collect()),
-        ));
-    }
-    if space.memory_mb != default.memory_mb {
-        fields.push((
-            "memory_mb".to_string(),
-            Value::Array(space.memory_mb.iter().map(|&n| u64_value(n)).collect()),
-        ));
-    }
-    if space.max_machines != default.max_machines {
-        fields.push((
-            "max_machines".to_string(),
-            u64_value(space.max_machines as u64),
-        ));
-    }
-    if space.networks != default.networks {
-        fields.push((
-            "networks".to_string(),
-            Value::Array(
-                space
-                    .networks
-                    .iter()
-                    .map(|&n| Value::String(network_name(n).to_string()))
-                    .collect(),
-            ),
-        ));
-    }
-    if space.clock_mhz != default.clock_mhz {
-        fields.push(("clock_mhz".to_string(), f64_value(space.clock_mhz)));
-    }
-    Value::Object(fields)
-}
-
-/// Parse a wire grid object into a candidate space.  Missing keys take
-/// their paper-market defaults; unknown keys are rejected.
-pub fn space_from_json(v: &Value) -> Result<CandidateSpace, CostError> {
-    let fields = as_object(v, "`search_space`")?;
-    let mut space = CandidateSpace::paper_market();
-    for (key, value) in fields {
-        match key.as_str() {
-            "procs" => {
-                space.proc_counts = uint_list("procs", value)?
-                    .into_iter()
-                    .map(|n| {
-                        u32::try_from(n).map_err(|_| {
-                            CostError::Invalid("procs", format!("count {n} out of range"))
-                        })
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            "cache_kb" => space.cache_kb = uint_list("cache_kb", value)?,
-            "memory_mb" => space.memory_mb = uint_list("memory_mb", value)?,
-            "max_machines" => {
-                let n = req_u64("max_machines", value)?;
-                space.max_machines =
-                    u32::try_from(n).ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        CostError::Invalid("max_machines", "must be at least 1".to_string())
-                    })?;
-            }
-            "networks" => {
-                let arr = value.as_array().ok_or_else(|| {
-                    CostError::Invalid("networks", "must be an array of names".to_string())
-                })?;
-                if arr.is_empty() {
-                    return Err(CostError::Invalid(
-                        "networks",
-                        "must not be empty".to_string(),
-                    ));
-                }
-                space.networks = arr
-                    .iter()
-                    .map(|e| network_by_name(req_str("networks", e)?))
-                    .collect::<Result<_, _>>()?;
-            }
-            "clock_mhz" => {
-                let mhz = req_f64("clock_mhz", value)?;
-                if !mhz.is_finite() || mhz <= 0.0 {
-                    return Err(CostError::Invalid(
-                        "clock_mhz",
-                        "must be positive and finite".to_string(),
-                    ));
-                }
-                space.clock_mhz = mhz;
-            }
-            other => return Err(CostError::UnknownField(other.to_string())),
+/// The wire grid object: keys equal to the paper-market default are
+/// omitted, and networks go by their wire names (`eth10|eth100|atm|
+/// fattree`), not `NetworkKind`'s serde key.
+impl Serialize for CandidateSpace {
+    fn to_json_value(&self) -> Value {
+        let default = CandidateSpace::paper_market();
+        let mut fields = Vec::new();
+        if self.proc_counts != default.proc_counts {
+            fields.push(("procs".to_string(), self.proc_counts.to_json_value()));
         }
-    }
-    Ok(space)
-}
-
-/// Serialize a price table (full eight-field object).
-pub fn prices_to_json(prices: &PriceTable) -> Value {
-    serde_json::to_value(prices).expect("price table serializes")
-}
-
-/// Parse a price table.  Missing keys take their c.-1999 defaults (so a
-/// request can override just one price); unknown keys are rejected;
-/// every price must be finite and non-negative.
-pub fn prices_from_json(v: &Value) -> Result<PriceTable, CostError> {
-    let fields = as_object(v, "`prices`")?;
-    let mut p = PriceTable::circa_1999();
-    for (key, value) in fields {
-        let slot = match key.as_str() {
-            "ws_base" => &mut p.ws_base,
-            "smp2_base" => &mut p.smp2_base,
-            "smp4_base" => &mut p.smp4_base,
-            "mem_per_mb" => &mut p.mem_per_mb,
-            "cache512_per_proc" => &mut p.cache512_per_proc,
-            "eth10_per_machine" => &mut p.eth10_per_machine,
-            "eth100_per_machine" => &mut p.eth100_per_machine,
-            "atm_per_machine" => &mut p.atm_per_machine,
-            other => return Err(CostError::UnknownField(other.to_string())),
-        };
-        let price = req_f64("prices", value)?;
-        if !price.is_finite() || price < 0.0 {
-            return Err(CostError::Invalid(
-                "prices",
-                format!("`{key}` must be finite and non-negative"),
+        if self.cache_kb != default.cache_kb {
+            fields.push(("cache_kb".to_string(), self.cache_kb.to_json_value()));
+        }
+        if self.memory_mb != default.memory_mb {
+            fields.push(("memory_mb".to_string(), self.memory_mb.to_json_value()));
+        }
+        if self.max_machines != default.max_machines {
+            fields.push((
+                "max_machines".to_string(),
+                self.max_machines.to_json_value(),
             ));
         }
-        *slot = price;
+        if self.networks != default.networks {
+            let names: Vec<&str> = self.networks.iter().map(|&n| network_name(n)).collect();
+            fields.push(("networks".to_string(), names.to_json_value()));
+        }
+        if self.clock_mhz != default.clock_mhz {
+            fields.push(("clock_mhz".to_string(), self.clock_mhz.to_json_value()));
+        }
+        Value::Object(fields)
     }
-    Ok(p)
+}
+
+/// Missing keys take their paper-market defaults; unknown keys are
+/// rejected.
+impl Deserialize for CandidateSpace {
+    fn from_json_value(v: Value) -> Result<Self, serde::Error> {
+        fn field<T: Deserialize>(key: &'static str, v: Value) -> Result<T, serde::Error> {
+            T::from_json_value(v).map_err(|e| e.within("CandidateSpace", key))
+        }
+        fn bad(key: &'static str, why: &str) -> serde::Error {
+            serde::Error::custom(why.to_string()).within("CandidateSpace", key)
+        }
+        /// A non-empty array, decoded element by element.
+        fn list<T: Deserialize>(
+            key: &'static str,
+            v: Value,
+            what: &str,
+        ) -> Result<Vec<T>, serde::Error> {
+            match v {
+                Value::Array(items) if items.is_empty() => Err(bad(key, "must not be empty")),
+                Value::Array(items) => items.into_iter().map(|e| field(key, e)).collect(),
+                _ => Err(bad(key, &format!("must be an array of {what}"))),
+            }
+        }
+        let Value::Object(fields) = v else {
+            return Err(serde::Error::invalid(Expected::Object("`search_space`"), v));
+        };
+        let mut space = CandidateSpace::paper_market();
+        for (key, value) in fields {
+            match key.as_str() {
+                "procs" => {
+                    space.proc_counts = list::<u64>("procs", value, "integers")?
+                        .into_iter()
+                        .map(|n| {
+                            u32::try_from(n)
+                                .map_err(|_| bad("procs", &format!("count {n} out of range")))
+                        })
+                        .collect::<Result<_, _>>()?;
+                }
+                "cache_kb" => space.cache_kb = list("cache_kb", value, "integers")?,
+                "memory_mb" => space.memory_mb = list("memory_mb", value, "integers")?,
+                "max_machines" => {
+                    let n: u64 = field("max_machines", value)?;
+                    space.max_machines = u32::try_from(n)
+                        .ok()
+                        .filter(|&n| n >= 1)
+                        .ok_or_else(|| bad("max_machines", "must be at least 1"))?;
+                }
+                "networks" => {
+                    space.networks = list::<String>("networks", value, "names")?
+                        .iter()
+                        .map(|name| network_by_name(name).map_err(serde::Error::custom))
+                        .collect::<Result<_, _>>()?;
+                }
+                "clock_mhz" => {
+                    let mhz: f64 = field("clock_mhz", value)?;
+                    if !mhz.is_finite() || mhz <= 0.0 {
+                        return Err(bad("clock_mhz", "must be positive and finite"));
+                    }
+                    space.clock_mhz = mhz;
+                }
+                _ => return Err(serde::Error::unknown_field(key)),
+            }
+        }
+        Ok(space)
+    }
+}
+
+fn is_paper_market(space: &CandidateSpace) -> bool {
+    *space == CandidateSpace::paper_market()
 }
 
 /// Default number of ranked configurations an optimize report carries.
 pub const DEFAULT_TOP: usize = 5;
+
+fn default_top() -> usize {
+    DEFAULT_TOP
+}
+
+fn is_default_top(top: &usize) -> bool {
+    *top == DEFAULT_TOP
+}
+
+fn is_zero(n: &usize) -> bool {
+    *n == 0
+}
+
+fn small() -> String {
+    "small".to_string()
+}
+
+fn is_small(size: &String) -> bool {
+    size == "small"
+}
 
 /// A fleet-scale optimization request: *"under this budget (and
 /// optionally this SLO), what is the best cluster for this workload in
 /// this market?"* — the paper's §6 question scaled to a parameterized
 /// candidate grid with optional simulation confirmation of the analytic
 /// finalists.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Its canonical JSON omits default-valued fields, so it is also the
+/// minimal spelling of the request.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields, expecting = "an optimize request")]
 pub struct OptimizeRequest {
     /// What runs on the cluster.
     pub workload: WorkloadSpec,
@@ -393,17 +431,23 @@ pub struct OptimizeRequest {
     pub budget: f64,
     /// Optional SLO: maximum acceptable model-predicted `E(Instr)` in
     /// seconds.  Candidates predicted slower are filtered (and counted).
+    #[serde(skip_serializing_if = "Option::is_none", deserialize_with = "present")]
     pub slo: Option<f64>,
     /// The candidate grid (default: the paper's 828-point market).
+    #[serde(default, skip_serializing_if = "is_paper_market")]
     pub search_space: CandidateSpace,
     /// Component prices (default: the reconstructed c.-1999 table).
+    #[serde(default, skip_serializing_if = "is_circa_1999")]
     pub prices: PriceTable,
     /// Ranked configurations to report (default [`DEFAULT_TOP`]).
+    #[serde(default = "default_top", skip_serializing_if = "is_default_top")]
     pub top: usize,
     /// Analytic finalists to confirm with full simulation (default 0 =
     /// analytic only).  Requires a named paper workload.
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub confirm: usize,
     /// Problem-size tier for confirmation runs (default `small`).
+    #[serde(default = "small", skip_serializing_if = "is_small")]
     pub confirm_size: String,
 }
 
@@ -418,116 +462,45 @@ impl OptimizeRequest {
             prices: PriceTable::circa_1999(),
             top: DEFAULT_TOP,
             confirm: 0,
-            confirm_size: "small".to_string(),
+            confirm_size: small(),
         }
     }
 
-    /// Canonical JSON form; default-valued fields are omitted so the
-    /// output is also the minimal spelling of the request.
+    /// Canonical JSON form; default-valued fields are omitted.
     pub fn to_json(&self) -> Value {
-        let mut fields = vec![
-            ("workload".to_string(), self.workload.to_json_field()),
-            ("budget".to_string(), f64_value(self.budget)),
-        ];
-        if let Some(slo) = self.slo {
-            fields.push(("slo".to_string(), f64_value(slo)));
-        }
-        let space = space_to_json(&self.search_space);
-        if space != Value::Object(vec![]) {
-            fields.push(("search_space".to_string(), space));
-        }
-        if self.prices != PriceTable::circa_1999() {
-            fields.push(("prices".to_string(), prices_to_json(&self.prices)));
-        }
-        if self.top != DEFAULT_TOP {
-            fields.push(("top".to_string(), u64_value(self.top as u64)));
-        }
-        if self.confirm != 0 {
-            fields.push(("confirm".to_string(), u64_value(self.confirm as u64)));
-        }
-        if self.confirm_size != "small" {
-            fields.push((
-                "confirm_size".to_string(),
-                Value::String(self.confirm_size.clone()),
-            ));
-        }
-        Value::Object(fields)
+        self.to_json_value()
     }
 
     /// Parse the JSON form.  `workload` and `budget` are required;
-    /// everything else defaults; unknown keys are rejected.
+    /// everything else defaults; unknown keys are rejected.  This is the
+    /// entry point for outside input: the derived `Deserialize` checks
+    /// shape only, and this adds the range checks.
     pub fn from_json(v: &Value) -> Result<Self, CostError> {
-        let fields = as_object(v, "an optimize request")?;
-        let mut workload = None;
-        let mut budget = None;
-        let mut req = OptimizeRequest::new(WorkloadSpec::Named(String::new()), 0.0);
-        for (key, value) in fields {
-            match key.as_str() {
-                "workload" => workload = Some(WorkloadSpec::from_json_field(value)?),
-                "budget" => {
-                    let b = req_f64("budget", value)?;
-                    if !b.is_finite() || b < 0.0 {
-                        return Err(CostError::Invalid(
-                            "budget",
-                            "must be finite and non-negative".to_string(),
-                        ));
-                    }
-                    budget = Some(b);
-                }
-                "slo" => {
-                    let s = req_f64("slo", value)?;
-                    if !s.is_finite() || s <= 0.0 {
-                        return Err(CostError::Invalid(
-                            "slo",
-                            "must be positive and finite (seconds)".to_string(),
-                        ));
-                    }
-                    req.slo = Some(s);
-                }
-                "search_space" => req.search_space = space_from_json(value)?,
-                "prices" => req.prices = prices_from_json(value)?,
-                "top" => {
-                    let t = req_u64("top", value)?;
-                    if t == 0 {
-                        return Err(CostError::Invalid("top", "must be at least 1".to_string()));
-                    }
-                    req.top = t as usize;
-                }
-                "confirm" => req.confirm = req_u64("confirm", value)? as usize,
-                "confirm_size" => {
-                    req.confirm_size = validate_confirm_size(req_str("confirm_size", value)?)?;
-                }
-                other => return Err(CostError::UnknownField(other.to_string())),
-            }
+        let mut req = OptimizeRequest::from_json_value(v.clone())?;
+        check_budget(req.budget)?;
+        if req.slo.is_some_and(|s| !s.is_finite() || s <= 0.0) {
+            return Err(CostError::Invalid(
+                "slo",
+                "must be positive and finite (seconds)".to_string(),
+            ));
         }
-        req.workload = workload.ok_or(CostError::Missing("workload"))?;
-        req.budget = budget.ok_or(CostError::Missing("budget"))?;
+        check_prices(&req.prices)?;
+        check_top(req.top)?;
+        req.confirm_size = validate_confirm_size(&req.confirm_size)?;
         Ok(req)
-    }
-
-    /// Whether every optional field still has its default value (the
-    /// compact `WORKLOAD@BUDGET` spelling is then lossless).
-    fn is_default_shaped(&self) -> bool {
-        self.slo.is_none()
-            && self.search_space == CandidateSpace::paper_market()
-            && self.prices == PriceTable::circa_1999()
-            && self.top == DEFAULT_TOP
-            && self.confirm == 0
-            && self.confirm_size == "small"
     }
 }
 
 impl fmt::Display for OptimizeRequest {
-    /// Compact `WORKLOAD@BUDGET` when lossless, JSON otherwise.
+    /// Compact `WORKLOAD@BUDGET` when lossless (the canonical JSON holds
+    /// nothing else), JSON otherwise.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let json = self.to_json();
         match &self.workload {
-            WorkloadSpec::Named(name) if self.is_default_shaped() => {
+            WorkloadSpec::Named(name) if matches!(&json, Value::Object(k) if k.len() == 2) => {
                 write!(f, "{name}@{}", self.budget)
             }
-            _ => {
-                let text = serde_json::to_string(&self.to_json()).map_err(|_| fmt::Error)?;
-                f.write_str(&text)
-            }
+            _ => f.write_str(&serde_json::to_string(&json).map_err(|_| fmt::Error)?),
         }
     }
 }
@@ -550,36 +523,19 @@ impl FromStr for OptimizeRequest {
             .trim()
             .parse()
             .map_err(|_| CostError::Invalid("budget", format!("bad number `{budget}`")))?;
-        if !budget.is_finite() || budget < 0.0 {
-            return Err(CostError::Invalid(
-                "budget",
-                "must be finite and non-negative".to_string(),
-            ));
-        }
         Ok(OptimizeRequest::new(
             WorkloadSpec::named(name.trim())?,
-            budget,
+            check_budget(budget)?,
         ))
-    }
-}
-
-impl Serialize for OptimizeRequest {
-    fn to_json_value(&self) -> Value {
-        self.to_json()
-    }
-}
-
-impl Deserialize for OptimizeRequest {
-    fn from_json_value(v: Value) -> Result<Self, String> {
-        OptimizeRequest::from_json(&v).map_err(|e| e.to_string())
     }
 }
 
 /// Where each candidate of the search space went: the counted
 /// diagnostics behind the pruning ratio.  Every candidate lands in
 /// exactly one bucket, so `candidates = unpriced + over_budget +
-/// model_rejected + slo_filtered + feasible`.
-#[derive(Debug, Clone, PartialEq)]
+/// model_rejected + slo_filtered + feasible`.  Missing keys read as 0.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields, expecting = "`search`")]
 pub struct SearchStats {
     /// Size of the enumerated grid.
     pub candidates: usize,
@@ -611,60 +567,11 @@ impl SearchStats {
             (self.candidates - self.confirmed.min(self.candidates)) as f64 / self.candidates as f64
         };
     }
-
-    pub(crate) fn to_json(&self) -> Value {
-        Value::Object(vec![
-            ("candidates".to_string(), u64_value(self.candidates as u64)),
-            ("unpriced".to_string(), u64_value(self.unpriced as u64)),
-            (
-                "over_budget".to_string(),
-                u64_value(self.over_budget as u64),
-            ),
-            (
-                "model_rejected".to_string(),
-                u64_value(self.model_rejected as u64),
-            ),
-            (
-                "slo_filtered".to_string(),
-                u64_value(self.slo_filtered as u64),
-            ),
-            ("feasible".to_string(), u64_value(self.feasible as u64)),
-            ("confirmed".to_string(), u64_value(self.confirmed as u64)),
-            ("pruning_ratio".to_string(), f64_value(self.pruning_ratio)),
-        ])
-    }
-
-    pub(crate) fn from_json(v: &Value) -> Result<Self, CostError> {
-        let fields = as_object(v, "`search`")?;
-        let mut s = SearchStats {
-            candidates: 0,
-            unpriced: 0,
-            over_budget: 0,
-            model_rejected: 0,
-            slo_filtered: 0,
-            feasible: 0,
-            confirmed: 0,
-            pruning_ratio: 0.0,
-        };
-        for (key, value) in fields {
-            match key.as_str() {
-                "candidates" => s.candidates = req_u64("candidates", value)? as usize,
-                "unpriced" => s.unpriced = req_u64("unpriced", value)? as usize,
-                "over_budget" => s.over_budget = req_u64("over_budget", value)? as usize,
-                "model_rejected" => s.model_rejected = req_u64("model_rejected", value)? as usize,
-                "slo_filtered" => s.slo_filtered = req_u64("slo_filtered", value)? as usize,
-                "feasible" => s.feasible = req_u64("feasible", value)? as usize,
-                "confirmed" => s.confirmed = req_u64("confirmed", value)? as usize,
-                "pruning_ratio" => s.pruning_ratio = req_f64("pruning_ratio", value)?,
-                other => return Err(CostError::UnknownField(other.to_string())),
-            }
-        }
-        Ok(s)
-    }
 }
 
 /// Simulation confirmation attached to a ranked finalist.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields, expecting = "`simulated`")]
 pub struct SimConfirmation {
     /// Problem-size tier the confirmation ran at.
     pub size: String,
@@ -674,56 +581,37 @@ pub struct SimConfirmation {
     pub wall_cycles: u64,
 }
 
-impl SimConfirmation {
-    fn to_json(&self) -> Value {
-        Value::Object(vec![
-            ("size".to_string(), Value::String(self.size.clone())),
-            ("seconds".to_string(), f64_value(self.seconds)),
-            ("wall_cycles".to_string(), u64_value(self.wall_cycles)),
-        ])
-    }
-
-    fn from_json(v: &Value) -> Result<Self, CostError> {
-        let fields = as_object(v, "`simulated`")?;
-        let (mut size, mut seconds, mut wall) = (None, None, None);
-        for (key, value) in fields {
-            match key.as_str() {
-                "size" => size = Some(req_str("size", value)?.to_string()),
-                "seconds" => seconds = Some(req_f64("seconds", value)?),
-                "wall_cycles" => wall = Some(req_u64("wall_cycles", value)?),
-                other => return Err(CostError::UnknownField(other.to_string())),
-            }
-        }
-        Ok(SimConfirmation {
-            size: size.ok_or(CostError::Missing("simulated.size"))?,
-            seconds: seconds.ok_or(CostError::Missing("simulated.seconds"))?,
-            wall_cycles: wall.ok_or(CostError::Missing("simulated.wall_cycles"))?,
-        })
-    }
-}
-
 /// One ranked cluster in a report: the flattened, human-auditable
 /// projection of a [`RankedConfig`] (machine shape, dollars, predicted
-/// time, and — for confirmed finalists — the simulated time).
-#[derive(Debug, Clone, PartialEq)]
+/// time, and — for confirmed finalists — the simulated time).  Only
+/// `config`, `cost` and `model_seconds` are required on input; the shape
+/// fields read as 0 when absent.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields, expecting = "a ranked entry")]
 pub struct RankedEntry {
     /// Human-readable description (`ClusterSpec::describe`).
     pub config: String,
     /// Machine count `N`.
+    #[serde(default)]
     pub machines: u32,
     /// Processors per machine `n`.
+    #[serde(default)]
     pub procs_per_machine: u32,
     /// Per-processor cache, KB.
+    #[serde(default)]
     pub cache_kb: u64,
     /// Per-machine memory, MB.
+    #[serde(default)]
     pub memory_mb: u64,
     /// Cluster network (`eth10|eth100|atm`); absent for single machines.
+    #[serde(skip_serializing_if = "Option::is_none", deserialize_with = "present")]
     pub network: Option<String>,
     /// Cluster cost, dollars.
     pub cost: f64,
     /// Model-predicted `E(Instr)`, seconds.
     pub model_seconds: f64,
     /// Simulation confirmation, when this entry was a finalist.
+    #[serde(skip_serializing_if = "Option::is_none", deserialize_with = "present")]
     pub simulated: Option<SimConfirmation>,
 }
 
@@ -742,86 +630,14 @@ impl RankedEntry {
             simulated: None,
         }
     }
-
-    fn to_json(&self) -> Value {
-        let mut fields = vec![
-            ("config".to_string(), Value::String(self.config.clone())),
-            ("machines".to_string(), u64_value(self.machines as u64)),
-            (
-                "procs_per_machine".to_string(),
-                u64_value(self.procs_per_machine as u64),
-            ),
-            ("cache_kb".to_string(), u64_value(self.cache_kb)),
-            ("memory_mb".to_string(), u64_value(self.memory_mb)),
-        ];
-        if let Some(net) = &self.network {
-            fields.push(("network".to_string(), Value::String(net.clone())));
-        }
-        fields.push(("cost".to_string(), f64_value(self.cost)));
-        fields.push(("model_seconds".to_string(), f64_value(self.model_seconds)));
-        if let Some(sim) = &self.simulated {
-            fields.push(("simulated".to_string(), sim.to_json()));
-        }
-        Value::Object(fields)
-    }
-
-    fn from_json(v: &Value) -> Result<Self, CostError> {
-        let fields = as_object(v, "a ranked entry")?;
-        let mut e = RankedEntry {
-            config: String::new(),
-            machines: 0,
-            procs_per_machine: 0,
-            cache_kb: 0,
-            memory_mb: 0,
-            network: None,
-            cost: 0.0,
-            model_seconds: 0.0,
-            simulated: None,
-        };
-        let (mut saw_config, mut saw_cost, mut saw_model) = (false, false, false);
-        for (key, value) in fields {
-            match key.as_str() {
-                "config" => {
-                    e.config = req_str("config", value)?.to_string();
-                    saw_config = true;
-                }
-                "machines" => e.machines = req_u64("machines", value)? as u32,
-                "procs_per_machine" => {
-                    e.procs_per_machine = req_u64("procs_per_machine", value)? as u32
-                }
-                "cache_kb" => e.cache_kb = req_u64("cache_kb", value)?,
-                "memory_mb" => e.memory_mb = req_u64("memory_mb", value)?,
-                "network" => e.network = Some(req_str("network", value)?.to_string()),
-                "cost" => {
-                    e.cost = req_f64("cost", value)?;
-                    saw_cost = true;
-                }
-                "model_seconds" => {
-                    e.model_seconds = req_f64("model_seconds", value)?;
-                    saw_model = true;
-                }
-                "simulated" => e.simulated = Some(SimConfirmation::from_json(value)?),
-                other => return Err(CostError::UnknownField(other.to_string())),
-            }
-        }
-        if !saw_config {
-            return Err(CostError::Missing("config"));
-        }
-        if !saw_cost {
-            return Err(CostError::Missing("cost"));
-        }
-        if !saw_model {
-            return Err(CostError::Missing("model_seconds"));
-        }
-        Ok(e)
-    }
 }
 
 /// The optimizer's answer: workload echo, search diagnostics, the ranked
 /// shortlist (model order, with simulation confirmations attached to
 /// finalists), the winner, and the cost/performance Pareto frontier of
 /// the feasible set.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields, expecting = "an optimize report")]
 pub struct OptimizeReport {
     /// Resolved workload name (`custom` for raw parameters).
     pub workload: String,
@@ -834,112 +650,32 @@ pub struct OptimizeReport {
     /// The budget searched under, dollars.
     pub budget: f64,
     /// The SLO applied, if any (seconds).
+    #[serde(skip_serializing_if = "Option::is_none", deserialize_with = "present")]
     pub slo: Option<f64>,
     /// Where every candidate went.
     pub search: SearchStats,
     /// The shortlist, best model prediction first.
+    #[serde(default)]
     pub ranked: Vec<RankedEntry>,
     /// The recommendation: simulation-confirmed winner when finalists
     /// ran, the analytic optimum otherwise; absent when nothing is
     /// feasible.
+    #[serde(skip_serializing_if = "Option::is_none", deserialize_with = "present")]
     pub best: Option<RankedEntry>,
     /// Pareto frontier of the feasible set, cost ascending.
+    #[serde(default)]
     pub pareto: Vec<RankedEntry>,
 }
 
 impl OptimizeReport {
     /// Canonical JSON form (`slo`/`best` omitted when absent).
     pub fn to_json(&self) -> Value {
-        let mut fields = vec![
-            ("workload".to_string(), Value::String(self.workload.clone())),
-            ("alpha".to_string(), f64_value(self.alpha)),
-            ("beta".to_string(), f64_value(self.beta)),
-            ("rho".to_string(), f64_value(self.rho)),
-            ("budget".to_string(), f64_value(self.budget)),
-        ];
-        if let Some(slo) = self.slo {
-            fields.push(("slo".to_string(), f64_value(slo)));
-        }
-        fields.push(("search".to_string(), self.search.to_json()));
-        fields.push((
-            "ranked".to_string(),
-            Value::Array(self.ranked.iter().map(RankedEntry::to_json).collect()),
-        ));
-        if let Some(best) = &self.best {
-            fields.push(("best".to_string(), best.to_json()));
-        }
-        fields.push((
-            "pareto".to_string(),
-            Value::Array(self.pareto.iter().map(RankedEntry::to_json).collect()),
-        ));
-        Value::Object(fields)
+        self.to_json_value()
     }
 
     /// Parse the JSON form back (round-trip guarantee for artifacts).
     pub fn from_json(v: &Value) -> Result<Self, CostError> {
-        let fields = as_object(v, "an optimize report")?;
-        let mut workload = None;
-        let (mut alpha, mut beta, mut rho, mut budget) = (None, None, None, None);
-        let mut slo = None;
-        let mut search = None;
-        let mut ranked = Vec::new();
-        let mut best = None;
-        let mut pareto = Vec::new();
-        for (key, value) in fields {
-            match key.as_str() {
-                "workload" => workload = Some(req_str("workload", value)?.to_string()),
-                "alpha" => alpha = Some(req_f64("alpha", value)?),
-                "beta" => beta = Some(req_f64("beta", value)?),
-                "rho" => rho = Some(req_f64("rho", value)?),
-                "budget" => budget = Some(req_f64("budget", value)?),
-                "slo" => slo = Some(req_f64("slo", value)?),
-                "search" => search = Some(SearchStats::from_json(value)?),
-                "ranked" => {
-                    let arr = value.as_array().ok_or_else(|| {
-                        CostError::Invalid("ranked", "must be an array".to_string())
-                    })?;
-                    ranked = arr
-                        .iter()
-                        .map(RankedEntry::from_json)
-                        .collect::<Result<_, _>>()?;
-                }
-                "best" => best = Some(RankedEntry::from_json(value)?),
-                "pareto" => {
-                    let arr = value.as_array().ok_or_else(|| {
-                        CostError::Invalid("pareto", "must be an array".to_string())
-                    })?;
-                    pareto = arr
-                        .iter()
-                        .map(RankedEntry::from_json)
-                        .collect::<Result<_, _>>()?;
-                }
-                other => return Err(CostError::UnknownField(other.to_string())),
-            }
-        }
-        Ok(OptimizeReport {
-            workload: workload.ok_or(CostError::Missing("workload"))?,
-            alpha: alpha.ok_or(CostError::Missing("alpha"))?,
-            beta: beta.ok_or(CostError::Missing("beta"))?,
-            rho: rho.ok_or(CostError::Missing("rho"))?,
-            budget: budget.ok_or(CostError::Missing("budget"))?,
-            slo,
-            search: search.ok_or(CostError::Missing("search"))?,
-            ranked,
-            best,
-            pareto,
-        })
-    }
-}
-
-impl Serialize for OptimizeReport {
-    fn to_json_value(&self) -> Value {
-        self.to_json()
-    }
-}
-
-impl Deserialize for OptimizeReport {
-    fn from_json_value(v: Value) -> Result<Self, String> {
-        OptimizeReport::from_json(&v).map_err(|e| e.to_string())
+        Ok(OptimizeReport::from_json_value(v.clone())?)
     }
 }
 
@@ -981,33 +717,27 @@ impl RecommendRequest {
 
     /// Canonical JSON form; defaults omitted.  The `workload` field is
     /// flattened for custom parameters (`alpha`/`beta`/`rho` at top
-    /// level), matching the historical `/v1/recommend` body shape.
+    /// level), matching the historical `/v1/recommend` body shape — a
+    /// shape the derive does not model, so this codec is hand-written.
     pub fn to_json(&self) -> Value {
-        let mut fields = Vec::new();
-        match &self.workload {
-            WorkloadSpec::Named(name) => {
-                fields.push(("workload".to_string(), Value::String(name.clone())));
-            }
-            WorkloadSpec::Custom { alpha, beta, rho } => {
-                fields.push(("alpha".to_string(), f64_value(*alpha)));
-                fields.push(("beta".to_string(), f64_value(*beta)));
-                fields.push(("rho".to_string(), f64_value(*rho)));
-            }
-        }
+        let mut fields = match self.workload.to_json_value() {
+            Value::Object(custom) => custom,
+            name => vec![("workload".to_string(), name)],
+        };
         if self.measure {
             fields.push(("measure".to_string(), Value::Bool(true)));
         }
         if let Some(size) = &self.size {
-            fields.push(("size".to_string(), Value::String(size.clone())));
+            fields.push(("size".to_string(), size.to_json_value()));
         }
         if let Some(budget) = self.budget {
-            fields.push(("budget".to_string(), f64_value(budget)));
+            fields.push(("budget".to_string(), budget.to_json_value()));
         }
         if self.top != DEFAULT_RECOMMEND_TOP {
-            fields.push(("top".to_string(), u64_value(self.top as u64)));
+            fields.push(("top".to_string(), self.top.to_json_value()));
         }
-        if self.prices != PriceTable::circa_1999() {
-            fields.push(("prices".to_string(), prices_to_json(&self.prices)));
+        if !is_circa_1999(&self.prices) {
+            fields.push(("prices".to_string(), self.prices.to_json_value()));
         }
         Value::Object(fields)
     }
@@ -1016,42 +746,35 @@ impl RecommendRequest {
     /// or the `alpha`+`beta`+`rho` triple is required; unknown keys are
     /// rejected.
     pub fn from_json(v: &Value) -> Result<Self, CostError> {
-        let fields = as_object(v, "a recommend request")?;
+        fn field<T: Deserialize>(key: &'static str, v: &Value) -> Result<T, CostError> {
+            Ok(T::from_json_value(v.clone()).map_err(|e| e.within("RecommendRequest", key))?)
+        }
+        let Value::Object(fields) = v else {
+            return Err(CostError::Syntax(
+                "a recommend request must be a JSON object".to_string(),
+            ));
+        };
         let mut named = None;
         let (mut alpha, mut beta, mut rho) = (None, None, None);
         let mut req = RecommendRequest::new(WorkloadSpec::Named(String::new()));
         for (key, value) in fields {
             match key.as_str() {
-                "workload" => named = Some(WorkloadSpec::named(req_str("workload", value)?)?),
-                "alpha" => alpha = Some(req_f64("alpha", value)?),
-                "beta" => beta = Some(req_f64("beta", value)?),
-                "rho" => rho = Some(req_f64("rho", value)?),
-                "measure" => {
-                    req.measure = value.as_bool().ok_or_else(|| {
-                        CostError::Invalid("measure", "must be a boolean".to_string())
-                    })?;
+                "workload" => {
+                    named = Some(WorkloadSpec::named(&field::<String>("workload", value)?)?)
                 }
+                "alpha" => alpha = Some(field("alpha", value)?),
+                "beta" => beta = Some(field("beta", value)?),
+                "rho" => rho = Some(field("rho", value)?),
+                "measure" => req.measure = field("measure", value)?,
                 "size" => {
-                    req.size = Some(validate_confirm_size(req_str("size", value)?)?);
+                    req.size = Some(validate_confirm_size(&field::<String>("size", value)?)?);
                 }
-                "budget" => {
-                    let b = req_f64("budget", value)?;
-                    if !b.is_finite() || b < 0.0 {
-                        return Err(CostError::Invalid(
-                            "budget",
-                            "must be finite and non-negative".to_string(),
-                        ));
-                    }
-                    req.budget = Some(b);
+                "budget" => req.budget = Some(check_budget(field("budget", value)?)?),
+                "top" => req.top = check_top(field("top", value)?)?,
+                "prices" => {
+                    req.prices = field("prices", value)?;
+                    check_prices(&req.prices)?;
                 }
-                "top" => {
-                    let t = req_u64("top", value)?;
-                    if t == 0 {
-                        return Err(CostError::Invalid("top", "must be at least 1".to_string()));
-                    }
-                    req.top = t as usize;
-                }
-                "prices" => req.prices = prices_from_json(value)?,
                 other => return Err(CostError::UnknownField(other.to_string())),
             }
         }
@@ -1084,18 +807,15 @@ impl RecommendRequest {
 }
 
 impl fmt::Display for RecommendRequest {
+    /// The bare workload name when lossless (the canonical JSON holds
+    /// nothing else), JSON otherwise.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let default_shaped = !self.measure
-            && self.size.is_none()
-            && self.budget.is_none()
-            && self.top == DEFAULT_RECOMMEND_TOP
-            && self.prices == PriceTable::circa_1999();
+        let json = self.to_json();
         match &self.workload {
-            WorkloadSpec::Named(name) if default_shaped => f.write_str(name),
-            _ => {
-                let text = serde_json::to_string(&self.to_json()).map_err(|_| fmt::Error)?;
-                f.write_str(&text)
+            WorkloadSpec::Named(name) if matches!(&json, Value::Object(k) if k.len() == 1) => {
+                f.write_str(name)
             }
+            _ => f.write_str(&serde_json::to_string(&json).map_err(|_| fmt::Error)?),
         }
     }
 }
@@ -1115,22 +835,11 @@ impl FromStr for RecommendRequest {
     }
 }
 
-impl Serialize for RecommendRequest {
-    fn to_json_value(&self) -> Value {
-        self.to_json()
-    }
-}
-
-impl Deserialize for RecommendRequest {
-    fn from_json_value(v: Value) -> Result<Self, String> {
-        RecommendRequest::from_json(&v).map_err(|e| e.to_string())
-    }
-}
-
 /// The §6 recommendation answer: the classified workload, the platform
 /// class with its rationale, and (under a budget) the ranked concrete
 /// clusters backing the advice.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields, expecting = "a recommend report")]
 pub struct RecommendReport {
     /// Workload name.
     pub workload: String,
@@ -1147,6 +856,7 @@ pub struct RecommendReport {
     /// §6 upgrade guidance for this class.
     pub upgrade_advice: String,
     /// Cost-optimal concrete clusters (present only under a budget).
+    #[serde(skip_serializing_if = "Option::is_none", deserialize_with = "present")]
     pub ranked: Option<Vec<RankedEntry>>,
 }
 
@@ -1167,91 +877,12 @@ impl RecommendReport {
 
     /// Canonical JSON form (`ranked` omitted when no budget was given).
     pub fn to_json(&self) -> Value {
-        let mut fields = vec![
-            ("workload".to_string(), Value::String(self.workload.clone())),
-            ("alpha".to_string(), f64_value(self.alpha)),
-            ("beta".to_string(), f64_value(self.beta)),
-            ("rho".to_string(), f64_value(self.rho)),
-            (
-                "platform".to_string(),
-                serde_json::to_value(&self.platform).expect("platform serializes"),
-            ),
-            (
-                "rationale".to_string(),
-                Value::String(self.rationale.clone()),
-            ),
-            (
-                "upgrade_advice".to_string(),
-                Value::String(self.upgrade_advice.clone()),
-            ),
-        ];
-        if let Some(ranked) = &self.ranked {
-            fields.push((
-                "ranked".to_string(),
-                Value::Array(ranked.iter().map(RankedEntry::to_json).collect()),
-            ));
-        }
-        Value::Object(fields)
+        self.to_json_value()
     }
 
     /// Parse the JSON form back.
     pub fn from_json(v: &Value) -> Result<Self, CostError> {
-        let fields = as_object(v, "a recommend report")?;
-        let mut workload = None;
-        let (mut alpha, mut beta, mut rho) = (None, None, None);
-        let mut platform = None;
-        let mut rationale = None;
-        let mut upgrade = None;
-        let mut ranked = None;
-        for (key, value) in fields {
-            match key.as_str() {
-                "workload" => workload = Some(req_str("workload", value)?.to_string()),
-                "alpha" => alpha = Some(req_f64("alpha", value)?),
-                "beta" => beta = Some(req_f64("beta", value)?),
-                "rho" => rho = Some(req_f64("rho", value)?),
-                "platform" => {
-                    platform = Some(
-                        RecommendedPlatform::from_json_value(value.clone())
-                            .map_err(|e| CostError::Invalid("platform", e))?,
-                    );
-                }
-                "rationale" => rationale = Some(req_str("rationale", value)?.to_string()),
-                "upgrade_advice" => upgrade = Some(req_str("upgrade_advice", value)?.to_string()),
-                "ranked" => {
-                    let arr = value.as_array().ok_or_else(|| {
-                        CostError::Invalid("ranked", "must be an array".to_string())
-                    })?;
-                    ranked = Some(
-                        arr.iter()
-                            .map(RankedEntry::from_json)
-                            .collect::<Result<Vec<_>, _>>()?,
-                    );
-                }
-                other => return Err(CostError::UnknownField(other.to_string())),
-            }
-        }
-        Ok(RecommendReport {
-            workload: workload.ok_or(CostError::Missing("workload"))?,
-            alpha: alpha.ok_or(CostError::Missing("alpha"))?,
-            beta: beta.ok_or(CostError::Missing("beta"))?,
-            rho: rho.ok_or(CostError::Missing("rho"))?,
-            platform: platform.ok_or(CostError::Missing("platform"))?,
-            rationale: rationale.ok_or(CostError::Missing("rationale"))?,
-            upgrade_advice: upgrade.ok_or(CostError::Missing("upgrade_advice"))?,
-            ranked,
-        })
-    }
-}
-
-impl Serialize for RecommendReport {
-    fn to_json_value(&self) -> Value {
-        self.to_json()
-    }
-}
-
-impl Deserialize for RecommendReport {
-    fn from_json_value(v: Value) -> Result<Self, String> {
-        RecommendReport::from_json(&v).map_err(|e| e.to_string())
+        Ok(RecommendReport::from_json_value(v.clone())?)
     }
 }
 
@@ -1331,11 +962,16 @@ mod tests {
     #[test]
     fn partial_prices_override_defaults() {
         let v: Value = serde_json::from_str(r#"{"ws_base":2000.0}"#).unwrap();
-        let p = prices_from_json(&v).unwrap();
+        let p = PriceTable::from_json_value(v).unwrap();
         assert_eq!(p.ws_base, 2000.0);
         assert_eq!(p.atm_per_machine, PriceTable::circa_1999().atm_per_machine);
-        let bad: Value = serde_json::from_str(r#"{"ws_base":-5.0}"#).unwrap();
-        assert!(prices_from_json(&bad).is_err());
+        let bad: Value =
+            serde_json::from_str(r#"{"workload":"FFT","budget":1,"prices":{"ws_base":-5.0}}"#)
+                .unwrap();
+        assert!(matches!(
+            OptimizeRequest::from_json(&bad),
+            Err(CostError::Invalid("prices", _))
+        ));
     }
 
     #[test]
@@ -1402,10 +1038,10 @@ mod tests {
         space.proc_counts = vec![1, 2];
         space.networks = vec![NetworkKind::Atm155, NetworkKind::Ethernet10];
         space.clock_mhz = 300.0;
-        let json = space_to_json(&space);
-        let parsed = space_from_json(&json).unwrap();
+        let json = space.to_json_value();
+        let parsed = CandidateSpace::from_json_value(json.clone()).unwrap();
         assert_eq!(parsed, space);
-        assert_eq!(space_to_json(&parsed), json);
+        assert_eq!(parsed.to_json_value(), json);
         // Order of non-default arrays is preserved verbatim.
         assert_eq!(
             serde_json::to_string(json.get("networks").unwrap()).unwrap(),
@@ -1427,7 +1063,7 @@ mod tests {
         };
         s.set_confirmed(5);
         assert_eq!(s.pruning_ratio, 0.995);
-        let round = SearchStats::from_json(&s.to_json()).unwrap();
+        let round = SearchStats::from_json_value(s.to_json_value()).unwrap();
         assert_eq!(round, s);
     }
 }

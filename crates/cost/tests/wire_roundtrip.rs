@@ -7,7 +7,8 @@
 //!   point for [`OptimizeRequest`] and [`RecommendRequest`] across
 //!   randomly drawn workloads, budgets, grids, prices, and confirmation
 //!   settings (with the `Display` spelling parsing back to the same
-//!   value);
+//!   value), plus one that any single malformation of a valid request
+//!   is a typed error naming the key it touched;
 //! * golden fixtures pinning the `/v1/optimize` and `/v1/recommend`
 //!   response schemas byte for byte — the exact bytes `memhierd` serves
 //!   and `memhier … --json` prints.  Regenerate after an intentional
@@ -19,10 +20,11 @@
 
 use memhier_core::machine::NetworkKind;
 use memhier_cost::{
-    analyze, optimize, recommend, CandidateSpace, OptimizeReport, OptimizeRequest, PriceTable,
-    RankedEntry, RecommendReport, RecommendRequest, WorkloadSpec,
+    analyze, optimize, recommend, CandidateSpace, CostError, OptimizeReport, OptimizeRequest,
+    PriceTable, RankedEntry, RecommendReport, RecommendRequest, WorkloadSpec,
 };
 use proptest::prelude::*;
+use serde_json::Value;
 use std::fs;
 use std::path::PathBuf;
 
@@ -178,6 +180,74 @@ proptest! {
             .parse()
             .map_err(|e: memhier_cost::CostError| TestCaseError::fail(e.to_string()))?;
         prop_assert_eq!(reparsed, req);
+    }
+}
+
+/// Whether `e` is a typed error that names `key`.
+fn names_key(e: &CostError, key: &str) -> bool {
+    match e {
+        CostError::Missing(k) | CostError::Invalid(k, _) => *k == key,
+        CostError::UnknownField(k) => k == key,
+        CostError::Syntax(why) => why.contains(&format!("`{key}`")),
+        _ => false,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One mutation of a valid request — a key dropped, an unknown key
+    /// added, a value retyped, or a value nested ten arrays deep — is a
+    /// typed error naming that key (dropping an optional key leaves a
+    /// valid request), never a panic.
+    #[test]
+    fn malformed_optimize_requests_are_typed_errors(
+        workload in workload_strategy(),
+        budget in 100.0f64..100_000.0,
+        space in space_strategy(),
+        prices in prices_strategy(),
+        top in 1usize..10,
+        confirm in 0usize..8,
+        mutation in 0usize..4,
+        pick in 0usize..64,
+    ) {
+        let mut req = OptimizeRequest::new(workload, budget);
+        req.slo = Some(1e-6);
+        req.search_space = space;
+        req.prices = prices;
+        req.top = top;
+        req.confirm = confirm;
+        req.confirm_size = "medium".to_string();
+        let Value::Object(mut fields) = req.to_json() else {
+            return Err(TestCaseError::fail("a request serializes to an object"));
+        };
+        let i = pick % fields.len();
+        let mut key = fields[i].0.clone();
+        match mutation {
+            0 => {
+                fields.remove(i);
+            }
+            1 => {
+                key = format!("{key}_x");
+                fields.insert(i, (key.clone(), Value::Bool(true)));
+            }
+            2 => fields[i].1 = Value::Bool(true),
+            _ => {
+                for _ in 0..10 {
+                    let inner = std::mem::replace(&mut fields[i].1, Value::Null);
+                    fields[i].1 = Value::Array(vec![inner]);
+                }
+            }
+        }
+        match OptimizeRequest::from_json(&Value::Object(fields)) {
+            Ok(_) => prop_assert!(
+                mutation == 0 && key != "workload" && key != "budget",
+                "mutation {} of `{}` parsed",
+                mutation,
+                key
+            ),
+            Err(e) => prop_assert!(names_key(&e, &key), "mutation {}: {}", mutation, e),
+        }
     }
 }
 

@@ -733,6 +733,40 @@ mod tests {
     }
 
     #[test]
+    fn typos_in_sweep_bodies_and_inline_specs_are_400s() {
+        let cases = [
+            (
+                post(
+                    "/v1/sweep",
+                    r#"{"configs": ["C5"], "workloads": ["LU"], "sise": "paper"}"#,
+                ),
+                "`sise`",
+            ),
+            (
+                post(
+                    "/v1/simulate",
+                    r#"{"config": {"machine": {"n_procs": 2, "cache_bytes": 262144,
+                                               "memory_bytes": 67108864, "clock_hz": 2e8,
+                                               "numaa": {"domains": 2,
+                                                         "remote_penalty_cycles": 40}},
+                                   "machines": 1},
+                        "workload": "LU", "size": "small"}"#,
+                ),
+                "`config.machine.numaa`",
+            ),
+        ];
+        for (req, key) in cases {
+            let r = handle(&req, &state(), far_deadline());
+            assert_eq!(r.status, 400, "{}", req.path);
+            let v: Value =
+                serde_json::from_str(std::str::from_utf8(&r.body).unwrap().trim()).unwrap();
+            assert_eq!(v["error"]["code"].as_str(), Some("bad_request"));
+            let msg = v["error"]["message"].as_str().unwrap();
+            assert!(msg.contains(key), "{msg}");
+        }
+    }
+
+    #[test]
     fn unknown_route_is_404_get_on_post_route_is_405() {
         let mut req = post("/v1/nothing", "{}");
         assert_eq!(handle(&req, &state(), far_deadline()).status, 404);

@@ -6,12 +6,39 @@
 //!
 //! * [`Serialize`] — a single-method trait producing a JSON [`Value`]
 //!   tree (the only serialization format the workspace emits);
-//! * [`Deserialize`] — the inverse conversion, used by the sweep
-//!   checkpoint journal to load typed records back out of JSONL;
+//! * [`Deserialize`] — the inverse conversion, failing with a structured
+//!   [`Error`] that says which field failed and how;
 //! * `#[derive(Serialize)]` / `#[derive(Deserialize)]` re-exported from
 //!   the companion `serde_derive` proc-macro crate, covering named-field
-//!   structs and unit-variant enums (the only shapes the workspace
-//!   derives on).
+//!   structs and unit-variant enums.
+//!
+//! # Derive attributes
+//!
+//! Structs take these `#[serde(...)]` attributes, with upstream serde's
+//! meaning:
+//!
+//! * container: `deny_unknown_fields`, `default` (missing fields come
+//!   from the struct's `Default`), `expecting = "..."` (what the error
+//!   for a non-object calls the struct);
+//! * field: `rename = "key"`, `default` / `default = "path"`,
+//!   `skip_serializing_if = "path"` and `deserialize_with = "path"`.
+//!
+//! Any other `serde` attribute, and any `serde` attribute on an enum, is
+//! a compile error rather than being ignored:
+//!
+//! ```compile_fail
+//! #[derive(serde::Deserialize)]
+//! struct S {
+//!     #[serde(flatten)]
+//!     x: u32,
+//! }
+//! ```
+//!
+//! A derived `Deserialize` visits the object's keys in input order and
+//! moves each value into its field, so the first bad value or (with
+//! `deny_unknown_fields`) unknown key in the input is the one reported.
+//! A key that is absent decodes as `null`: `Option` fields read it as
+//! `None`, other fields without a default report it as missing.
 //!
 //! The JSON [`Value`] tree lives here (not in `serde_json`) so both
 //! crates can share it without a dependency cycle; `serde_json`
@@ -19,7 +46,8 @@
 
 pub use serde_derive::{Deserialize, Serialize};
 
-/// Shared JSON value tree, re-exported by `serde_json` as its `Value`.
+/// Shared JSON value tree, re-exported by `serde_json` as its `Value`,
+/// and the helpers derived impls call.
 pub mod __private {
     /// A JSON number: integers keep their exact representation, as in
     /// upstream `serde_json`.
@@ -154,9 +182,42 @@ pub mod __private {
             self.get_index(i).unwrap_or(&NULL)
         }
     }
+
+    use super::{Deserialize, Error, ErrorKind, Expected};
+
+    /// The fields of an object, or the error for a non-object; `what`
+    /// names the struct (or its `expecting` text).
+    pub fn object(v: Value, what: &'static str) -> Result<Vec<(String, Value)>, Error> {
+        match v {
+            Value::Object(fields) => Ok(fields),
+            other => Err(Error::invalid(Expected::Object(what), other)),
+        }
+    }
+
+    /// Decode the value of field `key` of struct `ty`.
+    pub fn field<T: Deserialize>(
+        v: Value,
+        ty: &'static str,
+        key: &'static str,
+    ) -> Result<T, Error> {
+        T::from_json_value(v).map_err(|e| e.within(ty, key))
+    }
+
+    /// Decode an absent field as `null`: `Option` reads it as `None`,
+    /// any type that rejects `null` reports the field missing.
+    pub fn missing<T: Deserialize>(ty: &'static str, key: &'static str) -> Result<T, Error> {
+        T::from_json_value(Value::Null).map_err(|e| {
+            let kind = match e.kind {
+                ErrorKind::Invalid(expected, Value::Null) => ErrorKind::Missing(expected),
+                kind => kind,
+            };
+            Error { kind, ..e }.within(ty, key)
+        })
+    }
 }
 
 use __private::{Number, Value};
+use std::sync::Arc;
 
 /// Types that can be turned into a JSON [`Value`].
 ///
@@ -172,13 +233,182 @@ pub trait Serialize {
 ///
 /// Upstream serde abstracts over deserializer back-ends; this workspace
 /// only ever parses JSON, so the shim collapses the trait to the one
-/// conversion actually exercised.  Derived impls treat a missing object
-/// key as `null` (so `Option` fields tolerate absent keys) and reject
-/// shape mismatches with a path-qualified error.
+/// conversion actually exercised.
 pub trait Deserialize: Sized {
     /// Build `Self` from a parsed JSON value.
-    fn from_json_value(v: Value) -> Result<Self, String>;
+    fn from_json_value(v: Value) -> Result<Self, Error>;
 }
+
+/// What a decoder expected where it found something else.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Expected {
+    /// An unsigned integer type, by name (`u32`, `usize`, ...).
+    Unsigned(&'static str),
+    /// A signed integer type, by name.
+    Signed(&'static str),
+    /// A float type, by name.
+    Float(&'static str),
+    /// `true` or `false`.
+    Bool,
+    /// A string.
+    String,
+    /// A one-character string.
+    Char,
+    /// An array.
+    Array,
+    /// An object with arbitrary keys (a map).
+    Map,
+    /// A derived struct, by name or by its `expecting` text.
+    Object(&'static str),
+    /// A unit-variant name of the named enum.
+    Variant(&'static str),
+    /// Anything else, in words.
+    Other(&'static str),
+}
+
+impl Expected {
+    /// The expectation in words, with its article: `a number`,
+    /// `a non-negative integer`, `an array`, ...
+    pub fn describe(&self) -> String {
+        match self {
+            Expected::Unsigned(_) => "a non-negative integer".to_string(),
+            Expected::Signed(_) => "an integer".to_string(),
+            Expected::Float(_) => "a number".to_string(),
+            Expected::Bool => "a boolean".to_string(),
+            Expected::String => "a string".to_string(),
+            Expected::Char => "a single-character string".to_string(),
+            Expected::Array => "an array".to_string(),
+            Expected::Map => "an object".to_string(),
+            Expected::Variant(name) => format!("a {name} variant name"),
+            Expected::Object(what) | Expected::Other(what) => what.to_string(),
+        }
+    }
+}
+
+/// The compact spelling: the type name for numbers, `object for X` for
+/// structs, `string for X` for enums.
+impl std::fmt::Display for Expected {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Expected::Unsigned(ty) | Expected::Signed(ty) | Expected::Float(ty) => f.write_str(ty),
+            Expected::Bool => f.write_str("bool"),
+            Expected::String => f.write_str("string"),
+            Expected::Char => f.write_str("single-char string"),
+            Expected::Array => f.write_str("array"),
+            Expected::Map => f.write_str("object"),
+            Expected::Object(what) => write!(f, "object for {what}"),
+            Expected::Variant(name) => write!(f, "string for {name}"),
+            Expected::Other(what) => f.write_str(what),
+        }
+    }
+}
+
+/// How a value failed to decode.
+#[derive(Debug, Clone)]
+pub enum ErrorKind {
+    /// An object key the struct has no field for (`deny_unknown_fields`).
+    UnknownField(String),
+    /// A required key was absent.
+    Missing(Expected),
+    /// A value of the wrong JSON type, or out of the target type's range.
+    Invalid(Expected, Value),
+    /// Any other failure, described by the impl that raised it.  A typed
+    /// error raised here comes back out through [`Error::downcast_ref`].
+    Custom(Arc<dyn std::error::Error + Send + Sync>),
+}
+
+impl PartialEq for ErrorKind {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (ErrorKind::UnknownField(a), ErrorKind::UnknownField(b)) => a == b,
+            (ErrorKind::Missing(a), ErrorKind::Missing(b)) => a == b,
+            (ErrorKind::Invalid(a, x), ErrorKind::Invalid(b, y)) => a == b && x == y,
+            (ErrorKind::Custom(a), ErrorKind::Custom(b)) => a.to_string() == b.to_string(),
+            _ => false,
+        }
+    }
+}
+
+impl std::fmt::Display for ErrorKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ErrorKind::UnknownField(key) => write!(f, "unknown field `{key}`"),
+            ErrorKind::Missing(expected) => write!(f, "expected {expected}, got Null"),
+            ErrorKind::Invalid(expected, found) => write!(f, "expected {expected}, got {found:?}"),
+            ErrorKind::Custom(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+/// Why a value could not be decoded: which field, and how.
+///
+/// `Display` prefixes the kind with each enclosing field as
+/// `Struct.key: `, e.g. `ClusterSpec.machine: MachineSpec.n_procs:
+/// expected u32, got String("x")`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Error {
+    /// The struct fields leading to the fault, outermost first, as
+    /// `(struct name, wire key)` pairs.
+    pub path: Vec<(&'static str, &'static str)>,
+    /// What went wrong there.
+    pub kind: ErrorKind,
+}
+
+impl Error {
+    /// A value of the wrong type or range.
+    pub fn invalid(expected: Expected, found: Value) -> Self {
+        Error {
+            path: Vec::new(),
+            kind: ErrorKind::Invalid(expected, found),
+        }
+    }
+
+    /// An object key no field matches.
+    pub fn unknown_field(key: String) -> Self {
+        Error {
+            path: Vec::new(),
+            kind: ErrorKind::UnknownField(key),
+        }
+    }
+
+    /// Any other failure: a message, or a typed error to pass through.
+    pub fn custom(e: impl Into<Box<dyn std::error::Error + Send + Sync>>) -> Self {
+        Error {
+            path: Vec::new(),
+            kind: ErrorKind::Custom(Arc::from(e.into())),
+        }
+    }
+
+    /// The same fault, seen from the struct `ty` whose field `key` holds it.
+    pub fn within(mut self, ty: &'static str, key: &'static str) -> Self {
+        self.path.insert(0, (ty, key));
+        self
+    }
+
+    /// The innermost field holding the fault, as `(struct, key)`.
+    pub fn field(&self) -> Option<(&'static str, &'static str)> {
+        self.path.last().copied()
+    }
+
+    /// The typed error a hand-written impl raised through [`Error::custom`].
+    pub fn downcast_ref<E: std::error::Error + 'static>(&self) -> Option<&E> {
+        match &self.kind {
+            ErrorKind::Custom(e) => e.downcast_ref(),
+            _ => None,
+        }
+    }
+}
+
+impl std::fmt::Display for Error {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (ty, key) in &self.path {
+            write!(f, "{ty}.{key}: ")?;
+        }
+        write!(f, "{}", self.kind)
+    }
+}
+
+impl std::error::Error for Error {}
 
 impl Serialize for Value {
     fn to_json_value(&self) -> Value {
@@ -187,7 +417,7 @@ impl Serialize for Value {
 }
 
 impl Deserialize for Value {
-    fn from_json_value(v: Value) -> Result<Self, String> {
+    fn from_json_value(v: Value) -> Result<Self, Error> {
         Ok(v)
     }
 }
@@ -314,10 +544,10 @@ impl<K: AsRef<str>, V: Serialize> Serialize for std::collections::BTreeMap<K, V>
 macro_rules! impl_de_uint {
     ($($t:ty),*) => {$(
         impl Deserialize for $t {
-            fn from_json_value(v: Value) -> Result<Self, String> {
+            fn from_json_value(v: Value) -> Result<Self, Error> {
                 v.as_u64()
                     .and_then(|n| <$t>::try_from(n).ok())
-                    .ok_or_else(|| format!("expected {}, got {v:?}", stringify!($t)))
+                    .ok_or_else(|| Error::invalid(Expected::Unsigned(stringify!($t)), v))
             }
         }
     )*};
@@ -325,10 +555,10 @@ macro_rules! impl_de_uint {
 macro_rules! impl_de_int {
     ($($t:ty),*) => {$(
         impl Deserialize for $t {
-            fn from_json_value(v: Value) -> Result<Self, String> {
+            fn from_json_value(v: Value) -> Result<Self, Error> {
                 v.as_i64()
                     .and_then(|n| <$t>::try_from(n).ok())
-                    .ok_or_else(|| format!("expected {}, got {v:?}", stringify!($t)))
+                    .ok_or_else(|| Error::invalid(Expected::Signed(stringify!($t)), v))
             }
         }
     )*};
@@ -337,46 +567,46 @@ impl_de_uint!(u8, u16, u32, u64, usize);
 impl_de_int!(i8, i16, i32, i64, isize);
 
 impl Deserialize for f64 {
-    fn from_json_value(v: Value) -> Result<Self, String> {
-        v.as_f64().ok_or_else(|| format!("expected f64, got {v:?}"))
+    fn from_json_value(v: Value) -> Result<Self, Error> {
+        v.as_f64()
+            .ok_or_else(|| Error::invalid(Expected::Float("f64"), v))
     }
 }
 impl Deserialize for f32 {
-    fn from_json_value(v: Value) -> Result<Self, String> {
+    fn from_json_value(v: Value) -> Result<Self, Error> {
         v.as_f64()
             .map(|f| f as f32)
-            .ok_or_else(|| format!("expected f32, got {v:?}"))
+            .ok_or_else(|| Error::invalid(Expected::Float("f32"), v))
     }
 }
 impl Deserialize for bool {
-    fn from_json_value(v: Value) -> Result<Self, String> {
-        v.as_bool()
-            .ok_or_else(|| format!("expected bool, got {v:?}"))
+    fn from_json_value(v: Value) -> Result<Self, Error> {
+        v.as_bool().ok_or_else(|| Error::invalid(Expected::Bool, v))
     }
 }
 impl Deserialize for String {
-    fn from_json_value(v: Value) -> Result<Self, String> {
+    fn from_json_value(v: Value) -> Result<Self, Error> {
         match v {
             Value::String(s) => Ok(s),
-            other => Err(format!("expected string, got {other:?}")),
+            other => Err(Error::invalid(Expected::String, other)),
         }
     }
 }
 impl Deserialize for char {
-    fn from_json_value(v: Value) -> Result<Self, String> {
+    fn from_json_value(v: Value) -> Result<Self, Error> {
         match v {
             Value::String(ref s) if s.chars().count() == 1 => Ok(s.chars().next().unwrap()),
-            other => Err(format!("expected single-char string, got {other:?}")),
+            other => Err(Error::invalid(Expected::Char, other)),
         }
     }
 }
 impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_json_value(v: Value) -> Result<Self, String> {
+    fn from_json_value(v: Value) -> Result<Self, Error> {
         T::from_json_value(v).map(Box::new)
     }
 }
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_json_value(v: Value) -> Result<Self, String> {
+    fn from_json_value(v: Value) -> Result<Self, Error> {
         match v {
             Value::Null => Ok(None),
             other => T::from_json_value(other).map(Some),
@@ -384,37 +614,39 @@ impl<T: Deserialize> Deserialize for Option<T> {
     }
 }
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_json_value(v: Value) -> Result<Self, String> {
+    fn from_json_value(v: Value) -> Result<Self, Error> {
         match v {
             Value::Array(items) => items.into_iter().map(T::from_json_value).collect(),
-            other => Err(format!("expected array, got {other:?}")),
+            other => Err(Error::invalid(Expected::Array, other)),
         }
     }
 }
 impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
-    fn from_json_value(v: Value) -> Result<Self, String> {
+    fn from_json_value(v: Value) -> Result<Self, Error> {
         let items = Vec::<T>::from_json_value(v)?;
         let got = items.len();
         items
             .try_into()
-            .map_err(|_| format!("expected array of length {N}, got length {got}"))
+            .map_err(|_| Error::custom(format!("expected array of length {N}, got length {got}")))
     }
 }
 
 macro_rules! impl_de_tuple {
     ($(($($n:tt $t:ident),+))+) => {$(
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn from_json_value(v: Value) -> Result<Self, String> {
+            fn from_json_value(v: Value) -> Result<Self, Error> {
                 const LEN: usize = 0 $(+ { let _ = stringify!($t); 1 })+;
                 match v {
                     Value::Array(items) if items.len() == LEN => {
                         let mut it = items.into_iter();
                         Ok(($(
                             $t::from_json_value(it.next().expect("length checked"))
-                                .map_err(|e| format!("tuple element {}: {e}", $n))?,
+                                .map_err(|e| Error::custom(format!("tuple element {}: {e}", $n)))?,
                         )+))
                     }
-                    other => Err(format!("expected array of length {LEN}, got {other:?}")),
+                    other => Err(Error::custom(format!(
+                        "expected array of length {LEN}, got {other:?}"
+                    ))),
                 }
             }
         }
@@ -430,13 +662,13 @@ impl_de_tuple! {
 }
 
 impl<V: Deserialize> Deserialize for std::collections::BTreeMap<String, V> {
-    fn from_json_value(v: Value) -> Result<Self, String> {
+    fn from_json_value(v: Value) -> Result<Self, Error> {
         match v {
             Value::Object(fields) => fields
                 .into_iter()
                 .map(|(k, v)| V::from_json_value(v).map(|v| (k, v)))
                 .collect(),
-            other => Err(format!("expected object, got {other:?}")),
+            other => Err(Error::invalid(Expected::Map, other)),
         }
     }
 }

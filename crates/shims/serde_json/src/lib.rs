@@ -342,7 +342,7 @@ pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T> {
     if p.pos != p.bytes.len() {
         return p.err("trailing characters");
     }
-    T::from_json_value(v).map_err(Error)
+    T::from_json_value(v).map_err(|e| Error(e.to_string()))
 }
 
 /// Build a [`Value`] object/array/scalar literal.  Supports the forms the

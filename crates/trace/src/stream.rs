@@ -12,15 +12,18 @@
 //! byte-identical whether the trace arrived in 1 KiB chunks or whole.
 //!
 //! [`FitReport`]/[`FitRequest`] follow the workspace wire conventions
-//! (`crates/cost/src/wire.rs`): `to_json → from_json` is a fixed point,
-//! defaults are omitted on output and refilled on input, and unknown
-//! keys are rejected.  The same pair backs `memhier fit --json` and
-//! `memhierd`'s `POST /v1/fit` byte-for-byte.
+//! (`crates/cost/src/wire.rs`): their codecs are derived, `to_json →
+//! from_json` is a fixed point, defaults are omitted on output and
+//! refilled on input, and unknown keys are rejected.  `from_json` maps
+//! the decoder's error onto [`TraceError`] and applies the range checks
+//! the types cannot express.  The same pair backs `memhier fit --json`
+//! and `memhierd`'s `POST /v1/fit` byte-for-byte.
 
 use crate::fit::{fit_locality_checked, FitError};
 use crate::format::{TraceError, TraceReader};
 use crate::stackdist::StackDistanceAnalyzer;
-use serde_json::{Number, Value};
+use serde::{Deserialize, ErrorKind, Expected, Serialize};
+use serde_json::Value;
 use std::path::Path;
 
 /// First fit milestone; subsequent milestones double.
@@ -40,7 +43,8 @@ pub const DEFAULT_CHUNK_RECORDS: u64 = 65_536;
 
 /// One entry of a fit's convergence history: the parameters refit after
 /// `records` references had streamed through.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields, expecting = "history entry")]
 pub struct FitSnapshot {
     /// Records seen when this fit ran.
     pub records: u64,
@@ -49,13 +53,15 @@ pub struct FitSnapshot {
     /// Fitted `β` at that point.
     pub beta: f64,
     /// Fit quality at that point.
+    #[serde(rename = "r2")]
     pub r_squared: f64,
 }
 
 /// The final product of the fitting pipeline: the paper's `(α, β, ρ)`
 /// triple plus fit quality and the milestone history that shows whether
 /// the parameters had stopped moving.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields, expecting = "fit report")]
 pub struct FitReport {
     /// Fitted locality shape `α > 1`.
     pub alpha: f64,
@@ -65,6 +71,7 @@ pub struct FitReport {
     /// instruction count).
     pub rho: f64,
     /// Log-domain coefficient of determination of the final fit.
+    #[serde(rename = "r2")]
     pub r_squared: f64,
     /// Total address records analyzed.
     pub records: u64,
@@ -74,159 +81,83 @@ pub struct FitReport {
     /// [`BETA_TOL`]) relative to the last milestone fit.
     pub converged: bool,
     /// Milestone fits, oldest first (milestones whose fit was rejected
-    /// as degenerate are absent).
+    /// as degenerate are absent).  Omitted from the JSON when empty.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub history: Vec<FitSnapshot>,
 }
 
-fn f64_value(v: f64) -> Value {
-    Value::Number(Number::F64(v))
-}
-
-fn u64_value(v: u64) -> Value {
-    Value::Number(Number::U64(v))
-}
-
-fn as_object<'a>(v: &'a Value, what: &'static str) -> Result<&'a [(String, Value)], TraceError> {
-    match v {
-        Value::Object(fields) => Ok(fields),
-        _ => Err(TraceError::Syntax(format!("{what} must be a JSON object"))),
-    }
-}
-
-fn req_f64(key: &'static str, v: &Value) -> Result<f64, TraceError> {
-    v.as_f64()
-        .ok_or_else(|| TraceError::Invalid(key, "expected a number".to_string()))
-}
-
-fn req_u64(key: &'static str, v: &Value) -> Result<u64, TraceError> {
-    v.as_u64()
-        .ok_or_else(|| TraceError::Invalid(key, "expected a non-negative integer".to_string()))
-}
-
-fn req_bool(key: &'static str, v: &Value) -> Result<bool, TraceError> {
-    v.as_bool()
-        .ok_or_else(|| TraceError::Invalid(key, "expected a boolean".to_string()))
-}
-
-impl FitSnapshot {
-    /// JSON form (all fields present; snapshots have no defaults).
-    pub fn to_json(&self) -> Value {
-        Value::Object(vec![
-            ("records".to_string(), u64_value(self.records)),
-            ("alpha".to_string(), f64_value(self.alpha)),
-            ("beta".to_string(), f64_value(self.beta)),
-            ("r2".to_string(), f64_value(self.r_squared)),
-        ])
-    }
-
-    /// Parse the [`to_json`](FitSnapshot::to_json) form back; unknown
-    /// keys are rejected.
-    pub fn from_json(v: &Value) -> Result<FitSnapshot, TraceError> {
-        let mut records = None;
-        let mut alpha = None;
-        let mut beta = None;
-        let mut r2 = None;
-        for (key, val) in as_object(v, "history entry")? {
-            match key.as_str() {
-                "records" => records = Some(req_u64("records", val)?),
-                "alpha" => alpha = Some(req_f64("alpha", val)?),
-                "beta" => beta = Some(req_f64("beta", val)?),
-                "r2" => r2 = Some(req_f64("r2", val)?),
-                other => return Err(TraceError::UnknownField(other.to_string())),
+/// Decoder faults in the trace wire's wording: the innermost key names the
+/// field, and the only string on the trace wire is a file path.
+impl From<serde::Error> for TraceError {
+    fn from(e: serde::Error) -> Self {
+        let key = e.field().map_or("", |(_, key)| key);
+        match e.kind {
+            ErrorKind::UnknownField(k) => TraceError::UnknownField(k),
+            ErrorKind::Missing(_) => TraceError::Missing(key),
+            ErrorKind::Invalid(Expected::Object(what), _) => {
+                TraceError::Syntax(format!("{what} must be a JSON object"))
             }
+            ErrorKind::Invalid(Expected::String, _) => {
+                TraceError::Invalid(key, "expected a file path string".to_string())
+            }
+            ErrorKind::Invalid(expected, _) => {
+                TraceError::Invalid(key, format!("expected {}", expected.describe()))
+            }
+            ErrorKind::Custom(why) => TraceError::Invalid(key, why.to_string()),
         }
-        Ok(FitSnapshot {
-            records: records.ok_or(TraceError::Missing("records"))?,
-            alpha: alpha.ok_or(TraceError::Missing("alpha"))?,
-            beta: beta.ok_or(TraceError::Missing("beta"))?,
-            r_squared: r2.ok_or(TraceError::Missing("r2"))?,
-        })
     }
 }
 
 impl FitReport {
     /// JSON form; an empty history is omitted.
     pub fn to_json(&self) -> Value {
-        let mut fields = vec![
-            ("alpha".to_string(), f64_value(self.alpha)),
-            ("beta".to_string(), f64_value(self.beta)),
-            ("rho".to_string(), f64_value(self.rho)),
-            ("r2".to_string(), f64_value(self.r_squared)),
-            ("records".to_string(), u64_value(self.records)),
-            ("granularity".to_string(), u64_value(self.granularity)),
-            ("converged".to_string(), Value::Bool(self.converged)),
-        ];
-        if !self.history.is_empty() {
-            fields.push((
-                "history".to_string(),
-                Value::Array(self.history.iter().map(|s| s.to_json()).collect()),
-            ));
-        }
-        Value::Object(fields)
+        self.to_json_value()
     }
 
     /// Parse the [`to_json`](FitReport::to_json) form back (fixed
     /// point); unknown keys are rejected.
     pub fn from_json(v: &Value) -> Result<FitReport, TraceError> {
-        let mut alpha = None;
-        let mut beta = None;
-        let mut rho = None;
-        let mut r2 = None;
-        let mut records = None;
-        let mut granularity = None;
-        let mut converged = None;
-        let mut history = Vec::new();
-        for (key, val) in as_object(v, "fit report")? {
-            match key.as_str() {
-                "alpha" => alpha = Some(req_f64("alpha", val)?),
-                "beta" => beta = Some(req_f64("beta", val)?),
-                "rho" => rho = Some(req_f64("rho", val)?),
-                "r2" => r2 = Some(req_f64("r2", val)?),
-                "records" => records = Some(req_u64("records", val)?),
-                "granularity" => granularity = Some(req_u64("granularity", val)?),
-                "converged" => converged = Some(req_bool("converged", val)?),
-                "history" => match val {
-                    Value::Array(items) => {
-                        history = items
-                            .iter()
-                            .map(FitSnapshot::from_json)
-                            .collect::<Result<_, _>>()?;
-                    }
-                    _ => {
-                        return Err(TraceError::Invalid(
-                            "history",
-                            "expected an array".to_string(),
-                        ))
-                    }
-                },
-                other => return Err(TraceError::UnknownField(other.to_string())),
-            }
-        }
-        Ok(FitReport {
-            alpha: alpha.ok_or(TraceError::Missing("alpha"))?,
-            beta: beta.ok_or(TraceError::Missing("beta"))?,
-            rho: rho.ok_or(TraceError::Missing("rho"))?,
-            r_squared: r2.ok_or(TraceError::Missing("r2"))?,
-            records: records.ok_or(TraceError::Missing("records"))?,
-            granularity: granularity.ok_or(TraceError::Missing("granularity"))?,
-            converged: converged.ok_or(TraceError::Missing("converged"))?,
-            history,
-        })
+        Ok(FitReport::from_json_value(v.clone())?)
     }
 }
 
 /// A fit request: which trace to analyze and how.  Backs both `memhier
 /// fit --trace` and `POST /v1/fit` (the service resolves `trace`
 /// against its own filesystem).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields, expecting = "fit request")]
 pub struct FitRequest {
     /// Path of the `.mtr` trace file.
     pub trace: String,
     /// Analysis granularity in bytes (power of two).
+    #[serde(
+        default = "default_granularity",
+        skip_serializing_if = "is_default_granularity"
+    )]
     pub granularity: u64,
     /// The most records [`run_fit`] pushes at once — a latency knob
     /// only; results are identical for every value.
+    #[serde(
+        default = "default_chunk_records",
+        skip_serializing_if = "is_default_chunk_records"
+    )]
     pub chunk_records: u64,
+}
+
+fn default_granularity() -> u64 {
+    DEFAULT_GRANULARITY
+}
+
+fn is_default_granularity(g: &u64) -> bool {
+    *g == DEFAULT_GRANULARITY
+}
+
+fn default_chunk_records() -> u64 {
+    DEFAULT_CHUNK_RECORDS
+}
+
+fn is_default_chunk_records(n: &u64) -> bool {
+    *n == DEFAULT_CHUNK_RECORDS
 }
 
 impl FitRequest {
@@ -241,55 +172,28 @@ impl FitRequest {
 
     /// JSON form; defaulted fields are omitted.
     pub fn to_json(&self) -> Value {
-        let mut fields = vec![("trace".to_string(), Value::String(self.trace.clone()))];
-        if self.granularity != DEFAULT_GRANULARITY {
-            fields.push(("granularity".to_string(), u64_value(self.granularity)));
-        }
-        if self.chunk_records != DEFAULT_CHUNK_RECORDS {
-            fields.push(("chunk_records".to_string(), u64_value(self.chunk_records)));
-        }
-        Value::Object(fields)
+        self.to_json_value()
     }
 
     /// Parse the [`to_json`](FitRequest::to_json) form back (fixed
-    /// point), validating field values; unknown keys are rejected.
+    /// point), validating field values; unknown keys are rejected.  This
+    /// is the entry point for outside input: the derived `Deserialize`
+    /// checks shape only.
     pub fn from_json(v: &Value) -> Result<FitRequest, TraceError> {
-        let mut trace = None;
-        let mut granularity = DEFAULT_GRANULARITY;
-        let mut chunk_records = DEFAULT_CHUNK_RECORDS;
-        for (key, val) in as_object(v, "fit request")? {
-            match key.as_str() {
-                "trace" => match val {
-                    Value::String(s) => trace = Some(s.clone()),
-                    _ => {
-                        return Err(TraceError::Invalid(
-                            "trace",
-                            "expected a file path string".to_string(),
-                        ))
-                    }
-                },
-                "granularity" => granularity = req_u64("granularity", val)?,
-                "chunk_records" => chunk_records = req_u64("chunk_records", val)?,
-                other => return Err(TraceError::UnknownField(other.to_string())),
-            }
-        }
-        if !granularity.is_power_of_two() {
+        let req = FitRequest::from_json_value(v.clone())?;
+        if !req.granularity.is_power_of_two() {
             return Err(TraceError::Invalid(
                 "granularity",
-                format!("{granularity} is not a power of two"),
+                format!("{} is not a power of two", req.granularity),
             ));
         }
-        if chunk_records == 0 {
+        if req.chunk_records == 0 {
             return Err(TraceError::Invalid(
                 "chunk_records",
                 "must be at least 1".to_string(),
             ));
         }
-        Ok(FitRequest {
-            trace: trace.ok_or(TraceError::Missing("trace"))?,
-            granularity,
-            chunk_records,
-        })
+        Ok(req)
     }
 }
 
@@ -515,7 +419,7 @@ mod tests {
         an.push_chunk(&addrs);
         let mut v = an.finish(0).unwrap().to_json();
         if let Value::Object(fields) = &mut v {
-            fields.push(("alpa".to_string(), f64_value(1.0)));
+            fields.push(("alpa".to_string(), 1.0f64.to_json_value()));
         }
         assert!(matches!(
             FitReport::from_json(&v).unwrap_err(),
