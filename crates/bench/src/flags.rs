@@ -92,12 +92,6 @@ impl FlagParser {
                 "worker threads for sweeps (also MEMHIER_JOBS)",
             )
             .option(
-                "--sim-threads",
-                "N",
-                "host threads inside one simulation — the epoch-parallel \
-                 engine; 0 = classic engine (also MEMHIER_SIM_THREADS)",
-            )
-            .option(
                 "--checkpoint",
                 "PATH",
                 "append completed sweep points to this JSONL journal",
@@ -204,8 +198,8 @@ impl FlagParser {
 
     /// Parse the process arguments.  On a parse error, print it plus the
     /// usage to stderr and exit 2; on `--help`, print usage and exit 0.
-    /// A present `--jobs` is installed process-wide (same contract as
-    /// [`crate::sweeprun::configure_from_args`]), as is the sweep
+    /// A present `--jobs` is installed process-wide (see
+    /// [`Matches::apply_jobs`]), as is the sweep
     /// crash-safety config when any of its flags (or `MEMHIER_FAULTS`)
     /// is present.
     pub fn parse_env_or_exit(&self) -> Matches {
@@ -298,7 +292,8 @@ impl Matches {
     }
 
     /// Install a present, well-formed `--jobs N` process-wide (override +
-    /// `MEMHIER_JOBS`, matching `configure_from_args`).
+    /// `MEMHIER_JOBS`, so library code that sizes its own rayon pools —
+    /// e.g. the cost optimizer — sees the same setting).
     pub fn apply_jobs(&self) {
         if let Ok(Some(n)) = self.parsed::<usize>("--jobs") {
             if n > 0 {
@@ -309,26 +304,6 @@ impl Matches {
             }
         } else if self.get("--jobs").is_some() {
             eprintln!("warning: ignoring malformed --jobs (want a positive integer)");
-        }
-    }
-
-    /// Install a present, well-formed `--sim-threads N` process-wide
-    /// (override + `MEMHIER_SIM_THREADS`).  `0` explicitly selects the
-    /// classic engine, clearing any inherited environment setting.
-    pub fn apply_sim_threads(&self) {
-        match self.parsed::<usize>("--sim-threads") {
-            Ok(Some(n)) => {
-                crate::sweeprun::set_sim_threads(n);
-                if n > 0 {
-                    std::env::set_var("MEMHIER_SIM_THREADS", n.to_string());
-                } else {
-                    std::env::remove_var("MEMHIER_SIM_THREADS");
-                }
-            }
-            Ok(None) => {}
-            Err(_) => {
-                eprintln!("warning: ignoring malformed --sim-threads (want a non-negative integer)")
-            }
         }
     }
 
@@ -368,7 +343,6 @@ impl Matches {
     /// checkpointed path.
     pub fn apply_sweep_config(&self) -> Result<(), String> {
         self.apply_jobs();
-        self.apply_sim_threads();
         let cfg = self.checkpoint_config()?;
         if cfg.is_active() {
             crate::sweeprun::set_checkpoint_config(Some(cfg));

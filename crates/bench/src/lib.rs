@@ -47,12 +47,12 @@ pub use optimrun::{run_optimize, run_recommend};
 pub use record::{record_scenario, RecordSummary, TraceRecorder};
 pub use registry_info::registry_json;
 pub use runner::{
-    characterize, simulate_workload, simulate_workload_observed, simulate_workload_threads,
-    simulate_workload_with, Characterization, ObservedRun, ObserverConfig, SimRun, Sizes,
+    characterize, simulate_workload, simulate_workload_observed, simulate_workload_with,
+    Characterization, ObservedRun, ObserverConfig, SimRun, Sizes,
 };
 pub use scenario::{size_name, Scenario, ScenarioBuilder, ScenarioError};
 pub use sweeprun::{
-    characterize_cached, characterize_many, configure_from_args, run_sweep, run_sweep_checkpointed,
-    set_checkpoint_config, set_jobs, set_sim_threads, sim_threads, CheckpointConfig, GridPoint,
-    PointOutcome, PointResult, SweepOutcome, SweepPlan,
+    characterize_cached, characterize_many, run_sweep, run_sweep_checkpointed,
+    set_checkpoint_config, set_jobs, CheckpointConfig, GridPoint, PointOutcome, PointResult,
+    SweepOutcome, SweepPlan,
 };

@@ -11,12 +11,12 @@
 //! 2. **Confirm by simulation** — the top `confirm` finalists run
 //!    through the full program-driven simulator via a [`SweepPlan`], so
 //!    they inherit the whole sweep substrate for free: the `--jobs`
-//!    rayon pool, `MEMHIER_SIM_THREADS`, and — when a process-wide
+//!    rayon pool and — when a process-wide
 //!    [`CheckpointConfig`](crate::sweeprun::CheckpointConfig) is
 //!    installed — the crash-safe JSONL journal with `--resume`.
 //!
-//! Results are deterministic at any `--jobs`/`--sim-threads` width
-//! (grid-ordered sweep results + thread-invariant engine), so the
+//! Results are deterministic at any `--jobs` width (grid-ordered sweep
+//! results, each from a deterministic single-threaded engine), so the
 //! report is byte-identical however it was scheduled — pinned by
 //! `tests/optimize_determinism.rs`.
 
@@ -89,8 +89,7 @@ pub fn run_optimize(req: &OptimizeRequest) -> Result<OptimizeReport, CostError> 
 
     // One grid point per selected finalist, in rank order, so sweep
     // index `i` maps onto `report.ranked[selected[i]]`.  The plan
-    // inherits the ambient jobs pool, sim-threads setting, and
-    // checkpoint journal.
+    // inherits the ambient jobs pool and checkpoint journal.
     let mut plan = SweepPlan::new("optimize", sizes);
     for &i in &selected {
         plan = plan.point(&eval.feasible[i].spec, kind);

@@ -6,9 +6,9 @@
 //! access address to a streaming [`TraceWriter`]; [`record_scenario`]
 //! runs a [`Scenario`] with the recorder attached and finalizes the file
 //! with the run's total instruction count (so `memhier fit` can recover
-//! ρ).  Observer event order is engine-thread-invariant (pinned by the
-//! `thread_invariance` tests), so the recorded bytes are identical at
-//! any `--sim-threads` and any `--jobs` setting.
+//! ρ).  The run is the same single-threaded, deterministic simulation
+//! [`Scenario::run`] performs, so the recorded bytes are identical at
+//! any `--jobs` setting.
 
 use crate::scenario::Scenario;
 use memhier_core::machine::LatencyParams;
@@ -99,7 +99,6 @@ pub fn record_scenario(scenario: &Scenario, path: &Path) -> Result<RecordSummary
     let workload = scenario.size.workload(scenario.workload);
     let cluster = scenario.config.clone();
     let latency = LatencyParams::paper();
-    let sim_threads = scenario.resolved_sim_threads();
     let procs = cluster.total_procs() as usize;
     if !workload.supports_processes(procs) {
         return Err(TraceError::Invalid(
@@ -123,7 +122,6 @@ pub fn record_scenario(scenario: &Scenario, path: &Path) -> Result<RecordSummary
         SimSession::new(backend)
             .with_sources(rxs.into_iter().map(ProcSource::Channel).collect())
             .observe(recorder)
-            .sim_threads(sim_threads)
             .run()
     });
     let recorder = out

@@ -1,5 +1,8 @@
 //! Glue between the workloads, the trace analyzer, the simulator, and the
 //! analytic model.
+//!
+//! Every simulation here runs the simulator's one streaming engine: the
+//! `SimSession` defaults, with no engine selection above `memhier-sim`.
 
 use memhier_core::locality::WorkloadParams;
 use memhier_core::machine::LatencyParams;
@@ -48,17 +51,6 @@ impl Sizes {
             Sizes::Small => Workload::small(kind),
             Sizes::Medium => Workload::medium(kind),
             Sizes::Paper => Workload::paper(kind),
-        }
-    }
-
-    /// Parse from a CLI flag (`--paper`, `--small`, default medium).
-    pub fn from_args(args: &[String]) -> Sizes {
-        if args.iter().any(|a| a == "--paper") {
-            Sizes::Paper
-        } else if args.iter().any(|a| a == "--small") {
-            Sizes::Small
-        } else {
-            Sizes::Medium
         }
     }
 }
@@ -119,35 +111,12 @@ pub struct ObservedRun {
 
 /// [`simulate_workload_with`] plus observers: the full observability
 /// entry point the sweep runner and the CLI's `--metrics`/`--trace`
-/// flags go through.  The engine choice comes from the ambient
-/// `--sim-threads` / `MEMHIER_SIM_THREADS` setting (see
-/// [`crate::sweeprun::sim_threads`]); use [`simulate_workload_threads`]
-/// to pin it explicitly.
+/// flags go through.
 pub fn simulate_workload_observed(
     workload: &Workload,
     cluster: &ClusterSpec,
     latency: &LatencyParams,
     observers: &ObserverConfig,
-) -> ObservedRun {
-    simulate_workload_threads(
-        workload,
-        cluster,
-        latency,
-        observers,
-        crate::sweeprun::sim_threads().unwrap_or(0),
-    )
-}
-
-/// [`simulate_workload_observed`] with an explicit engine selection:
-/// `sim_threads = 0` runs the classic conservative engine (the golden
-/// fixtures' pinned semantics), `n ≥ 1` runs the epoch-parallel engine
-/// on `n` host threads (results identical for every `n`).
-pub fn simulate_workload_threads(
-    workload: &Workload,
-    cluster: &ClusterSpec,
-    latency: &LatencyParams,
-    observers: &ObserverConfig,
-    sim_threads: usize,
 ) -> ObservedRun {
     let procs = cluster.total_procs() as usize;
     let program = workload.instantiate(procs);
@@ -161,8 +130,7 @@ pub fn simulate_workload_threads(
     let cfg = *observers;
     let (out, counters) = stream_spmd(program, move |rxs| {
         let mut session = SimSession::new(backend)
-            .with_sources(rxs.into_iter().map(ProcSource::Channel).collect())
-            .sim_threads(sim_threads);
+            .with_sources(rxs.into_iter().map(ProcSource::Channel).collect());
         if let Some(window) = cfg.metrics_window {
             session = session.observe(TimeSeriesCollector::new(window));
         }
@@ -393,13 +361,5 @@ mod tests {
         let remote = run.report.levels.remote_clean + run.report.levels.remote_dirty;
         assert!(remote > 0, "no remote traffic: {:?}", run.report.levels);
         assert!(run.report.barriers > 0);
-    }
-
-    #[test]
-    fn sizes_from_args() {
-        let a = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(Sizes::from_args(&a(&["--paper"])), Sizes::Paper);
-        assert_eq!(Sizes::from_args(&a(&["--small"])), Sizes::Small);
-        assert_eq!(Sizes::from_args(&a(&[])), Sizes::Medium);
     }
 }

@@ -35,7 +35,7 @@
 
 use crate::faults::FaultPlan;
 use crate::names::{config_by_name, sizes_by_name, workload_kind_by_name};
-use crate::runner::{simulate_workload_threads, ObservedRun, ObserverConfig, Sizes};
+use crate::runner::{simulate_workload_observed, ObservedRun, ObserverConfig, Sizes};
 use crate::sweeprun::SweepPlan;
 use memhier_core::machine::LatencyParams;
 use memhier_core::platform::ClusterSpec;
@@ -127,11 +127,6 @@ pub struct Scenario {
     /// Observers attached to the run (default: none — the engine's hot
     /// loop stays observer-free).
     pub observers: ObserverConfig,
-    /// Intra-scenario engine threads: `Some(n)` pins the epoch-parallel
-    /// engine on `n` host threads (`Some(0)` pins the classic engine),
-    /// `None` defers to the ambient `--sim-threads` /
-    /// `MEMHIER_SIM_THREADS` setting.
-    pub sim_threads: Option<usize>,
     /// Deterministic fault-injection plan (default: empty).
     pub faults: FaultPlan,
 }
@@ -146,12 +141,11 @@ impl Scenario {
     /// Run the scenario through the program-driven simulator with the
     /// paper's latency table.
     pub fn run(&self) -> ObservedRun {
-        simulate_workload_threads(
+        simulate_workload_observed(
             &self.resolved_workload(),
             &self.config,
             &LatencyParams::paper(),
             &self.observers,
-            self.resolved_sim_threads(),
         )
     }
 
@@ -163,15 +157,6 @@ impl Scenario {
             Some(params) => resolve_workload_params(self.workload, self.size, params)
                 .expect("workload params were validated when the scenario was built"),
         }
-    }
-
-    /// The engine selection this scenario runs with: its own pin, else
-    /// the ambient [`crate::sweeprun::sim_threads`] setting, else the
-    /// classic engine.
-    pub fn resolved_sim_threads(&self) -> usize {
-        self.sim_threads
-            .or_else(crate::sweeprun::sim_threads)
-            .unwrap_or(0)
     }
 
     /// The canonical JSON form.  `config` collapses to its paper name
@@ -217,12 +202,6 @@ impl Scenario {
                 serde_json::to_value(&cap).unwrap(),
             ));
         }
-        if let Some(threads) = self.sim_threads {
-            fields.push((
-                "sim_threads".to_string(),
-                serde_json::to_value(&(threads as u64)).unwrap(),
-            ));
-        }
         if !self.faults.is_empty() {
             fields.push(("faults".to_string(), Value::String(self.faults.to_string())));
         }
@@ -231,7 +210,9 @@ impl Scenario {
 
     /// Parse the JSON form (see the module docs).  Missing `size`
     /// defaults to `medium`; unknown keys are rejected so a typo'd field
-    /// fails loudly instead of being silently ignored.
+    /// fails loudly instead of being silently ignored.  The retired
+    /// `sim_threads` key is the one exception: it is type-checked and its
+    /// value ignored.
     pub fn from_json(v: &Value) -> Result<Scenario, ScenarioError> {
         Scenario::from_json_default(v, Sizes::Medium)
     }
@@ -320,13 +301,7 @@ impl Scenario {
                     ))?;
                     b = b.trace_capacity(cap as usize);
                 }
-                "sim_threads" => {
-                    let threads = value.as_u64().ok_or(ScenarioError::Invalid(
-                        "sim_threads",
-                        "must be a non-negative integer (0 = classic engine)".to_string(),
-                    ))?;
-                    b = b.sim_threads(threads as usize);
-                }
+                "sim_threads" => legacy_sim_threads(value)?,
                 "faults" => {
                     let spec = value.as_str().ok_or(ScenarioError::Invalid(
                         "faults",
@@ -346,8 +321,8 @@ impl Scenario {
     /// [..], "size"?}` — into one scenario per `configs × workloads`
     /// point, cluster-major (all workloads on the first config, then the
     /// second, ...).  This is the shape of `memhierd`'s `/v1/sweep` body
-    /// and of the CLI's `--configs`/`--workloads` lists; any other key is
-    /// rejected as a typo.
+    /// and of the CLI's `--configs`/`--workloads` lists; any other key
+    /// but the retired, ignored `sim_threads` is rejected as a typo.
     pub fn expand_grid(v: &Value, default_size: Sizes) -> Result<Vec<Scenario>, ScenarioError> {
         if let Value::Object(fields) = v {
             let known = ["configs", "workloads", "size", "sim_threads"];
@@ -383,24 +358,19 @@ impl Scenario {
                 sizes_by_name(name).map_err(|_| ScenarioError::UnknownSize(name.to_string()))?
             }
         };
-        let sim_threads = match v.get("sim_threads").filter(|f| !f.is_null()) {
-            None => None,
-            Some(f) => Some(f.as_u64().ok_or(ScenarioError::Invalid(
-                "sim_threads",
-                "must be a non-negative integer (0 = classic engine)".to_string(),
-            ))? as usize),
-        };
+        if let Some(f) = v.get("sim_threads").filter(|f| !f.is_null()) {
+            legacy_sim_threads(f)?;
+        }
         let mut out = Vec::with_capacity(configs.len() * workloads.len());
         for config in &configs {
             for workload in &workloads {
-                let mut b = Scenario::builder()
-                    .config_name(config)
-                    .workload_name(workload)
-                    .size(size);
-                if let Some(threads) = sim_threads {
-                    b = b.sim_threads(threads);
-                }
-                out.push(b.build()?);
+                out.push(
+                    Scenario::builder()
+                        .config_name(config)
+                        .workload_name(workload)
+                        .size(size)
+                        .build()?,
+                );
             }
         }
         Ok(out)
@@ -439,9 +409,6 @@ impl Scenario {
         if scenarios.iter().any(|s| s.observers != first.observers) {
             return Err(ScenarioError::Mixed("observers"));
         }
-        if scenarios.iter().any(|s| s.sim_threads != first.sim_threads) {
-            return Err(ScenarioError::Mixed("sim_threads"));
-        }
         if scenarios.iter().any(|s| s.workload_params.is_some()) {
             // Sweep grids are (config × kind) points at the plan's size
             // tier; per-point parameter maps have nowhere to live there.
@@ -450,9 +417,7 @@ impl Scenario {
                 "parameter maps are not supported in sweep batches".to_string(),
             ));
         }
-        let mut plan = SweepPlan::new(name, first.size)
-            .with_observers(first.observers)
-            .with_sim_threads(first.sim_threads);
+        let mut plan = SweepPlan::new(name, first.size).with_observers(first.observers);
         for s in scenarios {
             plan = plan.point(&s.config, s.workload);
         }
@@ -466,7 +431,6 @@ impl fmt::Display for Scenario {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let plain = self.observers == ObserverConfig::default()
             && self.faults.is_empty()
-            && self.sim_threads.is_none()
             && self.workload_params.is_none();
         match (&self.config.name, plain) {
             (Some(name), true) => write!(
@@ -543,7 +507,6 @@ pub struct ScenarioBuilder {
     workload_params: Option<Value>,
     size: Option<Result<Sizes, ScenarioError>>,
     observers: ObserverConfig,
-    sim_threads: Option<usize>,
     faults: FaultPlan,
 }
 
@@ -624,14 +587,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Pin the intra-scenario engine: `n ≥ 1` runs the epoch-parallel
-    /// engine on `n` host threads, `0` pins the classic engine (unset
-    /// defers to the ambient `--sim-threads` / `MEMHIER_SIM_THREADS`).
-    pub fn sim_threads(mut self, threads: usize) -> Self {
-        self.sim_threads = Some(threads);
-        self
-    }
-
     /// Set the fault-injection plan.
     pub fn faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
@@ -663,7 +618,6 @@ impl ScenarioBuilder {
             workload_params: self.workload_params,
             size,
             observers: self.observers,
-            sim_threads: self.sim_threads,
             faults: self.faults,
         })
     }
@@ -677,6 +631,17 @@ pub fn size_name(size: Sizes) -> &'static str {
         Sizes::Medium => "medium",
         Sizes::Paper => "paper",
     }
+}
+
+/// Check the retired `sim_threads` key, which once selected a second
+/// simulation engine.  Older request bodies and plan files still carry
+/// it, so it is type-checked as before and its value ignored: every
+/// scenario runs the one engine.
+fn legacy_sim_threads(value: &Value) -> Result<(), ScenarioError> {
+    value.as_u64().map(drop).ok_or(ScenarioError::Invalid(
+        "sim_threads",
+        "must be a non-negative integer (0 = classic engine)".to_string(),
+    ))
 }
 
 /// Decode an inline [`ClusterSpec`] object.  A typo'd key at any depth

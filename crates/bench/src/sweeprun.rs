@@ -18,14 +18,14 @@
 //!
 //! Worker count resolution, highest priority first:
 //! 1. [`set_jobs`] (the binaries' `--jobs N` flag via
-//!    [`configure_from_args`]);
+//!    [`Matches::apply_jobs`](crate::flags::Matches::apply_jobs));
 //! 2. the `MEMHIER_JOBS` environment variable;
 //! 3. the host's available parallelism.
 
 use crate::faults::{FaultAction, FaultPlan, FaultSite};
 use crate::runner::{
-    characterize, simulate_workload_threads, Characterization, ObservedRun, ObserverConfig, SimRun,
-    Sizes,
+    characterize, simulate_workload_observed, Characterization, ObservedRun, ObserverConfig,
+    SimRun, Sizes,
 };
 use memhier_core::machine::LatencyParams;
 use memhier_core::platform::ClusterSpec;
@@ -71,61 +71,6 @@ pub fn jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Process-wide `--sim-threads` override (0 = unset).
-static SIM_THREADS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Fix the intra-scenario engine thread count for every subsequent run
-/// (0 clears the override, falling back to `MEMHIER_SIM_THREADS`).
-pub fn set_sim_threads(n: usize) {
-    SIM_THREADS_OVERRIDE.store(n, Ordering::SeqCst);
-}
-
-/// Resolve the ambient intra-scenario thread count: [`set_sim_threads`]
-/// override, else `MEMHIER_SIM_THREADS`, else `None` — which selects the
-/// classic single-threaded engine.  `Some(n)` routes every simulation
-/// through the epoch-parallel engine on `n` host threads; the epoch
-/// engine's results are identical for every `n ≥ 1`, so this knob trades
-/// host CPU for wall-clock without perturbing simulated results.
-pub fn sim_threads() -> Option<usize> {
-    let explicit = SIM_THREADS_OVERRIDE.load(Ordering::SeqCst);
-    if explicit > 0 {
-        return Some(explicit);
-    }
-    if let Ok(v) = std::env::var("MEMHIER_SIM_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return Some(n);
-            }
-        }
-    }
-    None
-}
-
-/// Parse `--jobs N` / `--jobs=N` from a binary's argument list and
-/// install the override (also exported through `MEMHIER_JOBS` so library
-/// code that sizes its own rayon pools — e.g. the cost optimizer — sees
-/// the same setting).  Returns the resolved worker count.
-pub fn configure_from_args(args: &[String]) -> usize {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let parsed = if a == "--jobs" {
-            it.next().and_then(|v| v.parse::<usize>().ok())
-        } else if let Some(v) = a.strip_prefix("--jobs=") {
-            v.parse::<usize>().ok()
-        } else {
-            continue;
-        };
-        match parsed {
-            Some(n) if n > 0 => {
-                set_jobs(n);
-                std::env::set_var("MEMHIER_JOBS", n.to_string());
-            }
-            _ => eprintln!("warning: ignoring malformed --jobs (want a positive integer)"),
-        }
-    }
-    jobs()
-}
-
 /// One grid point: a workload kind on a cluster configuration.  The
 /// problem size and latency table live on the [`SweepPlan`] so a plan
 /// stays a plain cross-product.
@@ -149,12 +94,6 @@ pub struct SweepPlan {
     /// Observer configuration applied to every point (default: none —
     /// the engine's hot loop stays snapshot-free).
     pub observers: ObserverConfig,
-    /// Intra-scenario engine threads applied to every point: `Some(n)`
-    /// pins the epoch-parallel engine on `n` host threads, `None` defers
-    /// to the ambient [`sim_threads`] setting.  Part of the plan's
-    /// identity ([`plan_fingerprint`]) because the two engines' defined
-    /// semantics differ.
-    pub sim_threads: Option<usize>,
     points: Vec<GridPoint>,
 }
 
@@ -166,7 +105,6 @@ impl SweepPlan {
             sizes,
             latency: LatencyParams::paper(),
             observers: ObserverConfig::default(),
-            sim_threads: None,
             points: Vec::new(),
         }
     }
@@ -175,19 +113,6 @@ impl SweepPlan {
     pub fn with_latency(mut self, latency: LatencyParams) -> Self {
         self.latency = latency;
         self
-    }
-
-    /// Pin the intra-scenario engine thread count for every point
-    /// (`None` defers to the ambient [`sim_threads`] setting).
-    pub fn with_sim_threads(mut self, threads: Option<usize>) -> Self {
-        self.sim_threads = threads;
-        self
-    }
-
-    /// The engine selection each point runs with: the plan's pin, else
-    /// the ambient setting, else the classic engine.
-    pub fn resolved_sim_threads(&self) -> usize {
-        self.sim_threads.or_else(sim_threads).unwrap_or(0)
     }
 
     /// Attach observers to every point: each worker builds its own
@@ -316,12 +241,11 @@ fn run_sweep_direct(plan: &SweepPlan) -> Vec<PointResult> {
                     run,
                     metrics,
                     trace,
-                } = simulate_workload_threads(
+                } = simulate_workload_observed(
                     &workload,
                     &point.cluster,
                     &plan.latency,
                     &plan.observers,
-                    plan.resolved_sim_threads(),
                 );
                 let finished = done.fetch_add(1, Ordering::SeqCst) + 1;
                 eprintln!(
@@ -731,15 +655,9 @@ pub fn plan_fingerprint(plan: &SweepPlan) -> u64 {
     desc.push('|');
     desc.push_str(&format!("{:?}", plan.observers));
     desc.push('|');
-    // The engine kind, not the thread count: the epoch engine's results
-    // are identical for every n ≥ 1, so resuming a 2-thread journal on 8
-    // threads is sound — resuming a classic journal on the epoch engine
-    // (or vice versa) is not.
-    desc.push_str(if plan.resolved_sim_threads() > 0 {
-        "engine:epoch"
-    } else {
-        "engine:classic"
-    });
+    // Every sweep runs the classic engine.  Journals written while an
+    // epoch engine was selectable carry this segment, so it stays.
+    desc.push_str("engine:classic");
     for p in plan.points() {
         desc.push('|');
         desc.push_str(p.kind.name());
@@ -949,12 +867,11 @@ fn run_point_with_retries(
                 run,
                 metrics,
                 trace,
-            } = simulate_workload_threads(
+            } = simulate_workload_observed(
                 &workload,
                 &point.cluster,
                 &plan.latency,
                 &plan.observers,
-                plan.resolved_sim_threads(),
             );
             Ok(PointResult {
                 index,
@@ -1153,15 +1070,6 @@ mod tests {
     }
 
     #[test]
-    fn configure_from_args_parses_both_forms() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(configure_from_args(&args(&["--jobs", "2"])), 2);
-        assert_eq!(configure_from_args(&args(&["--jobs=5"])), 5);
-        set_jobs(0);
-        std::env::remove_var("MEMHIER_JOBS");
-    }
-
-    #[test]
     fn sweep_returns_grid_order() {
         let clusters = [tiny_cluster("A", 1), tiny_cluster("B", 2)];
         let kinds = [WorkloadKind::Fft, WorkloadKind::Lu];
@@ -1228,6 +1136,23 @@ mod tests {
         let resized =
             SweepPlan::new("fp", Sizes::Medium).point(&tiny_cluster("A", 1), WorkloadKind::Fft);
         assert_ne!(plan_fingerprint(&base), plan_fingerprint(&resized));
+    }
+
+    #[test]
+    fn fingerprint_still_resumes_older_journals() {
+        // `--resume` refuses a journal whose header fingerprint differs
+        // from the plan's.  This value is what releases that could still
+        // select the epoch engine wrote for this plan on the classic one,
+        // so their journals keep resuming.
+        let c1 = crate::names::config_by_name("C1").unwrap();
+        let c5 = crate::names::config_by_name("C5").unwrap();
+        let plan = SweepPlan::new("compat", Sizes::Small)
+            .point(&c1, WorkloadKind::Fft)
+            .point(&c5, WorkloadKind::Lu);
+        assert_eq!(
+            format!("{:016x}", plan_fingerprint(&plan)),
+            "bc9e97d9ee8f32aa"
+        );
     }
 
     #[test]

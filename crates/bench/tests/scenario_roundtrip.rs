@@ -9,7 +9,9 @@
 //! * golden fixtures pinning the wire formats: a `memhierd` `/v1/sweep`
 //!   request body and a `memhier sweep --configs @plan.json` plan file
 //!   must deserialize into *identical* `Scenario` batches, and a
-//!   `/v1/simulate` body must equal its builder spelling.
+//!   `/v1/simulate` body must equal its builder spelling.  The two sweep
+//!   fixtures predate the retired `sim_threads` key and still carry it,
+//!   so they also pin that older inputs keep parsing.
 
 use memhier_bench::faults::FaultPlan;
 use memhier_bench::runner::Sizes;
@@ -71,8 +73,6 @@ proptest! {
         size in size_strategy(),
         window in 0u64..10_000,
         cap in 0u64..5_000,
-        threads in 0u64..10,
-        pin_threads in any::<bool>(),
         fault in fault_strategy(),
     ) {
         let mut b = Scenario::builder()
@@ -84,11 +84,6 @@ proptest! {
         }
         if cap > 0 {
             b = b.trace_capacity(cap as usize);
-        }
-        // `Some(0)` is meaningful (pin the classic engine), so the pin
-        // flag is drawn independently of the thread count.
-        if pin_threads {
-            b = b.sim_threads(threads as usize);
         }
         if !fault.is_empty() {
             b = b.faults(FaultPlan::parse(fault).expect("strategy emits valid specs"));
@@ -123,7 +118,8 @@ proptest! {
 
 /// The golden `/v1/sweep` request body and the golden `@plan.json` sweep
 /// file must expand/parse into *identical* `Scenario` batches — the two
-/// entry points share one wire format.
+/// entry points share one wire format.  Both carry the retired
+/// `sim_threads` key, which must parse and change nothing.
 #[test]
 fn golden_sweep_request_and_plan_file_agree() {
     let request: serde_json::Value =
@@ -135,18 +131,23 @@ fn golden_sweep_request_and_plan_file_agree() {
     let from_plan = Scenario::parse_batch(&plan).unwrap();
     assert_eq!(from_request, from_plan);
     assert_eq!(from_request.len(), 6, "3 configs x 2 workloads");
-    assert!(
-        from_request.iter().all(|s| s.sim_threads == Some(2)),
-        "grid-level sim_threads must reach every expanded point"
+
+    // The retired key is ignored: the same grid without it is the same
+    // batch.
+    assert!(request.get("sim_threads").is_some());
+    let without: serde_json::Value = serde_json::from_str(
+        r#"{"configs": ["C1", "C5", "C8"], "workloads": ["FFT", "LU"], "size": "small"}"#,
+    )
+    .unwrap();
+    assert_eq!(
+        Scenario::expand_grid(&without, Sizes::Small).unwrap(),
+        from_request
     );
 
-    // And the shared batch feeds the sweep runner unchanged, engine
-    // choice included.
+    // And the shared batch feeds the sweep runner unchanged.
     let sweep = Scenario::sweep_plan("golden", &from_request).unwrap();
     assert_eq!(sweep.len(), 6);
     assert_eq!(sweep.sizes, Sizes::Small);
-    assert_eq!(sweep.sim_threads, Some(2));
-    assert_eq!(sweep.resolved_sim_threads(), 2);
 }
 
 /// The golden `/v1/simulate` body equals its builder spelling, field for
@@ -163,7 +164,6 @@ fn golden_simulate_request_matches_builder() {
         .size(Sizes::Paper)
         .metrics_window(5_000)
         .trace_capacity(4_096)
-        .sim_threads(4)
         .faults(FaultPlan::parse("point:panic:nth=2").unwrap())
         .build()
         .unwrap();

@@ -1,5 +1,12 @@
 //! Thread-count invariance pin for the epoch-parallel engine.
 //!
+//! The epoch engine is no longer selectable above `memhier-sim`: it
+//! stays only as the subject of the ledger benchmark's
+//! `sim.replay_epoch{1,2}_ns_per_ref` metrics, and this test builds its
+//! sessions the way the ledger does — [`SimSession::sim_threads`] over
+//! pre-collected, shared per-process traces.  It goes together with
+//! `epoch.rs` once the benchmark stops timing that engine.
+//!
 //! The epoch engine (`sim_threads >= 1`) shards simulated processors
 //! across host worker threads but advances simulated time in fixed
 //! deterministic epochs, so its results must be **byte-identical for
@@ -15,13 +22,16 @@
 //!   more finely than the end-of-run report does.
 //!
 //! A failure here means the engine's answer depends on host
-//! parallelism — the one thing `--sim-threads` is documented never to
-//! change.
+//! parallelism — the one thing its thread count must never change.
 
-use memhier_bench::runner::{simulate_workload_threads, ObserverConfig, Sizes};
+use memhier_bench::runner::{ObserverConfig, Sizes};
 use memhier_core::machine::{LatencyParams, MachineSpec, NetworkKind};
 use memhier_core::platform::ClusterSpec;
+use memhier_sim::observe::{EventTracer, TimeSeriesCollector};
+use memhier_sim::{ClusterBackend, MemEvent, ProcSource, SimSession};
 use memhier_workloads::registry::WorkloadKind;
+use memhier_workloads::spmd::{collect_events, home_map_for, SpmdProgram};
+use std::sync::Arc;
 
 /// The host thread counts every fixture is replayed at.
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -98,38 +108,61 @@ fn fixtures() -> Vec<(&'static str, ClusterSpec, Vec<WorkloadKind>)> {
     ]
 }
 
-/// Run one fixture at the given thread count and serialize whatever the
-/// observers saw alongside the report, so any ordering-dependent state
-/// shows up in the byte comparison.
+/// Replay one fixture's collected traces on the epoch engine at the
+/// given thread count and serialize whatever the observers saw alongside
+/// the report, so any ordering-dependent state shows up in the byte
+/// comparison.
 fn snapshot(
     cluster: &ClusterSpec,
-    kind: WorkloadKind,
+    program: &dyn SpmdProgram,
+    traces: &[Arc<[MemEvent]>],
     observers: &ObserverConfig,
     sim_threads: usize,
 ) -> String {
-    let out = simulate_workload_threads(
-        &Sizes::Small.workload(kind),
-        cluster,
-        &LatencyParams::paper(),
-        observers,
-        sim_threads,
+    let home = home_map_for(
+        program,
+        cluster.machines as usize,
+        cluster.machine.n_procs as usize,
+        256,
     );
-    let mut s = serde_json::to_string_pretty(&out.run.report).expect("serialize report");
-    if let Some(series) = &out.metrics {
-        s.push('\n');
-        s.push_str(&serde_json::to_string_pretty(series).expect("serialize metrics"));
+    let mut session = SimSession::new(ClusterBackend::new(cluster, LatencyParams::paper(), home))
+        .with_sources(
+            traces
+                .iter()
+                .map(|t| ProcSource::shared(Arc::clone(t)))
+                .collect(),
+        )
+        .sim_threads(sim_threads);
+    if let Some(window) = observers.metrics_window {
+        session = session.observe(TimeSeriesCollector::new(window));
     }
-    if let Some(trace) = &out.trace {
+    if let Some(cap) = observers.trace_capacity {
+        session = session.observe(EventTracer::new(cap));
+    }
+    let out = session.run();
+    let mut s = serde_json::to_string_pretty(&out.report).expect("serialize report");
+    if let Some(collector) = out.observer::<TimeSeriesCollector>() {
         s.push('\n');
-        s.push_str(&trace.to_jsonl());
+        s.push_str(&serde_json::to_string_pretty(collector.series()).expect("serialize metrics"));
+    }
+    if let Some(tracer) = out.observer::<EventTracer>() {
+        s.push('\n');
+        s.push_str(&tracer.log().to_jsonl());
     }
     s
 }
 
 fn assert_invariant(name: &str, cluster: &ClusterSpec, kind: WorkloadKind, obs: &ObserverConfig) {
-    let baseline = snapshot(cluster, kind, obs, THREADS[0]);
+    let program = Sizes::Small
+        .workload(kind)
+        .instantiate(cluster.total_procs() as usize);
+    let traces: Vec<Arc<[MemEvent]>> = collect_events(Arc::clone(&program))
+        .into_iter()
+        .map(|(events, _)| Arc::from(events))
+        .collect();
+    let baseline = snapshot(cluster, &*program, &traces, obs, THREADS[0]);
     for &n in &THREADS[1..] {
-        let got = snapshot(cluster, kind, obs, n);
+        let got = snapshot(cluster, &*program, &traces, obs, n);
         assert_eq!(
             baseline, got,
             "`{name}` × {:?} diverged between sim_threads={} and sim_threads={n}: \

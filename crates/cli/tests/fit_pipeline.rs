@@ -1,9 +1,8 @@
 //! End-to-end trace pipeline: `memhier record` → `memhier fit --trace`
-//! → `memhier optimize --from-fit`.  Recording is engine-thread
-//! invariant (identical trace bytes at any `--sim-threads`), fitting is
-//! chunk-size invariant (identical report bytes at any
-//! `--chunk-records`), and a fit report drives the optimizer exactly
-//! like the equivalent hand-written `--alpha/--beta/--rho` triple.
+//! → `memhier optimize --from-fit`.  Fitting is chunk-size invariant
+//! (identical report bytes at any `--chunk-records`), and a fit report
+//! drives the optimizer exactly like the equivalent hand-written
+//! `--alpha/--beta/--rho` triple.
 
 use memhier_trace::FitReport;
 use std::path::PathBuf;
@@ -26,33 +25,6 @@ fn tmp(name: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
     std::fs::create_dir_all(&dir).expect("create tmp dir");
     dir.join(name)
-}
-
-/// Record the same scenario at 1 and 8 engine threads: the trace files
-/// must be byte-identical (observer order is pinned by the engine's
-/// thread-invariance net), and so must their fits.
-#[test]
-fn recording_is_sim_thread_invariant() {
-    let one = tmp("fft_threads1.mtr");
-    let eight = tmp("fft_threads8.mtr");
-    for (path, threads) in [(&one, "1"), (&eight, "8")] {
-        memhier_stdout(&[
-            "record",
-            "--scenario",
-            "C4:FFT:small",
-            "-o",
-            path.to_str().expect("utf8"),
-            "--sim-threads",
-            threads,
-        ]);
-    }
-    let a = std::fs::read(&one).expect("read trace");
-    let b = std::fs::read(&eight).expect("read trace");
-    assert_eq!(a, b, "trace bytes differ across --sim-threads");
-
-    let fit_a = memhier_stdout(&["fit", "--trace", one.to_str().unwrap(), "--json"]);
-    let fit_b = memhier_stdout(&["fit", "--trace", eight.to_str().unwrap(), "--json"]);
-    assert_eq!(fit_a, fit_b, "fit bytes differ across --sim-threads");
 }
 
 /// The full pipeline: record an FFT run, fit it streaming at several

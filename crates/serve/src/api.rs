@@ -766,6 +766,39 @@ mod tests {
         }
     }
 
+    /// `sim_threads` once selected a second engine.  Bodies written for
+    /// it must keep working: the key is type-checked, then ignored.
+    #[test]
+    fn retired_sim_threads_key_is_accepted_and_ignored() {
+        for (path, without, with) in [
+            (
+                "/v1/simulate",
+                r#"{"config": "C1", "workload": "FFT", "size": "small"}"#,
+                r#"{"config": "C1", "workload": "FFT", "size": "small", "sim_threads": 4}"#,
+            ),
+            (
+                "/v1/sweep",
+                r#"{"configs": ["C1", "C5"], "workloads": ["FFT"]}"#,
+                r#"{"configs": ["C1", "C5"], "workloads": ["FFT"], "sim_threads": 4}"#,
+            ),
+        ] {
+            let plain = handle(&post(path, without), &state(), far_deadline());
+            let legacy = handle(&post(path, with), &state(), far_deadline());
+            assert_eq!(plain.status, 200, "{path}");
+            assert_eq!(legacy.status, 200, "{path}");
+            assert_eq!(plain.body, legacy.body, "{path}");
+
+            let bad = with.replace("\"sim_threads\": 4", "\"sim_threads\": \"x\"");
+            let r = handle(&post(path, &bad), &state(), far_deadline());
+            assert_eq!(r.status, 400, "{path}");
+            let msg = String::from_utf8(r.body).unwrap();
+            assert!(
+                msg.contains("`sim_threads`: must be a non-negative integer"),
+                "{msg}"
+            );
+        }
+    }
+
     #[test]
     fn unknown_route_is_404_get_on_post_route_is_405() {
         let mut req = post("/v1/nothing", "{}");

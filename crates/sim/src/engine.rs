@@ -205,7 +205,8 @@ impl SimSession {
     /// engine in this module; any `n ≥ 1` runs the epoch-parallel engine
     /// (see [`crate::epoch`]) with `n` host threads.  The epoch engine's
     /// results are identical for every `n` — the thread count is a host
-    /// resource knob, never a simulated parameter.
+    /// resource knob, never a simulated parameter.  Nothing above this
+    /// crate selects it but the ledger benchmark and its invariance test.
     pub fn sim_threads(mut self, threads: usize) -> Self {
         self.sim_threads = threads;
         self

@@ -1,9 +1,15 @@
 //! The intra-scenario parallel engine: simulated processors sharded
 //! across host worker threads under deterministic epoch barriers.
 //!
-//! Selected with [`SimSession::sim_threads`](crate::SimSession::sim_threads)
-//! (or `MEMHIER_SIM_THREADS` through the bench runner).  `sim_threads = 0`
-//! keeps the classic conservative engine in `engine.rs`; any `n ≥ 1` runs
+//! Selected only with [`SimSession::sim_threads`](crate::SimSession::sim_threads):
+//! no scenario, sweep, flag or `memhierd` request reaches it, so every
+//! user path runs the classic engine.  It remains as the subject of the
+//! ledger benchmark's `sim.replay_epoch{1,2}_ns_per_ref` metrics and is
+//! to be deleted, with `SimSession::sim_threads` and the
+//! `thread_invariance` tests, in the next change to that benchmark.
+//!
+//! `sim_threads = 0` keeps the classic conservative engine in
+//! `engine.rs`; any `n ≥ 1` runs
 //! **this** engine, and — crucially — runs the *same algorithm* for every
 //! `n`.  The thread count only chooses how the per-processor work of a
 //! phase is distributed over host threads; no simulated decision ever
