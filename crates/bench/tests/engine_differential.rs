@@ -14,13 +14,23 @@
 //! because absolute times drift with model tuning), these snapshots pin
 //! the full `SimReport` JSON: the whole point of the rewrite is that
 //! absolute results do **not** move.
+//!
+//! An ignored release-only test also replays the ledger benchmark's nine
+//! scenarios at medium size with and without an observer: the
+//! observer-free engine runs processors ahead through private L1 hits, and
+//! its reports must equal the per-event path's.
 
 use memhier_bench::runner::{simulate_workload_observed, ObserverConfig, Sizes};
+use memhier_bench::Scenario;
 use memhier_core::machine::{LatencyParams, MachineSpec, NetworkKind};
 use memhier_core::platform::ClusterSpec;
+use memhier_sim::observe::NopObserver;
+use memhier_sim::{ClusterBackend, MemEvent, ProcSource, SimSession};
 use memhier_workloads::registry::WorkloadKind;
+use memhier_workloads::spmd::{collect_events, home_map_for};
 use std::fs;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// The five platform back-ends of the paper's Table 1 (SMP, COW over a
 /// bus, COW over a switch, CLUMP over a bus, CLUMP over a switch).
@@ -237,5 +247,66 @@ fn reports_miss_clump_bigset() {
     let (name, cluster) = &miss_platforms()[1];
     for kind in MISS_WORKLOADS {
         run_one(name, cluster, kind);
+    }
+}
+
+/// The ledger benchmark's nine scenarios (`CONFIG-WORKLOAD`).
+const LEDGER_SCENARIOS: [&str; 9] = [
+    "C5-LU",
+    "C14-Radix",
+    "FT8-Stencil4D",
+    "N4-Inference",
+    "N4-GraphWalk",
+    "FT16-GraphWalk",
+    "C5-FFT",
+    "C13-EDGE",
+    "C10-TPCC",
+];
+
+/// Medium-size pin of the observer-free engine against its per-event
+/// path: an attached observer makes the engine replay strictly in
+/// `(clock, index)` order, while the observer-free run lets processors
+/// run ahead through private L1 hits.  Both must give the same report on
+/// every ledger scenario.  Too slow for a debug build:
+///
+/// ```text
+/// cargo test --release -p memhier-bench --test engine_differential -- --ignored
+/// ```
+#[test]
+#[ignore]
+fn medium_ledger_scenarios_match_the_per_event_path() {
+    for name in LEDGER_SCENARIOS {
+        let (config, workload) = name.split_once('-').expect("CONFIG-WORKLOAD");
+        let s = Scenario::builder()
+            .config_name(config)
+            .workload_name(workload)
+            .size(Sizes::Medium)
+            .build()
+            .expect("valid scenario");
+        let program = s
+            .resolved_workload()
+            .instantiate(s.config.total_procs() as usize);
+        let traces: Vec<Arc<[MemEvent]>> = collect_events(Arc::clone(&program))
+            .into_iter()
+            .map(|(events, _)| Arc::from(events))
+            .collect();
+        let session = || {
+            let home = home_map_for(
+                &*program,
+                s.config.machines as usize,
+                s.config.machine.n_procs as usize,
+                256,
+            );
+            SimSession::new(ClusterBackend::new(&s.config, LatencyParams::paper(), home))
+                .with_sources(
+                    traces
+                        .iter()
+                        .map(|t| ProcSource::shared(t.clone()))
+                        .collect(),
+                )
+        };
+        let fast = session().run().report;
+        let observed = session().observe(NopObserver).run().report;
+        assert_eq!(fast, observed, "{name}: the observer-free report differs");
     }
 }

@@ -243,8 +243,9 @@ impl ClusterBackend {
         self.nodes.iter().map(|n| n.io.busy_cycles()).sum()
     }
 
-    /// L1 hit latency in cycles — the epoch engine applies speculative hits
-    /// outside [`ClusterBackend::access`] and needs the same cost.
+    /// L1 hit latency in cycles — the epoch engine's speculative hits and
+    /// the classic engine's lookahead price hits outside
+    /// [`ClusterBackend::access`] and need the same cost.
     pub(crate) fn hit_latency(&self) -> u64 {
         self.hit_lat
     }
@@ -259,6 +260,26 @@ impl ClusterBackend {
     /// epoch engine's speculative Phase A hits).
     pub(crate) fn add_l1_hits(&mut self, n: u64) {
         self.counts.l1_hits += n;
+    }
+
+    /// Processor `proc`'s L1, read-only — for the classic engine's
+    /// lookahead over a processor's buffered events.
+    pub(crate) fn cache(&self, proc: usize) -> &SetAssocCache {
+        &self.caches[proc]
+    }
+
+    /// Apply a private hit of `proc` (a read hit, or a write hit on a
+    /// Modified line) and return its latency; `None`, touching nothing,
+    /// when the access is not one.  A private hit does exactly what
+    /// [`ClusterBackend::access`] does for it: it refreshes LRU in `proc`'s
+    /// own cache and counts an L1 hit.
+    #[inline]
+    pub(crate) fn private_hit(&mut self, proc: usize, addr: u64, write: bool) -> Option<u64> {
+        if !self.caches[proc].hit_private(addr, write) {
+            return None;
+        }
+        self.counts.l1_hits += 1;
+        Some(self.hit_lat)
     }
 
     fn node_of(&self, proc: usize) -> usize {

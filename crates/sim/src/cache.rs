@@ -76,6 +76,12 @@ pub struct SetAssocCache {
     /// successive lookups' read-modify-writes on independent locations
     /// instead of one serial store-to-load chain.
     ages: Vec<u64>,
+    /// Line-state changes so far: bumped by every `insert`, by a
+    /// `set_state` on a resident line and by a successful `invalidate`,
+    /// never by a hit or a probe.  Two equal readings bracket a span in
+    /// which every hit/miss outcome and line state stayed put — what the
+    /// engine's lookahead over this cache's owner relies on.
+    changes: u64,
 }
 
 /// Outcome of inserting a line: the victim, if a valid line was evicted.
@@ -112,6 +118,7 @@ impl SetAssocCache {
             set_mask: sets as u64 - 1,
             data: vec![0; lines * 2],
             ages: vec![0; sets],
+            changes: 0,
         }
     }
 
@@ -182,6 +189,43 @@ impl SetAssocCache {
         Some(unpack((m & 3) as u8))
     }
 
+    /// Where an access to `addr` is a *private* hit — a read hit in any
+    /// state or a write hit on a Modified line — its set, metadata index
+    /// and metadata word.  Such a hit is serviced by this cache alone and
+    /// changes no line state anywhere.  Forced inline: a call that returns
+    /// the tuple through memory costs run-ahead a third of its gain.
+    #[inline(always)]
+    fn private_way(&self, addr: u64, write: bool) -> Option<(usize, usize, u64)> {
+        let (set, tag) = self.split(addr);
+        let base = set * 2 * self.ways;
+        let (w, m) = self.find(base, tag)?;
+        (!write || m & 3 == ST_MODIFIED as u64).then_some((set, base + self.ways + w, m))
+    }
+
+    /// Whether an access to `addr` is a private hit (see `private_way`).
+    #[inline]
+    pub(crate) fn is_private_hit(&self, addr: u64, write: bool) -> bool {
+        self.private_way(addr, write).is_some()
+    }
+
+    /// [`SetAssocCache::lookup`] for a private hit only: on one, refresh
+    /// LRU and return true; otherwise touch nothing and return false.
+    #[inline]
+    pub(crate) fn hit_private(&mut self, addr: u64, write: bool) -> bool {
+        let Some((set, slot, m)) = self.private_way(addr, write) else {
+            return false;
+        };
+        self.ages[set] += 1;
+        self.data[slot] = self.ages[set] << 2 | (m & 3);
+        true
+    }
+
+    /// Line-state changes so far (see the `changes` field).
+    #[inline]
+    pub(crate) fn changes(&self) -> u64 {
+        self.changes
+    }
+
     /// Set the state of a resident line (no-op if absent).
     #[inline]
     pub fn set_state(&mut self, addr: u64, state: LineState) {
@@ -190,6 +234,7 @@ impl SetAssocCache {
         if let Some((w, m)) = self.find(base, tag) {
             // Replace the state bits, preserving the LRU stamp.
             self.data[base + self.ways + w] = (m & !3) | pack(state) as u64;
+            self.changes += 1;
         }
     }
 
@@ -197,6 +242,7 @@ impl SetAssocCache {
     pub fn insert(&mut self, addr: u64, state: LineState) -> Option<Evicted> {
         let (set, tag) = self.split(addr);
         self.ages[set] += 1;
+        self.changes += 1;
         let age = self.ages[set];
         let tags = set * 2 * self.ways;
         let meta = tags + self.ways;
@@ -244,6 +290,7 @@ impl SetAssocCache {
         let base = set * 2 * self.ways;
         let (w, m) = self.find(base, tag)?;
         self.data[base + self.ways + w] = 0;
+        self.changes += 1;
         Some(unpack((m & 3) as u8))
     }
 
@@ -389,6 +436,70 @@ mod tests {
         // 256 KB, 2-way, 64-byte lines = 2048 sets; must construct.
         let c = SetAssocCache::new(256 * 1024, 2, 64);
         assert_eq!(c.capacity_bytes(), 256 * 1024);
+    }
+
+    #[test]
+    fn private_hit_classification() {
+        let mut c = small();
+        c.insert(0, LineState::Shared);
+        c.insert(64, LineState::Exclusive);
+        c.insert(128, LineState::Modified);
+        for (addr, write_private) in [(0, false), (64, false), (128, true)] {
+            assert!(c.is_private_hit(addr, false), "read hit at {addr}");
+            assert_eq!(
+                c.is_private_hit(addr, true),
+                write_private,
+                "write at {addr}"
+            );
+        }
+        assert!(
+            !c.is_private_hit(4096, false),
+            "a read miss is never private"
+        );
+        assert!(
+            !c.is_private_hit(4096, true),
+            "a write miss is never private"
+        );
+        // The mutating twin agrees and touches nothing when it declines.
+        let before = c.changes();
+        assert!(!c.hit_private(0, true));
+        assert!(!c.hit_private(64, true));
+        assert!(!c.hit_private(4096, false));
+        assert!(c.hit_private(0, false) && c.hit_private(128, true));
+        assert_eq!(c.changes(), before, "private hits change no line state");
+    }
+
+    #[test]
+    fn hit_private_refreshes_lru_like_lookup() {
+        let mut c = small();
+        c.insert(0, LineState::Shared);
+        c.insert(256, LineState::Shared);
+        assert!(c.hit_private(0, false)); // refresh 0 -> 256 is LRU
+        assert!(!c.hit_private(256, true)); // declined: no refresh
+        assert_eq!(c.insert(512, LineState::Shared).unwrap().addr, 256);
+    }
+
+    #[test]
+    fn change_counter_tracks_state_changes_only() {
+        let mut c = small();
+        assert_eq!(c.changes(), 0);
+        c.insert(0, LineState::Shared);
+        assert_eq!(c.changes(), 1, "insert bumps");
+        c.insert(0, LineState::Modified);
+        assert_eq!(c.changes(), 2, "re-insert bumps");
+        c.lookup(0);
+        c.lookup(4096);
+        c.probe(0);
+        c.probe(4096);
+        assert_eq!(c.changes(), 2, "hit, missing lookup and probes do not");
+        c.set_state(0, LineState::Shared);
+        assert_eq!(c.changes(), 3, "set_state on a resident line bumps");
+        c.set_state(4096, LineState::Shared);
+        assert_eq!(c.changes(), 3, "set_state on an absent line is a no-op");
+        assert!(c.invalidate(0).is_some());
+        assert_eq!(c.changes(), 4, "successful invalidate bumps");
+        assert!(c.invalidate(0).is_none());
+        assert_eq!(c.changes(), 4, "failed invalidate does not");
     }
 
     #[test]

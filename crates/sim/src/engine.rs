@@ -10,11 +10,25 @@
 //! The hot loop replays events in **chunks**: each processor's stream is a
 //! flat buffer consumed by cursor (no per-event queue traffic), and the
 //! scheduler is a linear scan over per-processor ready clocks that also
-//! returns the *runner-up* — the winning processor then replays a whole run
-//! of events inline until its clock catches up with the runner-up, which
-//! amortizes scheduling across the run.  Because no other processor's
-//! clock can change while it runs, the event order is exactly the one the
-//! old per-event priority queue produced (min `(clock, index)` first).
+//! returns the *runner-up*.  The winning processor then replays a whole
+//! run of events inline, and a run ends at the processor's next
+//! **coherence event**, not at the runner-up's clock:
+//!
+//! * up to the runner-up's clock every event runs, exactly as a per-event
+//!   priority queue would order it (min `(clock, index)` first);
+//! * past it the run continues through *private* events only — Compute,
+//!   a read hit in any state, a write hit on a Modified line — while
+//!   `(clock, i) < (H_k, k)` holds for every other runnable processor
+//!   `k`, where `H_k` is a lower bound on the issue clock of `k`'s next
+//!   non-private event, found by probing `k`'s own cache over its
+//!   buffered events.
+//!
+//! Under write-invalidate a private event touches nothing but the issuing
+//! processor's own LRU stamps and the commutative L1-hit count, and no
+//! other processor's state-changing event can fall before it, so the
+//! result is bit-identical to the per-event order.  Misses, upgrades and
+//! every observed run keep that exact order; barrier arrival is
+//! order-free, since release waits for every processor.
 //!
 //! The entry point is the [`SimSession`] builder: backend + one source per
 //! processor + any number of [`SimObserver`] taps.  With no observers the
@@ -30,6 +44,7 @@
 //! which upholds it).
 
 use crate::backend::ClusterBackend;
+use crate::cache::SetAssocCache;
 use crate::event::MemEvent;
 use crate::observe::{AccessObservation, BarrierObservation, ServiceLevel, SimObserver};
 use crate::report::{LevelCounts, SimReport};
@@ -95,6 +110,121 @@ struct ProcState {
     refs: u64,
     finished: bool,
     at_barrier: bool,
+    /// This processor's horizon, as other processors' runs see it.
+    ahead: Lookahead,
+    /// Backs off this processor's own run-ahead attempts after ones that
+    /// gained nothing.
+    run_ahead: Backoff,
+}
+
+/// Events one lookahead request reads at most before it settles for the
+/// bound it has; a later request goes on from there.
+const SCAN_EVENTS: usize = 128;
+
+/// A fresh scan that stops within this many events counts as a failure
+/// for the lookahead's backoff.
+const SHORT_SCAN: usize = 4;
+
+/// Most requests one backoff declines in a row.
+const MAX_BACKOFF: u32 = 64;
+
+/// Exponential backoff: after a failure the next 1, 3, 7, … (at most
+/// [`MAX_BACKOFF`]) requests are declined; a success resets it.
+#[derive(Default)]
+struct Backoff {
+    level: u32,
+    skip: u32,
+}
+
+impl Backoff {
+    /// Whether to decline this request, counting it against the skip.
+    #[inline]
+    fn declines(&mut self) -> bool {
+        let decline = self.skip > 0;
+        self.skip -= decline as u32;
+        decline
+    }
+
+    fn record(&mut self, success: bool) {
+        if success {
+            self.level = 0;
+        } else {
+            self.level = (2 * self.level + 1).min(MAX_BACKOFF);
+            self.skip = self.level;
+        }
+    }
+}
+
+/// A processor's cached horizon: every buffered event from its cursor up
+/// to `pos` is private, so its next non-private event issues at `clock`
+/// or later.
+///
+/// The cache stays valid while the processor's clock is below `clock`
+/// (it has not reached `pos`, so it has not refilled its buffer either)
+/// and its L1 has made no state change since the scan (`changes`).  A
+/// private event's outcome depends on nothing else.
+#[derive(Default)]
+struct Lookahead {
+    pos: usize,
+    clock: u64,
+    /// The L1's [`SetAssocCache::changes`] reading the scan was made under.
+    changes: u64,
+    /// Whether the scan may go on from `pos`: false once it met a
+    /// non-private event, a barrier or the end of the buffer.
+    open: bool,
+    /// Declines fresh scans after ones that stopped within [`SHORT_SCAN`]
+    /// events; a declined request answers with the processor's clock.
+    backoff: Backoff,
+}
+
+/// Whether `e` is private for the processor owning `cache`: Compute, a
+/// read hit, or a write hit on a Modified line.
+#[inline(always)]
+fn is_private(cache: &SetAssocCache, e: MemEvent) -> bool {
+    match e {
+        MemEvent::Compute(_) => true,
+        MemEvent::Read(a) => cache.is_private_hit(a, false),
+        MemEvent::Write(a) => cache.is_private_hit(a, true),
+        MemEvent::Barrier => false,
+    }
+}
+
+/// Lower bound on the issue clock of `p`'s next non-private event, given
+/// its L1 `cache` (see [`Lookahead`]).  Read-only on the simulated state.
+fn horizon(p: &mut ProcState, cache: &SetAssocCache, hit_lat: u64) -> u64 {
+    let la = &mut p.ahead;
+    let fresh = la.changes != cache.changes() || la.clock <= p.clock;
+    if fresh {
+        if la.backoff.declines() {
+            return p.clock;
+        }
+        la.pos = p.pos;
+        la.clock = p.clock;
+        la.changes = cache.changes();
+        la.open = true;
+    }
+    if !la.open {
+        return la.clock;
+    }
+    let slice = p.buf.as_slice();
+    let start = la.pos;
+    let end = slice.len().min(start + SCAN_EVENTS);
+    let mut clock = la.clock;
+    let mut q = start;
+    while q < end && is_private(cache, slice[q]) {
+        clock += match slice[q] {
+            MemEvent::Compute(k) => k as u64,
+            _ => 1 + hit_lat,
+        };
+        q += 1;
+    }
+    la.open = q == end && q < slice.len();
+    la.pos = q;
+    la.clock = clock;
+    if fresh {
+        la.backoff.record(la.open || q - start >= SHORT_SCAN);
+    }
+    clock
 }
 
 impl ProcState {
@@ -113,6 +243,8 @@ impl ProcState {
             refs: 0,
             finished: false,
             at_barrier: false,
+            ahead: Lookahead::default(),
+            run_ahead: Backoff::default(),
         }
     }
 
@@ -422,11 +554,17 @@ impl Engine {
             // Replay a run: processor i stays first in (clock, index)
             // order until its clock passes the runner-up's — no other
             // clock moves meanwhile, so this is exactly the order a
-            // per-event priority queue would produce.
+            // per-event priority queue would produce.  Unobserved, the
+            // run then goes on through private events (see `run_ahead`).
             let end = if observing {
                 self.run_observed(i, si, sc)
             } else {
-                self.run_fast(i, si, sc)
+                match self.run_fast(i, si, sc) {
+                    RunEnd::Yield if !self.procs[i].run_ahead.declines() => {
+                        self.run_ahead(i, si, &keys)
+                    }
+                    end => end,
+                }
             };
             match end {
                 RunEnd::Yield => keys[i] = self.procs[i].clock,
@@ -521,6 +659,97 @@ impl Engine {
         p.instructions = instructions;
         p.refs = refs;
         end
+    }
+
+    /// Carry processor `i` on past the classic limit through private
+    /// events — Compute, a read hit, a write hit on a Modified line — while
+    /// each one's issue clock `c` keeps `(c, i) < (H_k, k)` for every other
+    /// runnable processor `k`.  Such an event touches only `i`'s own LRU
+    /// stamps and the L1-hit count, and no other processor's
+    /// state-changing event falls before it, so running it now instead of
+    /// in `(clock, index)` order changes nothing.  The run ends at `i`'s
+    /// next non-private event, at a barrier (arrival is order-free) or at
+    /// the end of its buffer.
+    ///
+    /// The lookahead has to pay for itself: nothing is scanned unless the
+    /// event that stopped the run is itself private, and attempts back
+    /// off after ones that gained nothing (the caller asks the backoff
+    /// first, so the scheduling loop inlines only that check).
+    #[inline(never)]
+    fn run_ahead(&mut self, i: usize, si: usize, keys: &[u64]) -> RunEnd {
+        let p = &self.procs[i];
+        let next = p.buf.as_slice().get(p.pos);
+        if !next.is_some_and(|&e| is_private(self.backend.cache(i), e)) {
+            return RunEnd::Yield;
+        }
+        let limit = self.run_ahead_limit(i, si, keys);
+        let backend = &mut self.backend;
+        let p = &mut self.procs[i];
+        let slice = p.buf.as_slice();
+        let mut pos = p.pos;
+        let mut clock = p.clock;
+        let mut instructions = p.instructions;
+        let mut refs = p.refs;
+        let mut end = RunEnd::Yield;
+        while clock <= limit {
+            let Some(&e) = slice.get(pos) else { break };
+            match e {
+                MemEvent::Read(a) | MemEvent::Write(a) => {
+                    let write = matches!(e, MemEvent::Write(_));
+                    let Some(lat) = backend.private_hit(i, a, write) else {
+                        break;
+                    };
+                    clock += 1 + lat;
+                    instructions += 1;
+                    refs += 1;
+                }
+                MemEvent::Compute(k) => {
+                    clock += k as u64;
+                    instructions += k as u64;
+                }
+                MemEvent::Barrier => {
+                    pos += 1;
+                    p.at_barrier = true;
+                    end = RunEnd::Barrier;
+                    break;
+                }
+            }
+            pos += 1;
+        }
+        p.run_ahead.record(pos > p.pos);
+        p.pos = pos;
+        p.clock = clock;
+        p.instructions = instructions;
+        p.refs = refs;
+        end
+    }
+
+    /// The latest issue clock `c` with `(c, i) < (H_k, k)` for every other
+    /// runnable processor `k`.  The runner-up `si` binds most often, so its
+    /// horizon comes first; a processor whose clock alone cannot lower the
+    /// limit is never scanned, and the search stops once the limit falls
+    /// below `i`'s clock.  `h - 1` cannot underflow: a runnable `k < i`
+    /// lost the scheduling scan to `i`, so its clock, and `H_k`, are ≥ 1.
+    fn run_ahead_limit(&mut self, i: usize, si: usize, keys: &[u64]) -> u64 {
+        debug_assert!(si != i && keys[si] != PARKED);
+        let hit_lat = self.backend.hit_latency();
+        let bound = |h: u64, k: usize| if i < k { h } else { h - 1 };
+        let clock = self.procs[i].clock;
+        let mut limit = bound(
+            horizon(&mut self.procs[si], self.backend.cache(si), hit_lat),
+            si,
+        );
+        for (k, &key) in keys.iter().enumerate() {
+            if clock > limit {
+                break;
+            }
+            if k == i || k == si || key == PARKED || bound(key, k) >= limit {
+                continue;
+            }
+            let h = horizon(&mut self.procs[k], self.backend.cache(k), hit_lat);
+            limit = limit.min(bound(h, k));
+        }
+        limit
     }
 
     /// The same run loop with per-access observer snapshots.  Kept as a

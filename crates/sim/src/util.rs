@@ -105,9 +105,8 @@ pub struct LruSet<K: Eq + Hash + Copy> {
 const NONE: usize = usize::MAX;
 
 impl<K: Eq + Hash + Copy> LruSet<K> {
-    /// New LRU set holding at most `capacity` keys (capacity 0 means the
-    /// set rejects everything and `insert` evicts the inserted key's
-    /// predecessor immediately — callers should avoid 0).
+    /// New LRU set holding at most `capacity` keys.  A capacity of 0 is
+    /// raised to 1: the set then holds just the most recently inserted key.
     pub fn new(capacity: usize) -> Self {
         LruSet {
             capacity: capacity.max(1),
@@ -261,6 +260,16 @@ mod tests {
         assert!(l.contains(&1));
         assert!(!l.contains(&2));
         assert!(l.contains(&3) && l.contains(&4));
+    }
+
+    #[test]
+    fn lru_zero_capacity_holds_one_key() {
+        let mut l = LruSet::new(0);
+        assert_eq!(l.insert(1), None, "the first key is kept");
+        assert!(l.contains(&1) && l.touch(1));
+        assert_eq!(l.insert(2), Some(1), "the next one evicts it");
+        assert!(l.contains(&2) && !l.contains(&1));
+        assert_eq!(l.len(), 1);
     }
 
     #[test]
