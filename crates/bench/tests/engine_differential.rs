@@ -15,10 +15,11 @@
 //! the full `SimReport` JSON: the whole point of the rewrite is that
 //! absolute results do **not** move.
 //!
-//! An ignored release-only test also replays the ledger benchmark's nine
-//! scenarios at medium size with and without an observer: the
-//! observer-free engine runs processors ahead through private L1 hits, and
-//! its reports must equal the per-event path's.
+//! Ignored release-only tests pin the paper-size FT16-GraphWalk report
+//! (re-blessed the same way, with `-- --ignored`) and replay the ledger
+//! benchmark's nine scenarios at medium size with and without an
+//! observer: the observer-free engine runs processors ahead through
+//! private L1 hits, and its reports must equal the per-event path's.
 
 use memhier_bench::runner::{simulate_workload_observed, ObserverConfig, Sizes};
 use memhier_bench::Scenario;
@@ -26,7 +27,7 @@ use memhier_core::machine::{LatencyParams, MachineSpec, NetworkKind};
 use memhier_core::platform::ClusterSpec;
 use memhier_sim::observe::NopObserver;
 use memhier_sim::{ClusterBackend, MemEvent, ProcSource, SimSession};
-use memhier_workloads::registry::WorkloadKind;
+use memhier_workloads::registry::{Workload, WorkloadKind};
 use memhier_workloads::spmd::{collect_events, home_map_for};
 use std::fs;
 use std::path::PathBuf;
@@ -103,6 +104,41 @@ fn miss_platforms() -> Vec<(&'static str, ClusterSpec)> {
 /// (scattered histogram writes) and the TPC-C-like commercial mix.
 const MISS_WORKLOADS: [WorkloadKind; 2] = [WorkloadKind::Radix, WorkloadKind::Tpcc];
 
+/// Memory-pressure platforms: 2 MB machines (512 pages of 4 KB, a
+/// 4,096-block remote cache).  With [`PRESSURE_RADIX`] they pin page
+/// eviction (all three), remote-block eviction (COW and CLUMP) and dirty
+/// writebacks of evicted remote blocks (CLUMP) end to end, which the
+/// 128 MB `miss_*` machines never reach.
+fn pressure_platforms() -> Vec<(&'static str, ClusterSpec)> {
+    vec![
+        (
+            "pressure_smp",
+            ClusterSpec::single(MachineSpec::new(4, 256, 2, 200.0)),
+        ),
+        (
+            "pressure_cow",
+            ClusterSpec::cluster(MachineSpec::new(1, 256, 2, 200.0), 4, NetworkKind::Atm155),
+        ),
+        (
+            "pressure_clump",
+            ClusterSpec::cluster(
+                MachineSpec::new(2, 256, 2, 200.0),
+                2,
+                NetworkKind::Ethernet100,
+            ),
+        ),
+    ]
+}
+
+/// Radix at four times the medium key count: about 8 MB of keys, so a
+/// 2 MB machine pages and a cluster node overflows its remote cache.
+/// Small Radix touches 66 pages and never evicts anything.
+const PRESSURE_RADIX: Workload = Workload::Radix {
+    keys: 512 * 1024,
+    radix: 1024,
+    key_bits: 20,
+};
+
 /// The registry-redesign back-ends: a NUMA-aware SMP (two memory
 /// domains behind one coherence fabric) and a multi-rack fat-tree COW
 /// (8 single-processor nodes, 4 per rack).
@@ -156,8 +192,12 @@ fn check_report(name: &str, actual: &str) {
 }
 
 fn run_one(plat_name: &str, cluster: &ClusterSpec, kind: WorkloadKind) {
+    run_workload(plat_name, cluster, &Sizes::Small.workload(kind));
+}
+
+fn run_workload(plat_name: &str, cluster: &ClusterSpec, workload: &Workload) {
     let run = simulate_workload_observed(
-        &Sizes::Small.workload(kind),
+        workload,
         cluster,
         &LatencyParams::paper(),
         &ObserverConfig::default(),
@@ -168,10 +208,17 @@ fn run_one(plat_name: &str, cluster: &ClusterSpec, kind: WorkloadKind) {
     check_report(
         &format!(
             "{plat_name}_{}",
-            kind.name().to_ascii_lowercase().replace('-', "")
+            workload.kind().name().to_ascii_lowercase().replace('-', "")
         ),
         &json,
     );
+}
+
+/// A pressure platform runs [`PRESSURE_RADIX`] and small TPC-C.
+fn run_pressure(index: usize) {
+    let (name, cluster) = &pressure_platforms()[index];
+    run_workload(name, cluster, &PRESSURE_RADIX);
+    run_one(name, cluster, WorkloadKind::Tpcc);
 }
 
 // One test per platform so failures localize and the four kernels of a
@@ -248,6 +295,43 @@ fn reports_miss_clump_bigset() {
     for kind in MISS_WORKLOADS {
         run_one(name, cluster, kind);
     }
+}
+
+#[test]
+fn reports_pressure_smp() {
+    run_pressure(0);
+}
+
+#[test]
+fn reports_pressure_cow() {
+    run_pressure(1);
+}
+
+#[test]
+fn reports_pressure_clump() {
+    run_pressure(2);
+}
+
+/// The slowest ledger scenario at paper size, byte for byte: its
+/// remote-block and page LRU sets see millions of touches.  This is the
+/// report `memhier simulate --config FT16 --workload GraphWalk --paper
+/// --json` prints.  Too slow for a debug build:
+///
+/// ```text
+/// cargo test --release -p memhier-bench --test engine_differential -- --ignored
+/// ```
+#[test]
+#[ignore]
+fn paper_ft16_graphwalk_report() {
+    let s = Scenario::builder()
+        .config_name("FT16")
+        .workload_name("GraphWalk")
+        .size(Sizes::Paper)
+        .build()
+        .expect("valid scenario");
+    let mut json = serde_json::to_string_pretty(&s.run().run.report).expect("serialize report");
+    json.push('\n');
+    check_report("ft16_graphwalk_paper", &json);
 }
 
 /// The ledger benchmark's nine scenarios (`CONFIG-WORKLOAD`).

@@ -64,9 +64,9 @@ struct Node {
     /// The I/O bus / disk.
     io: Resource,
     /// Local memory acting as an LRU cache of remote blocks.
-    remote_cache: LruSet<u64>,
+    remote_cache: LruSet,
     /// Resident pages of locally-homed data.
-    residency: LruSet<u64>,
+    residency: LruSet,
 }
 
 /// The unified cluster memory-system simulator.

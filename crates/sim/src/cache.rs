@@ -7,11 +7,13 @@
 //! bytes, so a lookup touches a single cache line of tile data.  Set and
 //! tag extraction are pure shift/mask arithmetic — the line size and set
 //! count are powers of two, so the hot `lookup` never divides and never
-//! allocates.  Stamps come from per-set age counters bumped on every
-//! `lookup` and `insert`; they are only ever compared *within* a set and
-//! each touch stamps uniquely, so the per-set LRU victim order is exactly
-//! the order of touches — the same order any strictly-increasing clock
-//! (global or per-set) would produce.
+//! allocates.  The tile carries its own LRU order: a touch stamps the
+//! line one past the newest stamp already in its tile, read from the
+//! metadata words the lookup just loaded.  Stamps are only ever compared
+//! *within* a set, and each new stamp exceeds every live stamp there, so
+//! the per-set LRU victim order is exactly the order of touches — the
+//! same order any strictly-increasing clock (global or per-set) would
+//! produce.
 
 /// Coherence state of a cache line (write-invalidate MESI).
 ///
@@ -67,15 +69,12 @@ pub struct SetAssocCache {
     /// Tiled line storage: set `s` occupies `data[s*2*ways ..]` — first
     /// `ways` words are tags, the next `ways` words are packed metadata
     /// (`stamp << 2 | state`, state 0 = invalid, bigger stamp = more
-    /// recent *within its set*).
+    /// recent *within its set*).  A touch (a lookup or private hit, an
+    /// insert) stamps its line one past the newest stamp in the tile, so
+    /// live stamps in a set are distinct and ordered by last touch.  A
+    /// stamp never exceeds the number of touches its set has had, so the
+    /// 62 stamp bits cannot overflow.
     data: Vec<u64>,
-    /// Monotonic age counter per set, bumped on every lookup and insert.
-    /// Stamps are only ever *compared* within a set, and each touch
-    /// stamps uniquely, so any strictly-increasing clock (global or
-    /// per-set) yields the same LRU victim order; per-set counters keep
-    /// successive lookups' read-modify-writes on independent locations
-    /// instead of one serial store-to-load chain.
-    ages: Vec<u64>,
     /// Line-state changes so far: bumped by every `insert`, by a
     /// `set_state` on a resident line and by a successful `invalidate`,
     /// never by a hit or a probe.  Two equal readings bracket a span in
@@ -117,7 +116,6 @@ impl SetAssocCache {
             set_shift: sets.trailing_zeros(),
             set_mask: sets as u64 - 1,
             data: vec![0; lines * 2],
-            ages: vec![0; sets],
             changes: 0,
         }
     }
@@ -168,15 +166,39 @@ impl SetAssocCache {
         None
     }
 
+    /// The largest metadata word of set tile `data[base..]`: its newest
+    /// line's stamp, shifted, plus that line's state bits (0 for a tile
+    /// with no valid line).  Stamps dominate the comparison, so this is
+    /// the newest line's word.  Two ways take one `max` of two adjacent
+    /// words, as in `find`: through the generic loop, a random hit on a
+    /// 2-way cache ran slower than with the per-set counter this replaced
+    /// (PERF.md, *Struct-of-arrays caches*).
+    #[inline(always)]
+    fn newest(&self, base: usize) -> u64 {
+        if self.ways == 2 {
+            let t = &self.data[base + 2..base + 4];
+            return t[0].max(t[1]);
+        }
+        let meta = &self.data[base + self.ways..base + 2 * self.ways];
+        meta.iter().copied().max().unwrap_or(0)
+    }
+
+    /// The word for a line with `state` bits touched now in tile `base`:
+    /// one past the tile's newest stamp.  A hit on the line that already
+    /// is the newest restamps it too: skipping that write costs a branch
+    /// that random hits mispredict half the time.
+    #[inline(always)]
+    fn stamped(&self, base: usize, state: u64) -> u64 {
+        ((self.newest(base) >> 2) + 1) << 2 | state
+    }
+
     /// Look up `addr`; a hit refreshes LRU and returns the line state.
     #[inline]
     pub fn lookup(&mut self, addr: u64) -> Option<LineState> {
         let (set, tag) = self.split(addr);
-        self.ages[set] += 1;
-        let age = self.ages[set];
         let base = set * 2 * self.ways;
         let (w, m) = self.find(base, tag)?;
-        self.data[base + self.ways + w] = age << 2 | (m & 3);
+        self.data[base + self.ways + w] = self.stamped(base, m & 3);
         Some(unpack((m & 3) as u8))
     }
 
@@ -190,16 +212,16 @@ impl SetAssocCache {
     }
 
     /// Where an access to `addr` is a *private* hit — a read hit in any
-    /// state or a write hit on a Modified line — its set, metadata index
-    /// and metadata word.  Such a hit is serviced by this cache alone and
-    /// changes no line state anywhere.  Forced inline: a call that returns
+    /// state or a write hit on a Modified line — its tile base, metadata
+    /// index and metadata word.  Such a hit is serviced by this cache
+    /// alone and changes no line state anywhere.  Forced inline: a call that returns
     /// the tuple through memory costs run-ahead a third of its gain.
     #[inline(always)]
     fn private_way(&self, addr: u64, write: bool) -> Option<(usize, usize, u64)> {
         let (set, tag) = self.split(addr);
         let base = set * 2 * self.ways;
         let (w, m) = self.find(base, tag)?;
-        (!write || m & 3 == ST_MODIFIED as u64).then_some((set, base + self.ways + w, m))
+        (!write || m & 3 == ST_MODIFIED as u64).then_some((base, base + self.ways + w, m))
     }
 
     /// Whether an access to `addr` is a private hit (see `private_way`).
@@ -212,11 +234,10 @@ impl SetAssocCache {
     /// LRU and return true; otherwise touch nothing and return false.
     #[inline]
     pub(crate) fn hit_private(&mut self, addr: u64, write: bool) -> bool {
-        let Some((set, slot, m)) = self.private_way(addr, write) else {
+        let Some((base, slot, m)) = self.private_way(addr, write) else {
             return false;
         };
-        self.ages[set] += 1;
-        self.data[slot] = self.ages[set] << 2 | (m & 3);
+        self.data[slot] = self.stamped(base, m & 3);
         true
     }
 
@@ -241,14 +262,13 @@ impl SetAssocCache {
     /// Insert `addr` with `state`, evicting the set's LRU line if needed.
     pub fn insert(&mut self, addr: u64, state: LineState) -> Option<Evicted> {
         let (set, tag) = self.split(addr);
-        self.ages[set] += 1;
         self.changes += 1;
-        let age = self.ages[set];
         let tags = set * 2 * self.ways;
         let meta = tags + self.ways;
+        let word = self.stamped(tags, pack(state) as u64);
         // Already present: update in place.
         if let Some((w, _)) = self.find(tags, tag) {
-            self.data[meta + w] = age << 2 | pack(state) as u64;
+            self.data[meta + w] = word;
             return None;
         }
         // Pick an invalid way or the LRU way.  Comparing packed metadata
@@ -279,7 +299,7 @@ impl SetAssocCache {
             None
         };
         self.data[tags + victim] = tag;
-        self.data[meta + victim] = age << 2 | pack(state) as u64;
+        self.data[meta + victim] = word;
         evicted
     }
 
@@ -322,6 +342,149 @@ impl SetAssocCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Reference cache: per set, a recency list of `(line address,
+    /// state)`, most recent first, with the same change counting.
+    struct RecencyModel {
+        sets: Vec<Vec<(u64, LineState)>>,
+        ways: usize,
+        changes: u64,
+    }
+
+    impl RecencyModel {
+        fn set(&mut self, line: u64) -> &mut Vec<(u64, LineState)> {
+            let n = self.sets.len() as u64;
+            &mut self.sets[(line / 64 % n) as usize]
+        }
+
+        fn position(&mut self, line: u64) -> Option<usize> {
+            self.set(line).iter().position(|&(a, _)| a == line)
+        }
+
+        fn lookup(&mut self, line: u64) -> Option<LineState> {
+            let p = self.position(line)?;
+            let entry = self.set(line).remove(p);
+            self.set(line).insert(0, entry);
+            Some(entry.1)
+        }
+
+        fn probe(&mut self, line: u64) -> Option<LineState> {
+            let p = self.position(line)?;
+            Some(self.set(line)[p].1)
+        }
+
+        fn hit_private(&mut self, line: u64, write: bool) -> bool {
+            match self.probe(line) {
+                Some(st) if !write || st == LineState::Modified => {
+                    self.lookup(line);
+                    true
+                }
+                _ => false,
+            }
+        }
+
+        fn insert(&mut self, line: u64, state: LineState) -> Option<Evicted> {
+            self.changes += 1;
+            let ways = self.ways;
+            if let Some(p) = self.position(line) {
+                self.set(line).remove(p);
+                self.set(line).insert(0, (line, state));
+                return None;
+            }
+            let set = self.set(line);
+            let victim = (set.len() == ways).then(|| set.pop().expect("full set"));
+            set.insert(0, (line, state));
+            victim.map(|(addr, state)| Evicted { addr, state })
+        }
+
+        fn set_state(&mut self, line: u64, state: LineState) {
+            if let Some(p) = self.position(line) {
+                self.set(line)[p].1 = state;
+                self.changes += 1;
+            }
+        }
+
+        fn invalidate(&mut self, line: u64) -> Option<LineState> {
+            let p = self.position(line)?;
+            self.changes += 1;
+            Some(self.set(line).remove(p).1)
+        }
+    }
+
+    const STATES: [LineState; 3] = [LineState::Shared, LineState::Exclusive, LineState::Modified];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every operation, op by op, against the per-set recency lists:
+        /// equal results, equal victims and equal `changes()` readings,
+        /// so the tile-local stamps order each set exactly as a recency
+        /// list does.  One set of eight ways is a fully-associative LRU.
+        #[test]
+        fn multi_set_cache_matches_recency_model(
+            ways in prop_oneof![Just(1usize), Just(2), Just(4), Just(8)],
+            sets in prop_oneof![Just(1usize), Just(2), Just(8)],
+            lines_per_set in 2u64..20,
+            ops in proptest::collection::vec(
+                (0u8..8, 0u64..1 << 16, 0u8..3, any::<bool>()),
+                1..1500,
+            ),
+        ) {
+            let mut c = SetAssocCache::new((sets * ways * 64) as u64, ways, 64);
+            let mut m = RecencyModel { sets: vec![Vec::new(); sets], ways, changes: 0 };
+            let footprint = sets as u64 * lines_per_set;
+            for (step, &(op, raw, st, write)) in ops.iter().enumerate() {
+                // Few enough distinct lines per set to keep hits common;
+                // any byte within the line.
+                let line = raw % footprint * 64;
+                let addr = line + raw / footprint % 64;
+                let state = STATES[st as usize];
+                let (got, want) = match op {
+                    0 | 1 => (
+                        format!("{:?}", c.lookup(addr)),
+                        format!("{:?}", m.lookup(line)),
+                    ),
+                    2 => (
+                        format!("{:?}", c.probe(addr)),
+                        format!("{:?}", m.probe(line)),
+                    ),
+                    3 => (
+                        format!("{:?}", c.hit_private(addr, write)),
+                        format!("{:?}", m.hit_private(line, write)),
+                    ),
+                    4 | 5 => (
+                        format!("{:?}", c.insert(addr, state)),
+                        format!("{:?}", m.insert(line, state)),
+                    ),
+                    6 => {
+                        c.set_state(addr, state);
+                        m.set_state(line, state);
+                        (String::new(), String::new())
+                    }
+                    _ if write => (
+                        format!("{:?}", c.invalidate(addr)),
+                        format!("{:?}", m.invalidate(line)),
+                    ),
+                    _ => {
+                        // A 256-byte block: four lines, possibly in
+                        // different sets.
+                        let block = line & !255;
+                        let mut want = (0u32, false);
+                        for a in (block..block + 256).step_by(64) {
+                            if let Some(st) = m.invalidate(a) {
+                                want.0 += 1;
+                                want.1 |= st == LineState::Modified;
+                            }
+                        }
+                        (format!("{:?}", c.invalidate_range(block, 256)), format!("{want:?}"))
+                    }
+                };
+                prop_assert_eq!(got, want, "step {} op {} addr {}", step, op, addr);
+                prop_assert_eq!(c.changes(), m.changes, "step {} op {}", step, op);
+            }
+        }
+    }
 
     fn small() -> SetAssocCache {
         // 8 lines of 64 B, 2-way => 4 sets.

@@ -28,6 +28,8 @@
 //! equivalence is pinned by a property test in
 //! `crates/sim/tests/dirtable_model.rs` against a naive map-based model.
 
+use crate::util::splitmix64;
+
 /// Slots per tile; one tile is `2 * LANES` contiguous `u64`s.
 const LANES: usize = 8;
 
@@ -108,15 +110,6 @@ impl DirTable {
         self.len == 0
     }
 
-    /// splitmix64 finalizer — same mixing as `util::FastHasher`.
-    #[inline]
-    fn hash(key: u64) -> u64 {
-        let mut z = key ^ 0x9E37_79B9_7F4A_7C15;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     /// `(key_index, meta_index)` of slot `i` in the tiled layout.
     #[inline]
     fn lanes(&self, i: usize) -> (usize, usize) {
@@ -129,7 +122,7 @@ impl DirTable {
     /// Look up `key`.
     #[inline]
     pub fn get(&self, key: u64) -> Option<DirEntry> {
-        let mut i = Self::hash(key) as usize & self.mask;
+        let mut i = splitmix64(key) as usize & self.mask;
         loop {
             let (ki, mi) = self.lanes(i);
             let meta = self.data[mi];
@@ -152,7 +145,7 @@ impl DirTable {
             self.grow();
         }
         let packed = entry.pack();
-        let mut i = Self::hash(key) as usize & self.mask;
+        let mut i = splitmix64(key) as usize & self.mask;
         let mut grave: Option<usize> = None;
         loop {
             let (ki, mi) = self.lanes(i);
@@ -186,7 +179,7 @@ impl DirTable {
     /// Remove `key`; returns the entry it held, if any.
     #[inline]
     pub fn remove(&mut self, key: u64) -> Option<DirEntry> {
-        let mut i = Self::hash(key) as usize & self.mask;
+        let mut i = splitmix64(key) as usize & self.mask;
         loop {
             let (ki, mi) = self.lanes(i);
             let meta = self.data[mi];
