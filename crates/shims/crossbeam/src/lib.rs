@@ -3,28 +3,81 @@
 //! `recv_timeout`, and crossbeam's disconnection semantics (a `recv` on
 //! an empty channel whose senders are all dropped returns `Err`).
 //!
-//! Built on `std::sync::{Mutex, Condvar}` — slower than real crossbeam
-//! but semantically equivalent for the engine's one-producer-per-channel
-//! streaming design.
+//! Built on `std::sync::{Mutex, Condvar}`, so slower than real
+//! crossbeam: every operation takes the lock, and every wake-up is a
+//! system call and usually a context switch, where crossbeam spins
+//! briefly before it parks.  Batched payloads amortize the lock, and the
+//! wake policy below keeps the wake-ups few.
+//!
+//! **Wake policy.**  The channel counts, under its mutex, the senders
+//! blocked on a full queue and the receivers blocked on an empty one,
+//! and signals a condition variable only when that count is non-zero:
+//!
+//! * a push wakes one blocked receiver;
+//! * a pop (`recv`, `recv_timeout`, `try_recv`) releases the blocked
+//!   senders only once the queue has drained to `cap / 2`.  A producer
+//!   that filled a shallow queue then refills half of it per wake-up,
+//!   instead of being woken (and switched to) once per item.  A release
+//!   wakes every blocked sender, and a sender that wakes before one
+//!   (spuriously) goes back to waiting.
+//!
+//! The progress guarantees are crossbeam's, save the half-drain delay:
+//! `send` returns as soon as there is room unless it is already blocked,
+//! a blocked sender resumes by the time its queue has drained to half,
+//! and a blocked receiver resumes on the first push.  Disconnection
+//! wakes every blocked thread on the other side.
 
 pub mod channel {
     use std::collections::VecDeque;
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard};
     use std::time::{Duration, Instant};
 
     struct State<T> {
         queue: VecDeque<T>,
         senders: usize,
         receivers: usize,
+        /// Senders waiting on `not_full` and not yet released.
+        blocked_senders: usize,
+        /// Receivers waiting on `not_empty`.
+        blocked_receivers: usize,
+        /// Sender releases so far; a blocked sender waits for this to
+        /// move past the value it blocked at.
+        releases: u64,
     }
 
     struct Inner<T> {
         cap: usize,
         state: Mutex<State<T>>,
-        /// Signaled when an item is pushed or all senders drop.
+        /// Signaled by a push while a receiver is blocked, and when all
+        /// senders drop.
         not_empty: Condvar,
-        /// Signaled when an item is popped or all receivers drop.
+        /// Signaled by a pop that leaves the queue at most half full
+        /// while a sender is blocked, and when all receivers drop.
         not_full: Condvar,
+    }
+
+    impl<T> Inner<T> {
+        fn lock(&self) -> MutexGuard<'_, State<T>> {
+            self.state
+                .lock()
+                .expect("channel mutex poisoned by a panicking thread")
+        }
+
+        /// Pop the front item of a non-empty queue; release the blocked
+        /// senders once the queue has drained to half.
+        fn pop(&self, mut st: MutexGuard<'_, State<T>>) -> T {
+            let v = st.queue.pop_front().expect("pop on a non-empty queue");
+            let release = st.blocked_senders > 0 && st.queue.len() <= self.cap / 2;
+            if release {
+                st.blocked_senders = 0;
+                st.releases = st.releases.wrapping_add(1);
+            }
+            drop(st);
+            if release {
+                self.not_full.notify_all();
+            }
+            v
+        }
     }
 
     /// Error returned by [`Sender::send`] when all receivers are gone;
@@ -63,6 +116,9 @@ pub mod channel {
                 queue: VecDeque::new(),
                 senders: 1,
                 receivers: 1,
+                blocked_senders: 0,
+                blocked_receivers: 0,
+                releases: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -77,20 +133,31 @@ pub mod channel {
 
     impl<T> Sender<T> {
         /// Block until there is room, then enqueue; `Err` if every
-        /// receiver has been dropped.
+        /// receiver has been dropped.  Once blocked, a sender waits for
+        /// the queue to drain to half before it tries again.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            let mut st = self.inner.state.lock().unwrap();
+            let inner = &*self.inner;
+            let mut st = inner.lock();
+            // `releases` when this sender last blocked.
+            let mut blocked_at = None;
             loop {
                 if st.receivers == 0 {
                     return Err(SendError(value));
                 }
-                if st.queue.len() < self.inner.cap {
-                    st.queue.push_back(value);
-                    drop(st);
-                    self.inner.not_empty.notify_one();
-                    return Ok(());
+                if blocked_at != Some(st.releases) {
+                    if st.queue.len() < inner.cap {
+                        st.queue.push_back(value);
+                        let wake = st.blocked_receivers > 0;
+                        drop(st);
+                        if wake {
+                            inner.not_empty.notify_one();
+                        }
+                        return Ok(());
+                    }
+                    blocked_at = Some(st.releases);
+                    st.blocked_senders += 1;
                 }
-                st = self.inner.not_full.wait(st).unwrap();
+                st = inner.not_full.wait(st).expect("channel mutex poisoned");
             }
         }
     }
@@ -99,29 +166,29 @@ pub mod channel {
         /// Block until an item arrives; `Err` once empty with all
         /// senders dropped.
         pub fn recv(&self) -> Result<T, RecvError> {
-            let mut st = self.inner.state.lock().unwrap();
+            let inner = &*self.inner;
+            let mut st = inner.lock();
             loop {
-                if let Some(v) = st.queue.pop_front() {
-                    drop(st);
-                    self.inner.not_full.notify_one();
-                    return Ok(v);
+                if !st.queue.is_empty() {
+                    return Ok(inner.pop(st));
                 }
                 if st.senders == 0 {
                     return Err(RecvError);
                 }
-                st = self.inner.not_empty.wait(st).unwrap();
+                st.blocked_receivers += 1;
+                st = inner.not_empty.wait(st).expect("channel mutex poisoned");
+                st.blocked_receivers -= 1;
             }
         }
 
         /// Like [`recv`](Self::recv) with a deadline.
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
             let deadline = Instant::now() + timeout;
-            let mut st = self.inner.state.lock().unwrap();
+            let inner = &*self.inner;
+            let mut st = inner.lock();
             loop {
-                if let Some(v) = st.queue.pop_front() {
-                    drop(st);
-                    self.inner.not_full.notify_one();
-                    return Ok(v);
+                if !st.queue.is_empty() {
+                    return Ok(inner.pop(st));
                 }
                 if st.senders == 0 {
                     return Err(RecvTimeoutError::Disconnected);
@@ -130,26 +197,23 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
-                let (guard, res) = self
-                    .inner
+                st.blocked_receivers += 1;
+                let (guard, _) = inner
                     .not_empty
                     .wait_timeout(st, deadline - now)
-                    .unwrap();
+                    .expect("channel mutex poisoned");
                 st = guard;
-                if res.timed_out() && st.queue.is_empty() && st.senders > 0 {
-                    return Err(RecvTimeoutError::Timeout);
-                }
+                st.blocked_receivers -= 1;
             }
         }
 
-        /// Non-blocking receive (`Err(())` when empty or disconnected
-        /// with nothing buffered).
+        /// Non-blocking receive (`Err(Timeout)` when empty,
+        /// `Err(Disconnected)` when empty with all senders dropped).
         pub fn try_recv(&self) -> Result<T, RecvTimeoutError> {
-            let mut st = self.inner.state.lock().unwrap();
-            if let Some(v) = st.queue.pop_front() {
-                drop(st);
-                self.inner.not_full.notify_one();
-                return Ok(v);
+            let inner = &*self.inner;
+            let st = inner.lock();
+            if !st.queue.is_empty() {
+                return Ok(inner.pop(st));
             }
             if st.senders == 0 {
                 Err(RecvTimeoutError::Disconnected)
@@ -161,7 +225,7 @@ pub mod channel {
 
     impl<T> Clone for Sender<T> {
         fn clone(&self) -> Self {
-            self.inner.state.lock().unwrap().senders += 1;
+            self.inner.lock().senders += 1;
             Sender {
                 inner: Arc::clone(&self.inner),
             }
@@ -170,7 +234,7 @@ pub mod channel {
 
     impl<T> Clone for Receiver<T> {
         fn clone(&self) -> Self {
-            self.inner.state.lock().unwrap().receivers += 1;
+            self.inner.lock().receivers += 1;
             Receiver {
                 inner: Arc::clone(&self.inner),
             }
@@ -264,6 +328,135 @@ pub mod channel {
                 rx.recv_timeout(Duration::from_millis(5)),
                 Err(RecvTimeoutError::Disconnected)
             );
+        }
+
+        /// Spin until `n` senders are blocked on `rx`'s channel.  The
+        /// sender counts itself under the lock before it waits, so no
+        /// sleep decides anything here.
+        fn wait_blocked<T>(rx: &Receiver<T>, n: usize) {
+            while rx.inner.lock().blocked_senders < n {
+                thread::yield_now();
+            }
+        }
+
+        /// A sender blocked on a full `bounded(8)` stays blocked through
+        /// three pops and resumes after the fourth, whichever way `pop`
+        /// receives.
+        fn blocked_sender_resumes_at_half(pop: fn(&Receiver<u32>) -> Option<u32>) {
+            let (tx, rx) = bounded(8);
+            for i in 0..8 {
+                tx.send(i).unwrap();
+            }
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let h = thread::spawn(move || {
+                tx.send(8).unwrap();
+                done_tx.send(()).unwrap();
+            });
+            wait_blocked(&rx, 1);
+            let releases = rx.inner.lock().releases;
+            for i in 0..3 {
+                assert_eq!(pop(&rx), Some(i));
+                let st = rx.inner.lock();
+                let seen = (st.blocked_senders, st.releases, st.queue.len());
+                drop(st);
+                // Not released, so its item cannot have been queued.
+                assert_eq!(seen, (1, releases, 7 - i as usize));
+                assert!(done_rx.try_recv().is_err());
+            }
+            assert_eq!(pop(&rx), Some(3));
+            done_rx
+                .recv_timeout(Duration::from_secs(30))
+                .expect("the blocked sender resumes once 4 of 8 are popped");
+            h.join().unwrap();
+            let rest: Vec<u32> = std::iter::from_fn(|| pop(&rx)).collect();
+            assert_eq!(rest, vec![4, 5, 6, 7, 8]);
+        }
+
+        #[test]
+        fn recv_releases_blocked_sender_at_half() {
+            blocked_sender_resumes_at_half(|rx| rx.recv().ok());
+        }
+
+        #[test]
+        fn recv_timeout_releases_blocked_sender_at_half() {
+            blocked_sender_resumes_at_half(|rx| rx.recv_timeout(Duration::from_secs(30)).ok());
+        }
+
+        #[test]
+        fn try_recv_releases_blocked_sender_at_half() {
+            blocked_sender_resumes_at_half(|rx| rx.try_recv().ok());
+        }
+
+        /// Every item arrives and every thread ends, for 2–4 senders and
+        /// receivers at capacities 1–4, with receivers on all three
+        /// receive calls.  A lost wake-up would hang a thread; the run is
+        /// joined with a timeout so that shows as a failure.
+        #[test]
+        fn stress_loses_no_wakeup() {
+            const PER_SENDER: u64 = 500;
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let run = thread::spawn(move || {
+                for senders in 2..=4u64 {
+                    for receivers in 2..=4usize {
+                        for cap in 1..=4 {
+                            let (tx, rx) = bounded(cap);
+                            let producers: Vec<_> = (0..senders)
+                                .map(|s| {
+                                    let tx = tx.clone();
+                                    thread::spawn(move || {
+                                        for i in 0..PER_SENDER {
+                                            tx.send(s * PER_SENDER + i).unwrap();
+                                        }
+                                    })
+                                })
+                                .collect();
+                            drop(tx);
+                            let consumers: Vec<_> = (0..receivers)
+                                .map(|r| {
+                                    let rx = rx.clone();
+                                    thread::spawn(move || {
+                                        let mut got = Vec::new();
+                                        loop {
+                                            let next = match r % 3 {
+                                                0 => rx
+                                                    .recv()
+                                                    .map_err(|_| RecvTimeoutError::Disconnected),
+                                                1 => rx.recv_timeout(Duration::from_millis(1)),
+                                                _ => rx.try_recv(),
+                                            };
+                                            match next {
+                                                Ok(v) => got.push(v),
+                                                Err(RecvTimeoutError::Timeout) => {
+                                                    thread::yield_now()
+                                                }
+                                                Err(RecvTimeoutError::Disconnected) => break got,
+                                            }
+                                        }
+                                    })
+                                })
+                                .collect();
+                            drop(rx);
+                            for p in producers {
+                                p.join().unwrap();
+                            }
+                            let mut all: Vec<u64> = consumers
+                                .into_iter()
+                                .flat_map(|c| c.join().unwrap())
+                                .collect();
+                            all.sort_unstable();
+                            assert!(
+                                all.iter().copied().eq(0..senders * PER_SENDER),
+                                "{senders} senders, {receivers} receivers, cap {cap}"
+                            );
+                        }
+                    }
+                }
+                done_tx.send(()).unwrap();
+            });
+            done_rx
+                .recv_timeout(Duration::from_secs(120))
+                .expect("every sender and receiver finished: no lost wake-up");
+            run.join().unwrap();
         }
     }
 }

@@ -67,6 +67,20 @@ pub enum ProcSource {
     /// simulated-time order and *blocks* on the laggard's channel; a single
     /// producer feeding several bounded channels can deadlock against that
     /// order when another processor's queue fills.
+    ///
+    /// With one producer per channel the engine cannot deadlock against
+    /// the producers, however shallow the channels are:
+    ///
+    /// * the engine blocks only in `recv` on an *empty* channel;
+    /// * an empty channel's producer is never blocked in `send` (a
+    ///   blocked sender is released by the time its queue drains to
+    ///   half, so before it empties), so it is generating or waiting at
+    ///   a real barrier;
+    /// * a producer waiting at a real barrier has already flushed its
+    ///   [`MemEvent::Barrier`] (the barrier contract above), so the
+    ///   engine parks that processor at the simulated barrier before it
+    ///   needs the channel again, and serves the others until every
+    ///   producer has arrived and the real barrier opens.
     Channel(Receiver<Vec<MemEvent>>),
 }
 

@@ -13,6 +13,11 @@
 //!   (small traces);
 //! * [`stream_spmd`] — stream batches through bounded channels to a
 //!   caller-supplied consumer (the simulator engine or a trace analyzer).
+//!
+//! Streaming memory is bounded and small: each process's channel queues
+//! at most 8 batches (`STREAM_DEPTH`) of 4,096 16-byte events, so a
+//! generator that outruns its consumer blocks instead of growing the
+//! host's resident set.
 
 use crate::traced::CELL_BYTES;
 use crossbeam::channel::{bounded, Receiver, Sender};
@@ -84,6 +89,18 @@ pub struct SpmdCtx {
 /// Events per batch before a flush (channel mode).
 const BATCH: usize = 4096;
 
+/// Batches each [`stream_spmd`] channel queues before its producer
+/// blocks.
+///
+/// A batch is `BATCH` 16-byte events, 64 KiB.  Per process, at most
+/// `STREAM_DEPTH` batches sit in the channel, one is being filled by the
+/// generator and one is being replayed by the consumer, so streamed
+/// events hold about `procs × (STREAM_DEPTH + 2) × 64 KiB` of host
+/// memory: 10 MiB for a 16-processor run.  The channel wakes a blocked
+/// producer only once its queue has drained to half, so a shallow queue
+/// still refills `STREAM_DEPTH / 2` batches per wake-up.
+const STREAM_DEPTH: usize = 8;
+
 impl SpmdCtx {
     /// Build a context for process `pid`.
     pub fn new(pid: usize, sink: TraceSink, barrier: Option<Arc<Barrier>>) -> Self {
@@ -147,16 +164,17 @@ impl SpmdCtx {
         }
     }
 
-    /// Flush buffered events to the sink.
+    /// Flush buffered events to the sink.  Only a channel takes the
+    /// buffer away; the other sinks leave it in place for reuse.
     pub fn flush(&mut self) {
         if self.batch.is_empty() {
             return;
         }
-        let batch = std::mem::replace(&mut self.batch, Vec::with_capacity(BATCH));
         match &mut self.sink {
-            TraceSink::Discard => {}
-            TraceSink::Collect(v) => v.extend(batch),
+            TraceSink::Discard => self.batch.clear(),
+            TraceSink::Collect(v) => v.append(&mut self.batch),
             TraceSink::Channel(tx) => {
+                let batch = std::mem::replace(&mut self.batch, Vec::with_capacity(BATCH));
                 // The engine consuming the far end has ended early only if
                 // the simulation was aborted; dropping the rest is correct.
                 let _ = tx.send(batch);
@@ -240,12 +258,15 @@ pub fn collect_events<P: SpmdProgram + ?Sized>(
         .collect()
 }
 
-/// Spawn the program's processes streaming into bounded channels; hand the
-/// receivers to `consume` on the calling thread; join and return merged
-/// counters together with `consume`'s result.
+/// Spawn the program's processes streaming into bounded channels of
+/// 8 batches (`STREAM_DEPTH`) each; hand the receivers to `consume` on the
+/// calling thread; join and return merged counters together with
+/// `consume`'s result.
 ///
 /// `consume` must keep draining all channels until they disconnect (the
-/// simulation engine and the trace analyzer both do).
+/// simulation engine and the trace analyzer both do).  A process whose
+/// consumer falls behind blocks in its next flush once `STREAM_DEPTH`
+/// batches are queued, and resumes once half of them are taken.
 pub fn stream_spmd<P, R>(
     program: Arc<P>,
     consume: impl FnOnce(Vec<Receiver<Vec<MemEvent>>>) -> R,
@@ -258,7 +279,7 @@ where
     let mut txs = Vec::with_capacity(n);
     let mut rxs = Vec::with_capacity(n);
     for _ in 0..n {
-        let (tx, rx) = bounded::<Vec<MemEvent>>(64);
+        let (tx, rx) = bounded::<Vec<MemEvent>>(STREAM_DEPTH);
         txs.push(tx);
         rxs.push(rx);
     }
@@ -317,6 +338,7 @@ pub fn test_ctx(pid: usize) -> (SpmdCtx, impl FnOnce(SpmdCtx) -> Vec<MemEvent>) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     struct Toy {
         procs: usize,
@@ -405,26 +427,89 @@ mod tests {
 
     #[test]
     fn stream_mode_delivers_everything() {
-        let (counts, c) = stream_spmd(Arc::new(Toy { procs: 3 }), |rxs| {
-            let mut n = 0u64;
+        let (streamed, c) = stream_spmd(Arc::new(Toy { procs: 3 }), |rxs| {
+            let mut events = vec![Vec::new(); rxs.len()];
             // Drain fairly: round-robin until all disconnect.
             let mut open: Vec<_> = rxs.into_iter().map(Some).collect();
             while open.iter().any(Option::is_some) {
-                for slot in open.iter_mut() {
+                for (slot, events) in open.iter_mut().zip(&mut events) {
                     if let Some(rx) = slot {
                         match rx.recv_timeout(std::time::Duration::from_millis(50)) {
-                            Ok(batch) => n += batch.len() as u64,
+                            Ok(batch) => events.extend(batch),
                             Err(crossbeam::channel::RecvTimeoutError::Disconnected) => *slot = None,
                             Err(_) => {}
                         }
                     }
                 }
             }
-            n
+            events
         });
-        // Every event arrives: reads + writes + barrier + compute events.
-        assert!(counts >= (c.mem_refs() + c.barriers));
+        // Each process streams exactly the events it collects, in order.
+        let collected = collect_events(Arc::new(Toy { procs: 3 }));
+        assert_eq!(streamed.len(), collected.len());
+        for (stream, (events, _)) in streamed.iter().zip(&collected) {
+            assert_eq!(stream, events);
+        }
         assert_eq!(c.mem_refs(), 33);
+    }
+
+    /// One process writing `batches` full batches, counting each flush
+    /// that has returned.
+    struct Flusher {
+        batches: usize,
+        flushed: Arc<AtomicUsize>,
+    }
+
+    impl SpmdProgram for Flusher {
+        fn processes(&self) -> usize {
+            1
+        }
+        fn run(&self, _pid: usize, ctx: &mut SpmdCtx) {
+            for b in 0..self.batches {
+                // The BATCH-th push flushes, blocking while the channel
+                // is full.
+                for i in 0..BATCH as u64 {
+                    ctx.write((b as u64 * BATCH as u64 + i) * 8);
+                }
+                self.flushed.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+    }
+
+    #[test]
+    fn stream_producer_blocks_at_stream_depth() {
+        let batches = STREAM_DEPTH + 3;
+        let flushed = Arc::new(AtomicUsize::new(0));
+        let program = Arc::new(Flusher {
+            batches,
+            flushed: Arc::clone(&flushed),
+        });
+        let (received, c) = stream_spmd(program, |rxs| {
+            // Nothing is read until the producer has queued a full
+            // channel; STREAM_DEPTH flushes return without a reader.
+            while flushed.load(Ordering::SeqCst) < STREAM_DEPTH {
+                std::thread::yield_now();
+            }
+            // The next flush must block: give the producer ample time
+            // to (wrongly) finish it.  A correct channel passes however
+            // the threads are scheduled.
+            for _ in 0..10_000 {
+                std::thread::yield_now();
+                assert_eq!(flushed.load(Ordering::SeqCst), STREAM_DEPTH);
+            }
+            let rx = rxs.into_iter().next().expect("one process");
+            let mut received = 0;
+            while let Ok(batch) = rx.recv() {
+                assert_eq!(batch.len(), BATCH);
+                received += 1;
+                // A flush returns only once its batch is queued.
+                assert!(flushed.load(Ordering::SeqCst) <= received + STREAM_DEPTH);
+            }
+            received
+        });
+        assert_eq!(received, batches);
+        assert_eq!(flushed.load(Ordering::SeqCst), batches);
+        assert_eq!(c.writes, (batches * BATCH) as u64);
     }
 
     #[test]
