@@ -29,7 +29,7 @@
 //! keeping load tests reproducible.  Retry totals appear in the summary
 //! (`retries_429` in `--json`).
 
-use memhier_bench::{FlagParser, LoadClient, LoadError};
+use memhier_bench::{quantile_us, FlagParser, LoadClient, LoadError};
 use std::io::Write;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -105,14 +105,6 @@ fn backoff_ms(base_ms: u64, attempt: u32, retry_after_s: Option<u64>, seq: u64) 
     let floor_ms = retry_after_s.map_or(0, |s| s.saturating_mul(1000));
     exp.max(floor_ms)
         .saturating_add(jitter_ms(seq, attempt, exp))
-}
-
-fn quantile(sorted_us: &[u64], q: f64) -> u64 {
-    if sorted_us.is_empty() {
-        return 0;
-    }
-    let rank = ((q * sorted_us.len() as f64).ceil() as usize).clamp(1, sorted_us.len());
-    sorted_us[rank - 1]
 }
 
 fn main() {
@@ -234,9 +226,9 @@ fn main() {
         let done = latencies_us.len();
         let throughput = done as f64 / elapsed.as_secs_f64().max(1e-9);
         let (p50, p95, p99) = (
-            quantile(&latencies_us, 0.50),
-            quantile(&latencies_us, 0.95),
-            quantile(&latencies_us, 0.99),
+            quantile_us(&latencies_us, 0.50),
+            quantile_us(&latencies_us, 0.95),
+            quantile_us(&latencies_us, 0.99),
         );
 
         // Writes that hit a closed pipe (e.g. `serve_load | head`) are not

@@ -372,6 +372,7 @@ impl fmt::Display for FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parse_the_issue_spec() {
@@ -500,6 +501,154 @@ mod tests {
         let msg = *caught.unwrap_err().downcast::<String>().unwrap();
         assert!(msg.contains("point:panic"), "{msg}");
         assert!(msg.contains("index 4"), "{msg}");
+    }
+
+    /// Valid specs the fuzzer mutates: every site, kind and parameter.
+    const VALID_SPECS: &[&str] = &[
+        "point:panic:rate=0.05:seed=7",
+        "ckpt:io:nth=3",
+        "serve:delay:ms=200:rate=0.1,serve:panic:nth=50",
+        "point:io:rate=0.123456789:nth=2:seed=18446744073709551615",
+        "ckpt:panic:rate=1",
+        "serve:delay:ms=1:seed=3, ckpt:panic",
+    ];
+
+    /// Atoms spliced into a spec: the separators, every keyword, and
+    /// values at or past the edge of each parameter's range.
+    const JUNK: &[&str] = &[
+        ":",
+        ",",
+        "=",
+        "nan",
+        "inf",
+        "-inf",
+        "-0",
+        "+0",
+        "0",
+        "-1",
+        "1e308",
+        "1e-400",
+        "18446744073709551615",
+        "18446744073709551616",
+        "99999999999999999999999",
+        "nth=0",
+        "ms=5",
+        "rate=",
+        "seed=",
+        "rate",
+        "nth",
+        "ms",
+        "seed",
+        "delay",
+        "panic",
+        "io",
+        "point",
+        "ckpt",
+        "serve",
+        " ",
+        "\t",
+        "\0",
+        "é",
+        "\u{1F600}",
+        "\u{a0}",
+    ];
+
+    /// A spec as separator tokens (`:`, `,`, `=`) and the runs between.
+    fn tokens(spec: &str) -> Vec<String> {
+        let mut out = Vec::new();
+        let mut word = String::new();
+        for c in spec.chars() {
+            if matches!(c, ':' | ',' | '=') {
+                if !word.is_empty() {
+                    out.push(std::mem::take(&mut word));
+                }
+                out.push(c.to_string());
+            } else {
+                word.push(c);
+            }
+        }
+        if !word.is_empty() {
+            out.push(word);
+        }
+        out
+    }
+
+    /// One edit of a token list at `at`: drop, duplicate, swap with the
+    /// next token, overwrite with a junk atom, insert a junk atom, or
+    /// insert an arbitrary character (`pick` chooses the atom or char).
+    fn mutate(toks: &mut Vec<String>, op: u8, at: u32, pick: u32) {
+        let junk = match op {
+            5 => char::from_u32(pick % 0x11_0000)
+                .unwrap_or('\u{fffd}')
+                .to_string(),
+            _ => JUNK[pick as usize % JUNK.len()].to_string(),
+        };
+        if toks.is_empty() {
+            toks.push(junk);
+            return;
+        }
+        let n = toks.len();
+        let i = at as usize % n;
+        match op {
+            0 => drop(toks.remove(i)),
+            1 => toks.insert(i, toks[i].clone()),
+            2 => toks.swap(i, (i + 1) % n),
+            3 => toks[i] = junk,
+            _ => toks.insert(i, junk),
+        }
+    }
+
+    /// `parse` returns `Ok` or `Err` without panicking, and every `Ok`
+    /// plan prints back to a spec that parses to the same plan.
+    fn check_spec(spec: &str) -> Result<(), TestCaseError> {
+        let parsed = std::panic::catch_unwind(|| FaultPlan::parse(spec));
+        prop_assert!(parsed.is_ok(), "parse panicked on {spec:?}");
+        if let Ok(Ok(plan)) = parsed {
+            let printed = plan.to_string();
+            let reparsed = FaultPlan::parse(&printed);
+            prop_assert!(
+                reparsed.as_ref() == Ok(&plan),
+                "{spec:?} printed as {printed:?}, which parses to {reparsed:?}"
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn mutated_specs_parse_or_fail_and_round_trip(
+            start in 0..VALID_SPECS.len(),
+            edits in proptest::collection::vec((0u8..6, any::<u32>(), any::<u32>()), 0..6),
+        ) {
+            let mut toks = tokens(VALID_SPECS[start]);
+            for (op, at, pick) in edits {
+                mutate(&mut toks, op, at, pick);
+            }
+            check_spec(&toks.concat())?;
+        }
+    }
+
+    #[test]
+    fn edge_specs_parse_or_fail_and_round_trip() {
+        for spec in [
+            "point:panic:rate=nan",
+            "point:panic:rate=inf",
+            "point:panic:rate=-0",
+            "point:panic:rate=1e-400:seed=0",
+            "point:panic:nth=0",
+            "point:panic:nth=18446744073709551616",
+            "ckpt:io:ms=5",
+            "point:panic:ms=0:nth=2:nth=3",
+            "serve:delay:ms=18446744073709551615",
+            " point : panic : seed = +7 ,, ",
+            "point:panic:nth=",
+            "point::panic",
+            "é:\u{1F600}=\0",
+        ] {
+            check_spec(spec).unwrap_or_else(|e| panic!("{e}"));
+        }
     }
 
     #[test]

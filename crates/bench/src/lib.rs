@@ -21,9 +21,8 @@
 //!   Figures 2–4, the speed claim, the §6 case studies and
 //!   recommendations).
 //!
-//! `memhier reproduce <experiment>` runs each experiment; the Criterion
-//! benches under `benches/` and the ledger benchmark in `src/bin/ledger/`
-//! cover the performance claims.
+//! `memhier reproduce <experiment>` runs each experiment; the ledger
+//! benchmark in `src/bin/ledger/` times every performance claim.
 
 pub mod calib;
 pub mod experiments;

@@ -127,7 +127,11 @@ pub struct Scenario {
     /// Observers attached to the run (default: none — the engine's hot
     /// loop stays observer-free).
     pub observers: ObserverConfig,
-    /// Deterministic fault-injection plan (default: empty).
+    /// Fault-injection plan (default: empty).  Parsed, validated and
+    /// round-tripped through the JSON form, but never applied:
+    /// [`Scenario::run`] and [`Scenario::sweep_plan`] ignore it.  Faults
+    /// are injected only by `--faults` / `MEMHIER_FAULTS`, through
+    /// `CheckpointConfig` and `memhierd`'s `ServeConfig`.
     pub faults: FaultPlan,
 }
 
