@@ -25,7 +25,14 @@
 //! bodies are memoized in the sharded LRU [`ResponseCache`] keyed by
 //! `method path` plus the request JSON **canonicalized** (object keys
 //! sorted recursively, compact form) — key order and whitespace in the
-//! client's JSON never cause a spurious miss.
+//! client's JSON never cause a spurious miss.  A `/v1/simulate` body is
+//! parsed into its [`Scenario`] first and keyed on the scenario's
+//! canonical JSON (a config that is not the paper config of its name
+//! spelled out as the full cluster spec), so bodies that describe the
+//! same run (a defaulted `size`, a workload name in another case, the
+//! ignored `faults` or `sim_threads` keys) share one entry.  The parsed
+//! request travels with the job ([`Cacheable`]), so a miss parses its
+//! body once.
 //!
 //! `/v1/simulate` serializes exactly what `memhier simulate --json`
 //! prints (`SimReport`, pretty, trailing newline), `/v1/recommend` the
@@ -41,7 +48,7 @@
 use crate::cache::ResponseCache;
 use crate::http::{HttpError, Request, Response};
 use crate::metrics::Metrics;
-use memhier_bench::{run_optimize, run_recommend, run_sweep, Scenario, Sizes};
+use memhier_bench::{config_by_name, run_optimize, run_recommend, run_sweep, Scenario, Sizes};
 use memhier_core::model::AnalyticModel;
 use memhier_cost::{CostError, OptimizeRequest, RecommendRequest};
 use memhier_trace::{run_fit, FitRequest};
@@ -270,44 +277,88 @@ fn registry() -> Response {
     }
 }
 
-/// The memoization key for a cacheable POST: method, path, and the
-/// request JSON canonicalized (sorted keys, compact form).
-fn cache_key(req: &Request, parsed: &Value) -> String {
-    let canon = canonicalize(parsed);
-    let compact = serde_json::to_string(&canon).unwrap_or_default();
-    format!("{} {}\n{compact}", req.method, req.path)
+/// A cacheable POST, parsed once: its memoization key and the parsed
+/// body its computation runs on.
+#[derive(Debug, Clone)]
+pub struct Cacheable {
+    /// Memoization key: method, path, and the canonical request in
+    /// compact form.
+    pub key: String,
+    body: Body,
 }
 
-/// Compute one cacheable POST body (no cache involvement).
-fn compute_cacheable(path: &str, parsed: &Value, deadline: Instant) -> Result<String, HttpError> {
-    match path {
-        "/v1/model" => v1_model(parsed),
-        "/v1/simulate" => v1_simulate(parsed, deadline),
-        "/v1/recommend" => v1_recommend(parsed, deadline),
-        "/v1/optimize" => v1_optimize(parsed, deadline),
-        "/v1/sweep" => v1_sweep(parsed, deadline),
-        // Routing only sends the five paths above here.
-        other => Err(HttpError::status(500, format!("unroutable path {other}"))),
+#[derive(Debug, Clone)]
+enum Body {
+    /// `/v1/simulate`'s scenario.
+    Scenario(Scenario),
+    /// Every other cacheable endpoint's JSON object.
+    Json(Value),
+}
+
+impl Cacheable {
+    /// Parse a cacheable POST.  `/v1/simulate` bodies become their
+    /// [`Scenario`] (a missing `size` means `medium`, matching the CLI's
+    /// default tier and preserving byte parity with a flagless `memhier
+    /// simulate --json`); the other endpoints keep the JSON and parse it
+    /// when they compute.
+    fn parse(req: &Request) -> Result<Cacheable, HttpError> {
+        let parsed = body_object(req)?;
+        let (canonical, body) = if req.path == "/v1/simulate" {
+            let scenario = Scenario::from_json_default(&parsed, Sizes::Medium)?;
+            // The run ignores `faults`; the retired `sim_threads` never
+            // reaches the scenario at all.  `to_json` shortens a named
+            // config to its name, but a cluster-spec object may carry any
+            // name: spell out a spec that is not the config of its name.
+            let mut canonical = scenario.to_json();
+            let config = &scenario.config;
+            let named = config.name.as_deref().and_then(|n| config_by_name(n).ok());
+            let is_named_config = named.as_ref() == Some(config);
+            if let Value::Object(fields) = &mut canonical {
+                fields.retain(|(k, _)| k != "faults");
+                for (k, v) in fields.iter_mut() {
+                    if k == "config" && !is_named_config {
+                        *v = serde_json::to_value(config).unwrap_or(Value::Null);
+                    }
+                }
+            }
+            (canonicalize(&canonical), Body::Scenario(scenario))
+        } else {
+            (canonicalize(&parsed), Body::Json(parsed))
+        };
+        let compact = serde_json::to_string(&canonical).unwrap_or_default();
+        Ok(Cacheable {
+            key: format!("{} {}\n{compact}", req.method, req.path),
+            body,
+        })
+    }
+
+    /// Compute the response body (no cache involvement).
+    fn compute(&self, path: &str, deadline: Instant) -> Result<String, HttpError> {
+        let v = match &self.body {
+            Body::Scenario(scenario) => return v1_simulate(scenario.clone(), deadline),
+            Body::Json(v) => v,
+        };
+        match path {
+            "/v1/model" => v1_model(v),
+            "/v1/recommend" => v1_recommend(v, deadline),
+            "/v1/optimize" => v1_optimize(v, deadline),
+            "/v1/sweep" => v1_sweep(v, deadline),
+            // Routing only sends the cacheable paths here.
+            other => Err(HttpError::status(500, format!("unroutable path {other}"))),
+        }
     }
 }
 
 /// The shared memoization wrapper for every `/v1` POST.
 fn cached_post(req: &Request, state: &AppState, deadline: Instant) -> Response {
-    let parsed = match body_object(req) {
-        Ok(v) => v,
+    let job = match Cacheable::parse(req) {
+        Ok(job) => job,
         Err(e) => return Response::error(e.status, &e.message),
     };
-    let key = cache_key(req, &parsed);
-    if let Some(hit) = state.cache.get(&key) {
+    if let Some(hit) = state.cache.get(&job.key) {
         return Response::json(hit.status, hit.body.clone()).with_header("X-Cache", "hit");
     }
-    match compute_cacheable(&req.path, &parsed, deadline) {
-        Ok(body) => {
-            state.cache.insert(key, 200, body.clone());
-            Response::json(200, body).with_header("X-Cache", "miss")
-        }
-        Err(e) => Response::error(e.status, &e.message),
-    }
+    compute_response(req, state, deadline, Some(&job))
 }
 
 /// What the event loop should do with one parsed request — the split
@@ -325,15 +376,16 @@ pub enum FastRoute {
     StaleRevalidate {
         /// The stale body to serve right now.
         response: Response,
-        /// Cache key the background recomputation must refresh.
-        key: String,
+        /// The parsed request whose cache entry the background
+        /// recomputation must refresh.
+        job: Cacheable,
     },
     /// A genuine miss: hand the request to a worker
-    /// ([`compute_response`]), which memoizes under `key` (`None` for
-    /// `/v1/fit`, which is never cached).
+    /// ([`compute_response`]), which memoizes under the job's key (no job
+    /// for `/v1/fit`, which is never cached).
     Miss {
-        /// Memoization key, when the endpoint is cacheable.
-        key: Option<String>,
+        /// The parsed request, when the endpoint is cacheable.
+        job: Option<Cacheable>,
     },
 }
 
@@ -357,12 +409,11 @@ pub fn route_fast(
         | ("POST", "/v1/recommend")
         | ("POST", "/v1/optimize")
         | ("POST", "/v1/sweep") => {
-            let parsed = match body_object(req) {
-                Ok(v) => v,
+            let job = match Cacheable::parse(req) {
+                Ok(job) => job,
                 Err(e) => return FastRoute::Done(Response::error(e.status, &e.message)),
             };
-            let key = cache_key(req, &parsed);
-            match state.cache.get(&key) {
+            match state.cache.get(&job.key) {
                 Some(hit) if !hit.is_stale(cache_ttl) => FastRoute::Done(
                     Response::json(hit.status, hit.body.clone()).with_header("X-Cache", "hit"),
                 ),
@@ -372,15 +423,15 @@ pub fn route_fast(
                     state.metrics.on_stale_served();
                     if allow_revalidate && stale.try_begin_revalidate() {
                         state.metrics.on_revalidate();
-                        FastRoute::StaleRevalidate { response, key }
+                        FastRoute::StaleRevalidate { response, job }
                     } else {
                         FastRoute::Done(response)
                     }
                 }
-                None => FastRoute::Miss { key: Some(key) },
+                None => FastRoute::Miss { job: Some(job) },
             }
         }
-        ("POST", "/v1/fit") => FastRoute::Miss { key: None },
+        ("POST", "/v1/fit") => FastRoute::Miss { job: None },
         // Everything else — health probes, metrics, 404s, 405s — is
         // cheap enough to answer inline.
         _ => FastRoute::Done(handle(req, state, Instant::now())),
@@ -388,25 +439,20 @@ pub fn route_fast(
 }
 
 /// Worker-side computation for a [`FastRoute::Miss`]: compute the body,
-/// memoize 200s under `key`, and stamp `X-Cache: miss`.
+/// memoize 200s under the job's key, and stamp `X-Cache: miss`.  Without
+/// a job the request is the uncached `/v1/fit`.
 pub fn compute_response(
     req: &Request,
     state: &AppState,
     deadline: Instant,
-    key: Option<&str>,
+    job: Option<&Cacheable>,
 ) -> Response {
-    if req.path == "/v1/fit" {
+    let Some(job) = job else {
         return fit_post(req, deadline);
-    }
-    let parsed = match body_object(req) {
-        Ok(v) => v,
-        Err(e) => return Response::error(e.status, &e.message),
     };
-    match compute_cacheable(&req.path, &parsed, deadline) {
+    match job.compute(&req.path, deadline) {
         Ok(body) => {
-            if let Some(k) = key {
-                state.cache.insert(k.to_string(), 200, body.clone());
-            }
+            state.cache.insert(job.key.clone(), 200, body.clone());
             Response::json(200, body).with_header("X-Cache", "miss")
         }
         Err(e) => Response::error(e.status, &e.message),
@@ -417,10 +463,10 @@ pub fn compute_response(
 /// recompute and re-insert (a fresh insert resets both the entry's age
 /// and its single-flight latch); on failure release the old entry's
 /// latch so a later stale hit can try again.
-pub fn revalidate(req: &Request, state: &AppState, deadline: Instant, key: &str) {
-    let response = compute_response(req, state, deadline, Some(key));
+pub fn revalidate(req: &Request, state: &AppState, deadline: Instant, job: &Cacheable) {
+    let response = compute_response(req, state, deadline, Some(job));
     if response.status != 200 {
-        if let Some(entry) = state.cache.get(key) {
+        if let Some(entry) = state.cache.get(&job.key) {
             entry.end_revalidate();
         }
     }
@@ -437,11 +483,7 @@ fn v1_model(v: &Value) -> Result<String, HttpError> {
     pretty_body(&p)
 }
 
-fn v1_simulate(v: &Value, deadline: Instant) -> Result<String, HttpError> {
-    // A missing `size` means `medium`, matching the CLI's default tier
-    // and preserving byte parity with a flagless `memhier simulate
-    // --json`.
-    let scenario = Scenario::from_json_default(v, Sizes::Medium)?;
+fn v1_simulate(scenario: Scenario, deadline: Instant) -> Result<String, HttpError> {
     let out = run_with_deadline(deadline, "simulate", move || scenario.run())?;
     pretty_body(&out.run.report)
 }
@@ -926,11 +968,11 @@ mod tests {
     fn route_fast_miss_then_hit_through_compute_response() {
         let s = state();
         let req = post("/v1/model", r#"{"config": "C3", "workload": "FFT"}"#);
-        let key = match route_fast(&req, &s, None, true) {
-            FastRoute::Miss { key: Some(k) } => k,
+        let job = match route_fast(&req, &s, None, true) {
+            FastRoute::Miss { job: Some(j) } => j,
             other => panic!("cold cache must be a miss, got {other:?}"),
         };
-        let computed = compute_response(&req, &s, far_deadline(), Some(&key));
+        let computed = compute_response(&req, &s, far_deadline(), Some(&job));
         assert_eq!(computed.status, 200);
         // Same request again: answered inline, byte-identical body.
         match route_fast(&req, &s, None, true) {
@@ -944,7 +986,7 @@ mod tests {
         // /v1/fit is a keyless miss (never memoized).
         assert!(matches!(
             route_fast(&post("/v1/fit", r#"{"trace": "/nope"}"#), &s, None, true),
-            FastRoute::Miss { key: None }
+            FastRoute::Miss { job: None }
         ));
     }
 
@@ -952,20 +994,20 @@ mod tests {
     fn stale_entries_serve_immediately_and_revalidate_single_flight() {
         let s = state();
         let req = post("/v1/model", r#"{"config": "C2", "workload": "LU"}"#);
-        let key = match route_fast(&req, &s, None, true) {
-            FastRoute::Miss { key: Some(k) } => k,
+        let job = match route_fast(&req, &s, None, true) {
+            FastRoute::Miss { job: Some(j) } => j,
             other => panic!("{other:?}"),
         };
-        compute_response(&req, &s, far_deadline(), Some(&key));
+        compute_response(&req, &s, far_deadline(), Some(&job));
         std::thread::sleep(Duration::from_millis(10));
         let ttl = Some(Duration::from_millis(1));
         // First stale hit: served, wins the revalidation latch.
-        let stale_key = match route_fast(&req, &s, ttl, true) {
-            FastRoute::StaleRevalidate { response, key: k } => {
+        let stale = match route_fast(&req, &s, ttl, true) {
+            FastRoute::StaleRevalidate { response, job } => {
                 assert_eq!(response.status, 200);
                 let x = response.headers.iter().find(|(n, _)| *n == "X-Cache");
                 assert_eq!(x.unwrap().1, "stale");
-                k
+                job
             }
             other => panic!("expected StaleRevalidate, got {other:?}"),
         };
@@ -982,7 +1024,7 @@ mod tests {
         ));
         assert_eq!(s.metrics.stale_served_count(), 3);
         // The background refresh re-inserts; the entry is fresh again.
-        revalidate(&req, &s, far_deadline(), &stale_key);
+        revalidate(&req, &s, far_deadline(), &stale);
         match route_fast(&req, &s, Some(Duration::from_secs(3600)), true) {
             FastRoute::Done(r) => {
                 let x = r.headers.iter().find(|(n, _)| *n == "X-Cache").unwrap();
@@ -1001,18 +1043,18 @@ mod tests {
             "/v1/simulate",
             r#"{"config": "C1", "workload": "FFT", "size": "small"}"#,
         );
-        let key = match route_fast(&req, &s, None, true) {
-            FastRoute::Miss { key: Some(k) } => k,
+        let job = match route_fast(&req, &s, None, true) {
+            FastRoute::Miss { job: Some(j) } => j,
             other => panic!("{other:?}"),
         };
-        compute_response(&req, &s, far_deadline(), Some(&key));
+        compute_response(&req, &s, far_deadline(), Some(&job));
         std::thread::sleep(Duration::from_millis(10));
         let ttl = Some(Duration::from_millis(1));
         match route_fast(&req, &s, ttl, true) {
-            FastRoute::StaleRevalidate { key: k, .. } => {
+            FastRoute::StaleRevalidate { job, .. } => {
                 // Simulate the refresh failing (expired deadline → 503,
                 // nothing inserted): the latch must reopen.
-                revalidate(&req, &s, Instant::now() - Duration::from_secs(1), &k);
+                revalidate(&req, &s, Instant::now() - Duration::from_secs(1), &job);
             }
             other => panic!("{other:?}"),
         }

@@ -39,7 +39,7 @@
 //! pipelined request — final responses switch to `connection: close` —
 //! and joins all threads.
 
-use crate::api::{compute_response, revalidate, route_fast, AppState, FastRoute};
+use crate::api::{compute_response, revalidate, route_fast, AppState, Cacheable, FastRoute};
 use crate::http::{timeout_error, try_parse, Request, Response};
 use memhier_bench::{FaultAction, FaultPlan, FaultSite};
 use polling::{Event, Events, Poller};
@@ -118,8 +118,8 @@ enum Work {
         token: usize,
         /// The parsed request.
         req: Request,
-        /// Memoization key (`None` for `/v1/fit`).
-        key: Option<String>,
+        /// The parsed cacheable request (`None` for `/v1/fit`).
+        job: Option<Cacheable>,
         /// When the request was parsed (latency + deadline basis).
         started: Instant,
         /// How many workers have already died holding this job.
@@ -129,8 +129,8 @@ enum Work {
     Revalidate {
         /// The request to recompute.
         req: Request,
-        /// Cache key to refresh.
-        key: String,
+        /// Its parsed form, whose cache entry to refresh.
+        job: Cacheable,
     },
 }
 
@@ -552,14 +552,14 @@ impl EventLoop {
                     .on_complete(response.status, started.elapsed());
                 self.enqueue_response(key, response, draining);
             }
-            FastRoute::StaleRevalidate { response, key: ck } => {
+            FastRoute::StaleRevalidate { response, job } => {
                 self.state
                     .metrics
                     .on_complete(response.status, started.elapsed());
                 self.enqueue_response(key, response, draining);
-                self.push_work(Work::Revalidate { req, key: ck });
+                self.push_work(Work::Revalidate { req, job });
             }
-            FastRoute::Miss { key: ck } => {
+            FastRoute::Miss { job } => {
                 if depth >= self.queue_depth {
                     // The shedding tier of last resort.
                     self.state.metrics.on_reject_busy();
@@ -574,7 +574,7 @@ impl EventLoop {
                 self.push_work(Work::Request {
                     token: key,
                     req,
-                    key: ck,
+                    job,
                     started,
                     attempts: 0,
                 });
@@ -783,7 +783,7 @@ impl Drop for JobGuard<'_> {
             Work::Request {
                 token,
                 req,
-                key,
+                job,
                 started,
                 attempts,
             } => {
@@ -793,7 +793,7 @@ impl Drop for JobGuard<'_> {
                     q.push_front(Work::Request {
                         token,
                         req,
-                        key,
+                        job,
                         started,
                         attempts: attempts + 1,
                     });
@@ -816,9 +816,9 @@ impl Drop for JobGuard<'_> {
                     let _ = self.shared.poller.notify();
                 }
             }
-            Work::Revalidate { key, .. } => {
+            Work::Revalidate { job, .. } => {
                 // Nobody waits on a refresh; just reopen the latch.
-                if let Some(entry) = self.shared.state.cache.get(&key) {
+                if let Some(entry) = self.shared.state.cache.get(&job.key) {
                     entry.end_revalidate();
                 }
             }
@@ -883,7 +883,7 @@ fn worker_loop(shared: &WorkerShared) {
             Work::Request {
                 token,
                 req,
-                key,
+                job,
                 started,
                 ..
             } => {
@@ -891,7 +891,7 @@ fn worker_loop(shared: &WorkerShared) {
                 let response = match injected {
                     Some(r) => r,
                     None => catch_unwind(AssertUnwindSafe(|| {
-                        compute_response(req, &shared.state, deadline, key.as_deref())
+                        compute_response(req, &shared.state, deadline, job.as_ref())
                     }))
                     .unwrap_or_else(|_| Response::error(500, "internal error (handler panicked)")),
                 };
@@ -902,16 +902,16 @@ fn worker_loop(shared: &WorkerShared) {
                 });
                 let _ = shared.poller.notify();
             }
-            Work::Revalidate { req, key } => {
+            Work::Revalidate { req, job } => {
                 let deadline = Instant::now() + shared.timeout;
                 if injected.is_some()
                     || catch_unwind(AssertUnwindSafe(|| {
-                        revalidate(req, &shared.state, deadline, key)
+                        revalidate(req, &shared.state, deadline, job)
                     }))
                     .is_err()
                 {
                     // The refresh never happened; reopen the latch.
-                    if let Some(entry) = shared.state.cache.get(key) {
+                    if let Some(entry) = shared.state.cache.get(&job.key) {
                         entry.end_revalidate();
                     }
                 }

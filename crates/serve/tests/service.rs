@@ -175,3 +175,86 @@ fn deadline_aborts_long_simulation_with_503() {
     assert!(reply.contains("\"deadline_exceeded\": 1"), "{reply}");
     server.shutdown();
 }
+
+/// Bodies that describe the same simulation share one cache entry: the
+/// same body twice, once with the ignored `faults` key and once spelling
+/// the workload in lower case are one miss and three hits, with the same
+/// reply bytes.
+#[test]
+fn equivalent_simulate_bodies_share_one_cache_entry() {
+    let server = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 2,
+        queue_depth: 8,
+        ..ServeConfig::default()
+    })
+    .expect("start");
+    let addr = server.local_addr();
+    let bodies = [
+        r#"{"config": "C5", "workload": "FFT", "size": "small"}"#,
+        r#"{"config": "C5", "workload": "FFT", "size": "small"}"#,
+        r#"{"config": "C5", "workload": "FFT", "size": "small", "faults": "point:panic:nth=1"}"#,
+        r#"{"config": "C5", "workload": "fft", "size": "small"}"#,
+    ];
+    let replies: Vec<String> = bodies
+        .iter()
+        .map(|body| {
+            let (status, reply, _) = timed_request(addr, &post("/v1/simulate", body));
+            assert_eq!(status, 200, "{body}: {reply}");
+            let (_, payload) = reply.split_once("\r\n\r\n").expect("header/body split");
+            payload.to_string()
+        })
+        .collect();
+    assert!(replies.iter().all(|r| *r == replies[0]), "{replies:?}");
+
+    let (status, reply, _) =
+        timed_request(addr, "GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n");
+    assert_eq!(status, 200);
+    let (_, doc) = reply.split_once("\r\n\r\n").expect("header/body split");
+    let v: serde_json::Value = serde_json::from_str(doc.trim()).expect("metrics JSON");
+    assert_eq!(v["cache"]["hits"].as_u64(), Some(3), "{doc}");
+    assert_eq!(v["cache"]["misses"].as_u64(), Some(1), "{doc}");
+    assert_eq!(v["cache"]["entries"].as_u64(), Some(1), "{doc}");
+    server.shutdown();
+}
+
+/// A cluster-spec object may carry any `name`: a custom spec named "C5"
+/// and the real C5 are two runs, two misses and two different replies.
+#[test]
+fn custom_spec_named_like_a_paper_config_is_its_own_entry() {
+    let server = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 2,
+        queue_depth: 8,
+        ..ServeConfig::default()
+    })
+    .expect("start");
+    let addr = server.local_addr();
+    let impostor = memhier_core::params::configs::by_name("C1")
+        .expect("C1")
+        .named("C5");
+    let impostor = serde_json::to_string(&impostor).expect("spec JSON");
+    let bodies = [
+        format!(r#"{{"config": {impostor}, "workload": "FFT", "size": "small"}}"#),
+        r#"{"config": "C5", "workload": "FFT", "size": "small"}"#.to_string(),
+    ];
+    let replies: Vec<String> = bodies
+        .iter()
+        .map(|body| {
+            let (status, reply, _) = timed_request(addr, &post("/v1/simulate", body));
+            assert_eq!(status, 200, "{body}: {reply}");
+            assert!(reply.contains("X-Cache: miss"), "{body}: {reply}");
+            let (_, payload) = reply.split_once("\r\n\r\n").expect("header/body split");
+            payload.to_string()
+        })
+        .collect();
+    assert_ne!(replies[0], replies[1]);
+
+    let (_, reply, _) = timed_request(addr, "GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n");
+    let (_, doc) = reply.split_once("\r\n\r\n").expect("header/body split");
+    let v: serde_json::Value = serde_json::from_str(doc.trim()).expect("metrics JSON");
+    assert_eq!(v["cache"]["hits"].as_u64(), Some(0), "{doc}");
+    assert_eq!(v["cache"]["misses"].as_u64(), Some(2), "{doc}");
+    assert_eq!(v["cache"]["entries"].as_u64(), Some(2), "{doc}");
+    server.shutdown();
+}

@@ -17,16 +17,32 @@
 //! d = (now − old − 1) − holes in (old, now)
 //! ```
 //!
-//! Holes are one bit per slot, with a Fenwick tree over the 64-slot
-//! words: a short gap resolves by popcount on one or two words, a long one
-//! adds one range query, and each reuse makes one word update.  A cold
-//! reference touches no bitset or tree at all.
+//! The work splits into two stages that share nothing but the stream of
+//! old slots between them:
 //!
-//! When the slots run out, compaction renumbers the live blocks in order.
-//! Afterwards there are no holes, so the bitset and tree are simply
-//! zeroed.  The slot space is then `SLOT_FACTOR` × live blocks (at least
-//! `INITIAL_SLOTS`), so a compaction is amortized over ≥ 7 references per
-//! live block.  Memory is `O(live blocks)`, time `O(log M)` per reference.
+//! - the **slot stage** (`SlotStage`) owns the block table and turns
+//!   each address into the slot of its block's previous reference, or
+//!   "cold";
+//! - the **count stage** (`CountStage`) owns the hole bitset with a
+//!   Fenwick tree over its 64-slot words, evaluates the formula above
+//!   and records the distance in the histogram.  A short gap resolves by
+//!   popcount on one or two words, a long one adds one range query, and
+//!   each reuse makes one word update.  A cold reference touches no
+//!   bitset or tree at all.
+//!
+//! Both stages advance `now` by one per reference, so they agree slot
+//! for slot.  [`StackDistanceAnalyzer`] runs
+//! them back to back on every access; the streaming fitter
+//! ([`StreamAnalyzer`](crate::StreamAnalyzer)) runs the count stage on a
+//! thread of its own.
+//!
+//! When the slots run out, the slot stage compacts: every slot that no
+//! table bucket holds is a hole, so it renumbers the live blocks in order
+//! from the table alone and starts a hole-free slot space of `SLOT_FACTOR` ×
+//! live blocks (at least `INITIAL_SLOTS`), so a compaction is amortized
+//! over ≥ 7 references per live block.  It hands the count stage the new
+//! `now` and an empty slot space of the same size.  Memory is
+//! `O(live blocks)`, time `O(log M)` per reference.
 //!
 //! [`NaiveStackDistance`] is the obviously-correct `O(M · B)` reference
 //! implementation (an explicit LRU stack) used by the property tests.
@@ -35,12 +51,17 @@ use crate::histogram::DistanceHistogram;
 
 /// Slot space after a compaction, as a multiple of the live blocks.
 const SLOT_FACTOR: usize = 8;
+/// Slot space before the first compaction, and its floor after.
+const INITIAL_SLOTS: usize = 1 << 16;
 /// Largest slot space: every slot fits a `u32` below [`EMPTY`].
 const MAX_SLOTS: usize = u32::MAX as usize & !63;
 /// Bucket slot of an empty table bucket.  Slots stay below
 /// [`MAX_SLOTS`], so occupancy needs no reserved key and every `u64`
 /// block is a valid key.
 const EMPTY: u32 = u32::MAX;
+/// What the slot stage reports for a block's first reference: no slot
+/// is ever this large.
+pub(crate) const COLD: u32 = EMPTY;
 
 /// One block-table bucket: the block key (split into halves so a bucket
 /// packs into 12 bytes) and the slot of its latest reference.
@@ -131,24 +152,19 @@ impl BlockTable {
     }
 }
 
-/// Hole bitset over the slot space plus a Fenwick tree of per-word hole
-/// counts (1-based: `tree[i]` sums the words ending at word `i - 1`).
-struct Holes {
+/// The count stage's holes: a bitset over the slot space plus a Fenwick
+/// tree of per-word hole counts (1-based: `tree[i]` sums the words ending
+/// at word `i - 1`).
+pub(crate) struct Holes {
     bits: Vec<u64>,
     tree: Vec<u32>,
 }
 
 impl Holes {
     fn new(slots: usize) -> Self {
-        let words = slots / 64;
-        Holes {
-            bits: vec![0; words],
-            tree: vec![0; words + 1],
-        }
-    }
-
-    fn slots(&self) -> usize {
-        self.bits.len() * 64
+        let bits = vec![0; slots / 64];
+        let tree = vec![0; bits.len() + 1];
+        Holes { bits, tree }
     }
 
     /// Mark `slot` a hole.
@@ -192,19 +208,176 @@ impl Holes {
         sum
     }
 
-    /// Close up the holes: move each live slot in `live` down by the
-    /// holes before it.  Uses the tree as scratch space for per-word
-    /// prefix counts, so the caller starts a fresh space afterwards.
-    fn close_up<'a>(&mut self, live: impl Iterator<Item = &'a mut u32>) {
+    fn state_bytes(&self) -> u64 {
+        (self.bits.len() * 8 + self.tree.len() * 4) as u64
+    }
+}
+
+/// A compaction as the slot stage reports it to the count stage.
+pub(crate) struct Compaction {
+    /// The slot the next reference takes: the live blocks now hold slots
+    /// `0..now`.
+    now: usize,
+    /// The count stage's new, hole-free slot space.  The slot stage
+    /// allocates it so that it comes from the caller's heap when the
+    /// count stage runs on a worker thread: allocated there, it left the
+    /// worker's malloc arena holding about 1 MB more peak memory.
+    holes: Holes,
+}
+
+/// The slot stage: the block table over a slot space of `slots`.
+pub(crate) struct SlotStage {
+    /// `log2(granularity)`.
+    shift: u32,
+    /// Block → slot of its most recent access.
+    blocks: BlockTable,
+    /// Size of the slot space, a multiple of 64.
+    slots: usize,
+    /// The slot the next reference takes.
+    now: usize,
+    live: u32,
+}
+
+impl SlotStage {
+    pub(crate) fn new(granularity: u64) -> Self {
+        assert!(
+            granularity.is_power_of_two(),
+            "granularity must be a power of two"
+        );
+        SlotStage {
+            shift: granularity.trailing_zeros(),
+            blocks: BlockTable::new(),
+            slots: INITIAL_SLOTS,
+            now: 0,
+            live: 0,
+        }
+    }
+
+    /// Whether the slot space is used up: the next reference must
+    /// [`compact`](SlotStage::compact) first.
+    #[inline]
+    pub(crate) fn full(&self) -> bool {
+        self.now == self.slots
+    }
+
+    /// Take the next slot for a reference to byte address `addr`,
+    /// returning the slot of its block's previous reference, or [`COLD`].
+    /// The slot space must not be [`full`](SlotStage::full).
+    #[inline]
+    pub(crate) fn next(&mut self, addr: u64) -> u32 {
+        debug_assert!(!self.full(), "compact before taking a slot");
+        let now = self.now as u32;
+        self.now += 1;
+        match self.blocks.replace(addr >> self.shift, now) {
+            Some(old) => old,
+            None => {
+                self.live += 1;
+                COLD
+            }
+        }
+    }
+
+    /// Squeeze the holes out of the full slot space: renumber every live
+    /// block by its rank, then start a hole-free space of
+    /// `SLOT_FACTOR × live` slots.  Amortized O(1) per reference.
+    pub(crate) fn compact(&mut self) -> Compaction {
+        let live = self.live as usize;
+        assert!(live < MAX_SLOTS, "more live blocks than u32 slots");
+        // The buckets hold exactly the live slots; each moves to the
+        // number of live slots before it.
+        let mut bits = vec![0u64; self.slots / 64];
+        for b in self.blocks.buckets.iter().filter(|b| b.slot != EMPTY) {
+            bits[b.slot as usize / 64] |= 1 << (b.slot % 64);
+        }
         let mut before = 0;
-        for (w, &word) in self.bits.iter().enumerate() {
-            self.tree[w] = before;
-            before += word.count_ones();
+        let prefix: Vec<u32> = bits
+            .iter()
+            .map(|word| {
+                let at = before;
+                before += word.count_ones();
+                at
+            })
+            .collect();
+        for b in self.blocks.buckets.iter_mut().filter(|b| b.slot != EMPTY) {
+            let (w, bit) = (b.slot as usize / 64, b.slot % 64);
+            b.slot = prefix[w] + (bits[w] & ((1u64 << bit) - 1)).count_ones();
         }
-        for slot in live {
-            let (w, b) = (*slot as usize / 64, *slot % 64);
-            *slot -= self.tree[w] + (self.bits[w] & ((1u64 << b) - 1)).count_ones();
+        let slots = (live * SLOT_FACTOR)
+            .next_multiple_of(64)
+            .clamp(INITIAL_SLOTS, MAX_SLOTS);
+        self.slots = slots;
+        self.now = live;
+        Compaction {
+            now: live,
+            holes: Holes::new(slots),
         }
+    }
+
+    /// Number of distinct blocks seen so far.
+    pub(crate) fn unique_blocks(&self) -> u32 {
+        self.live
+    }
+
+    /// Table buckets, in bytes.
+    pub(crate) fn state_bytes(&self) -> u64 {
+        (self.blocks.buckets.len() * std::mem::size_of::<Bucket>()) as u64
+    }
+}
+
+/// The count stage: its holes and the distance histogram.
+pub(crate) struct CountStage {
+    holes: Holes,
+    /// The slot of the next reference; tracks the slot stage's.
+    now: usize,
+    hist: DistanceHistogram,
+}
+
+impl CountStage {
+    pub(crate) fn new(granularity: u64) -> Self {
+        CountStage {
+            holes: Holes::new(INITIAL_SLOTS),
+            now: 0,
+            hist: DistanceHistogram::new(granularity),
+        }
+    }
+
+    /// Count the reference whose previous slot the slot stage reported as
+    /// `old` ([`COLD`] for a first reference): record its distance and
+    /// return it.
+    #[inline]
+    pub(crate) fn count(&mut self, old: u32) -> Option<u64> {
+        let now = self.now;
+        self.now += 1;
+        let d = if old == COLD {
+            None
+        } else {
+            let old = old as usize;
+            let d = (now - old - 1) as u32 - self.holes.between(old, now);
+            self.holes.set(old);
+            Some(u64::from(d))
+        };
+        self.hist.record(d);
+        d
+    }
+
+    /// Follow the slot stage into its compacted, hole-free space.
+    pub(crate) fn compact(&mut self, c: Compaction) {
+        self.holes = c.holes;
+        self.now = c.now;
+    }
+
+    /// The distances counted so far.
+    pub(crate) fn histogram(&self) -> &DistanceHistogram {
+        &self.hist
+    }
+
+    pub(crate) fn into_histogram(self) -> DistanceHistogram {
+        self.hist
+    }
+
+    /// Hole bitset, Fenwick words and histogram buckets, in bytes.
+    pub(crate) fn state_bytes(&self) -> u64 {
+        self.holes.state_bytes() + self.hist.state_bytes()
     }
 }
 
@@ -215,36 +388,18 @@ impl Holes {
 /// [`StackDistanceAnalyzer::granularity`].
 pub struct StackDistanceAnalyzer {
     granularity: u64,
-    /// `log2(granularity)`.
-    shift: u32,
-    /// Block → slot of its most recent access.
-    blocks: BlockTable,
-    holes: Holes,
-    /// The slot the next reference takes.
-    now: usize,
-    live: u32,
-    hist: DistanceHistogram,
+    slots: SlotStage,
+    count: CountStage,
 }
 
 impl StackDistanceAnalyzer {
-    /// Slot space before the first compaction, and its floor after.
-    const INITIAL_SLOTS: usize = 1 << 16;
-
     /// Create an analyzer mapping addresses to `granularity`-byte blocks
     /// (`granularity` must be a power of two; 64 = cache-line granularity).
     pub fn new(granularity: u64) -> Self {
-        assert!(
-            granularity.is_power_of_two(),
-            "granularity must be a power of two"
-        );
         StackDistanceAnalyzer {
             granularity,
-            shift: granularity.trailing_zeros(),
-            blocks: BlockTable::new(),
-            holes: Holes::new(Self::INITIAL_SLOTS),
-            now: 0,
-            live: 0,
-            hist: DistanceHistogram::new(granularity),
+            slots: SlotStage::new(granularity),
+            count: CountStage::new(granularity),
         }
     }
 
@@ -257,75 +412,39 @@ impl StackDistanceAnalyzer {
     /// distance in blocks, or `None` for a cold (first) reference.
     #[inline]
     pub fn access(&mut self, addr: u64) -> Option<u64> {
-        if self.now == self.holes.slots() {
-            self.compact();
+        if self.slots.full() {
+            self.count.compact(self.slots.compact());
         }
-        let now = self.now;
-        self.now += 1;
-        let d = match self.blocks.replace(addr >> self.shift, now as u32) {
-            Some(old) => {
-                let old = old as usize;
-                let d = (now - old - 1) as u32 - self.holes.between(old, now);
-                self.holes.set(old);
-                Some(u64::from(d))
-            }
-            None => {
-                self.live += 1;
-                None
-            }
-        };
-        self.hist.record(d);
-        d
-    }
-
-    /// Squeeze the holes out of the full slot space: renumber every live
-    /// block by its rank, then start a hole-free space of
-    /// `SLOT_FACTOR × live` slots.  Amortized O(1) per reference.
-    fn compact(&mut self) {
-        let live = self.live as usize;
-        assert!(live < MAX_SLOTS, "more live blocks than u32 slots");
-        self.holes.close_up(
-            self.blocks
-                .buckets
-                .iter_mut()
-                .filter(|b| b.slot != EMPTY)
-                .map(|b| &mut b.slot),
-        );
-        let slots = (live * SLOT_FACTOR)
-            .next_multiple_of(64)
-            .clamp(Self::INITIAL_SLOTS, MAX_SLOTS);
-        self.holes = Holes::new(slots);
-        self.now = live;
+        self.count.count(self.slots.next(addr))
     }
 
     /// Number of distinct blocks seen so far.
     pub fn unique_blocks(&self) -> u32 {
-        self.live
+        self.slots.unique_blocks()
     }
 
-    /// Deterministic size of the analyzer's resident state in bytes
-    /// (block table buckets + hole bitset + Fenwick words + histogram
-    /// buckets), computed from container lengths so identical inputs
-    /// report identical sizes.  This is what the out-of-core pipeline's
-    /// memory-bound assertions measure: it scales with *live blocks*,
-    /// never with trace length.  Per live block that is 12 B table
-    /// buckets at 7/16–7/8 load plus 1.5 B for its eight slots (a bitset
-    /// byte and half a Fenwick word): about 15–29 B.
+    /// Deterministic size of the analyzer's resident state in bytes (the
+    /// slot stage's table buckets, the count stage's hole bitset, Fenwick
+    /// words and histogram buckets), computed from
+    /// container lengths so identical inputs report identical sizes.
+    /// This is what the out-of-core pipeline's memory-bound assertions
+    /// measure: it scales with *live blocks*, never with trace length.
+    /// Per live block that is 12 B table buckets at 7/16–7/8 load plus
+    /// 1.5 B for its eight slots (a bitset byte and half a Fenwick word):
+    /// about 15–29 B.
     pub fn state_bytes(&self) -> u64 {
-        let table = self.blocks.buckets.len() * std::mem::size_of::<Bucket>();
-        let holes = self.holes.bits.len() * 8 + self.holes.tree.len() * 4;
-        (table + holes) as u64 + self.hist.state_bytes()
+        self.slots.state_bytes() + self.count.state_bytes()
     }
 
     /// The accumulated distance histogram (distances in blocks; the
     /// histogram knows the byte granularity for CDF conversion).
     pub fn histogram(&self) -> DistanceHistogram {
-        self.hist.clone()
+        self.count.histogram().clone()
     }
 
     /// Consume the analyzer, returning the histogram without cloning.
     pub fn into_histogram(self) -> DistanceHistogram {
-        self.hist
+        self.count.into_histogram()
     }
 }
 
@@ -428,7 +547,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let mut fast = StackDistanceAnalyzer::new(1);
         let mut slow = NaiveStackDistance::new(1);
-        for _ in 0..(StackDistanceAnalyzer::INITIAL_SLOTS * 3) {
+        for _ in 0..(INITIAL_SLOTS * 3) {
             let addr = rng.gen_range(0u64..300);
             assert_eq!(fast.access(addr), slow.access(addr));
         }

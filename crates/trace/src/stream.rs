@@ -21,10 +21,13 @@
 
 use crate::fit::{fit_locality_checked, FitError};
 use crate::format::{TraceError, TraceReader};
-use crate::stackdist::StackDistanceAnalyzer;
+use crate::histogram::DistanceHistogram;
+use crate::stackdist::{Compaction, CountStage, SlotStage};
 use serde::{Deserialize, ErrorKind, Expected, Serialize};
 use serde_json::Value;
 use std::path::Path;
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::thread::JoinHandle;
 
 /// First fit milestone; subsequent milestones double.
 pub const FIRST_MILESTONE: u64 = 4096;
@@ -197,6 +200,136 @@ impl FitRequest {
     }
 }
 
+/// Records per batch the slot stage hands to the count stage.
+const BATCH_RECORDS: usize = 16 * 1024;
+/// Batches that may wait in the channel before the slot stage blocks.
+const PIPELINE_DEPTH: usize = 4;
+
+/// What the slot stage sends the count stage, in stream order.
+enum Batch {
+    /// Previous slots (or [`COLD`](crate::stackdist::COLD)), one per record.
+    Slots(Vec<u32>),
+    /// The slot stage compacted before the next record.
+    Compact(Compaction),
+}
+
+/// Everything downstream of the slot stage: the count stage and the
+/// milestone fits.
+struct FitStage {
+    count: CountStage,
+    records: u64,
+    next_milestone: u64,
+    history: Vec<FitSnapshot>,
+}
+
+impl FitStage {
+    fn new(granularity: u64) -> Self {
+        FitStage {
+            count: CountStage::new(granularity),
+            records: 0,
+            next_milestone: FIRST_MILESTONE,
+            history: Vec::new(),
+        }
+    }
+
+    fn count_all(&mut self, slots: &[u32]) {
+        for &old in slots {
+            self.count.count(old);
+            self.records += 1;
+            if self.records == self.next_milestone {
+                self.history
+                    .extend(milestone_fit(self.count.histogram(), self.records));
+                self.next_milestone *= 2;
+            }
+        }
+    }
+}
+
+/// The fit of `hist` at a milestone of `records` records, unless it is
+/// degenerate.
+fn milestone_fit(hist: &DistanceHistogram, records: u64) -> Option<FitSnapshot> {
+    let fit = fit_locality_checked(&hist.cdf_points()).ok()?;
+    Some(FitSnapshot {
+        records,
+        alpha: fit.alpha,
+        beta: fit.beta,
+        r_squared: fit.r_squared,
+    })
+}
+
+/// Run the final fit on `hist` and assemble the report.
+fn final_report(
+    hist: &DistanceHistogram,
+    history: Vec<FitSnapshot>,
+    records: u64,
+    total_instructions: u64,
+) -> Result<FitReport, FitError> {
+    let fit = fit_locality_checked(&hist.cdf_points())?;
+    let converged = history.last().is_some_and(|last| {
+        let da = (fit.alpha - last.alpha).abs() / fit.alpha.abs().max(f64::MIN_POSITIVE);
+        let db = (fit.beta - last.beta).abs() / fit.beta.abs().max(f64::MIN_POSITIVE);
+        da < ALPHA_TOL && db < BETA_TOL
+    });
+    let rho = if total_instructions > 0 {
+        records as f64 / total_instructions as f64
+    } else {
+        0.0
+    };
+    Ok(FitReport {
+        alpha: fit.alpha,
+        beta: fit.beta,
+        rho,
+        r_squared: fit.r_squared,
+        records,
+        granularity: hist.granularity(),
+        converged,
+        history,
+    })
+}
+
+/// The count stage's thread and the channels to it.
+struct Worker {
+    batches: SyncSender<Batch>,
+    /// Emptied batch buffers coming back for reuse.
+    spare: Receiver<Vec<u32>>,
+    thread: JoinHandle<FitStage>,
+}
+
+impl Worker {
+    fn spawn(mut fit: FitStage) -> Worker {
+        let (batches, inbox) = mpsc::sync_channel(PIPELINE_DEPTH);
+        let (recycle, spare) = mpsc::channel();
+        let thread = std::thread::Builder::new()
+            .name("memhier-fit-count".to_string())
+            .spawn(move || {
+                for batch in inbox {
+                    match batch {
+                        Batch::Slots(mut slots) => {
+                            fit.count_all(&slots);
+                            slots.clear();
+                            let _ = recycle.send(slots);
+                        }
+                        Batch::Compact(c) => fit.count.compact(c),
+                    }
+                }
+                fit
+            })
+            .expect("spawning the stack-distance count stage");
+        Worker {
+            batches,
+            spare,
+            thread,
+        }
+    }
+
+    /// Hang up and wait for the count stage to drain; a panic on the
+    /// worker comes back as `Err`.
+    fn join(self) -> std::thread::Result<FitStage> {
+        drop(self.batches);
+        self.thread.join()
+    }
+}
+
 /// Streaming stack-distance + online-fit engine.
 ///
 /// Push addresses (singly or in chunks of any size), then
@@ -204,37 +337,62 @@ impl FitRequest {
 /// `O(live blocks)`; [`peak_state_bytes`](StreamAnalyzer::peak_state_bytes)
 /// exposes the high-water mark so tests can assert the bound instead of
 /// hoping for it.
+///
+/// The analysis runs as a two-stage pipeline (see
+/// [`stackdist`](crate::stackdist)): the slot stage runs in `push` on the
+/// caller's thread and hands the count stage batches of previous slots
+/// over a bounded channel; the count stage, with the milestone fits, runs
+/// on a worker thread.  `push` waits only when the channel is full.
+/// [`finish`](StreamAnalyzer::finish) and the accessors that read the
+/// count stage's state drain the pipeline and join the worker (it starts
+/// again at the next hand-off), and so does dropping the analyzer.  A
+/// panic in the count stage resurfaces on the caller's thread at the next
+/// hand-off or drain.  The results are those of
+/// [`StackDistanceAnalyzer`](crate::StackDistanceAnalyzer) run on the
+/// same stream, bit for bit, at any chunking.
 pub struct StreamAnalyzer {
-    an: StackDistanceAnalyzer,
+    slots: SlotStage,
     records: u64,
-    next_milestone: u64,
-    history: Vec<FitSnapshot>,
-    peak_state: u64,
+    /// Previous slots not yet handed to the count stage.
+    batch: Vec<u32>,
+    batch_records: usize,
+    /// The count stage while it is not running on `worker`.
+    fit: Option<FitStage>,
+    worker: Option<Worker>,
 }
 
 impl StreamAnalyzer {
     /// New analyzer at `granularity`-byte blocks (power of two).
     pub fn new(granularity: u64) -> Self {
+        Self::with_batch_records(granularity, BATCH_RECORDS)
+    }
+
+    /// [`StreamAnalyzer::new`] handing the count stage `batch_records`
+    /// records at a time.
+    pub(crate) fn with_batch_records(granularity: u64, batch_records: usize) -> Self {
+        assert!(batch_records > 0, "batches must hold a record");
         StreamAnalyzer {
-            an: StackDistanceAnalyzer::new(granularity),
+            slots: SlotStage::new(granularity),
             records: 0,
-            next_milestone: FIRST_MILESTONE,
-            history: Vec::new(),
-            peak_state: 0,
+            batch: Vec::with_capacity(batch_records),
+            batch_records,
+            fit: Some(FitStage::new(granularity)),
+            worker: None,
         }
     }
 
     /// Feed one address.
+    #[inline]
     pub fn push(&mut self, addr: u64) {
-        self.an.access(addr);
-        self.records += 1;
-        if self.records == self.next_milestone {
-            self.snapshot();
-            self.next_milestone *= 2;
+        if self.slots.full() {
+            let c = self.slots.compact();
+            self.send_batch();
+            self.send(Batch::Compact(c));
         }
-        let state = self.an.state_bytes();
-        if state > self.peak_state {
-            self.peak_state = state;
+        self.batch.push(self.slots.next(addr));
+        self.records += 1;
+        if self.batch.len() == self.batch_records {
+            self.send_batch();
         }
     }
 
@@ -247,70 +405,110 @@ impl StreamAnalyzer {
         }
     }
 
+    /// Hand the pending batch, if any, to the count stage.
+    fn send_batch(&mut self) {
+        if self.batch.is_empty() {
+            return;
+        }
+        let spare = self.worker.as_ref().and_then(|w| w.spare.try_recv().ok());
+        let fresh = spare.unwrap_or_else(|| Vec::with_capacity(self.batch_records));
+        let full = std::mem::replace(&mut self.batch, fresh);
+        self.send(Batch::Slots(full));
+    }
+
+    /// Send `batch` to the count stage's worker, starting it if need be.
+    fn send(&mut self, batch: Batch) {
+        let worker = match &mut self.worker {
+            Some(w) => w,
+            None => {
+                let fit = self.fit.take().expect("the count stage is here");
+                self.worker.insert(Worker::spawn(fit))
+            }
+        };
+        if worker.batches.send(batch).is_err() {
+            // Only a panic drops the worker's end while this one lives;
+            // joining resumes it here.
+            self.join();
+            unreachable!("the count stage hung up without panicking");
+        }
+    }
+
+    /// Join the worker, if one runs, and take the count stage back.
+    fn join(&mut self) {
+        if let Some(worker) = self.worker.take() {
+            match worker.join() {
+                Ok(fit) => self.fit = Some(fit),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+    }
+
+    /// Drain the pipeline: every record pushed so far is counted, and the
+    /// count stage is back on this thread.
+    fn sync(&mut self) -> &mut FitStage {
+        self.join();
+        let fit = self.fit.as_mut().expect("the count stage was joined");
+        fit.count_all(&self.batch);
+        self.batch.clear();
+        fit
+    }
+
     /// Records pushed so far.
     pub fn records(&self) -> u64 {
         self.records
     }
 
-    /// Current resident analysis state in bytes.
-    pub fn state_bytes(&self) -> u64 {
-        self.an.state_bytes()
+    /// Current resident analysis state in bytes, both stages counted.
+    /// Drains the pipeline.
+    pub fn state_bytes(&mut self) -> u64 {
+        let slot_bytes = self.slots.state_bytes();
+        slot_bytes + self.sync().count.state_bytes()
     }
 
-    /// High-water mark of [`state_bytes`](StreamAnalyzer::state_bytes).
-    pub fn peak_state_bytes(&self) -> u64 {
-        self.peak_state
+    /// High-water mark of [`state_bytes`](StreamAnalyzer::state_bytes)
+    /// over every record pushed (0 before the first).  Blocks are never
+    /// forgotten, so the table, the slot space and the histogram only
+    /// grow, and the state peaks at the latest record.  Drains the
+    /// pipeline.
+    pub fn peak_state_bytes(&mut self) -> u64 {
+        match self.records {
+            0 => 0,
+            _ => self.state_bytes(),
+        }
     }
 
     /// Distinct blocks seen.
     pub fn unique_blocks(&self) -> u32 {
-        self.an.unique_blocks()
+        self.slots.unique_blocks()
     }
 
-    /// Milestone fits collected so far.
-    pub fn history(&self) -> &[FitSnapshot] {
-        &self.history
-    }
-
-    fn snapshot(&mut self) {
-        if let Ok(fit) = fit_locality_checked(&self.an.histogram().cdf_points()) {
-            self.history.push(FitSnapshot {
-                records: self.records,
-                alpha: fit.alpha,
-                beta: fit.beta,
-                r_squared: fit.r_squared,
-            });
-        }
+    /// Milestone fits collected so far.  Drains the pipeline.
+    pub fn history(&mut self) -> &[FitSnapshot] {
+        &self.sync().history
     }
 
     /// Run the final fit and assemble the report.  `total_instructions`
     /// (memory + compute) yields `ρ = records / total_instructions`; 0
     /// means unknown and reports `ρ = 0`.
-    pub fn finish(self, total_instructions: u64) -> Result<FitReport, FitError> {
-        let records = self.records;
-        let history = self.history;
-        let granularity = self.an.granularity();
-        let fit = fit_locality_checked(&self.an.into_histogram().cdf_points())?;
-        let converged = history.last().is_some_and(|last| {
-            let da = (fit.alpha - last.alpha).abs() / fit.alpha.abs().max(f64::MIN_POSITIVE);
-            let db = (fit.beta - last.beta).abs() / fit.beta.abs().max(f64::MIN_POSITIVE);
-            da < ALPHA_TOL && db < BETA_TOL
-        });
-        let rho = if total_instructions > 0 {
-            records as f64 / total_instructions as f64
-        } else {
-            0.0
-        };
-        Ok(FitReport {
-            alpha: fit.alpha,
-            beta: fit.beta,
-            rho,
-            r_squared: fit.r_squared,
-            records,
-            granularity,
-            converged,
+    pub fn finish(mut self, total_instructions: u64) -> Result<FitReport, FitError> {
+        let fit = self.sync();
+        let history = std::mem::take(&mut fit.history);
+        final_report(
+            fit.count.histogram(),
             history,
-        })
+            fit.records,
+            total_instructions,
+        )
+    }
+}
+
+impl Drop for StreamAnalyzer {
+    /// Join the count stage's worker; a panic it died of is dropped with
+    /// it.
+    fn drop(&mut self) {
+        if let Some(worker) = self.worker.take() {
+            let _ = worker.join();
+        }
     }
 }
 
@@ -337,7 +535,15 @@ pub fn run_fit(req: &FitRequest) -> Result<FitReport, TraceError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::TraceWriter;
+    use crate::stackdist::StackDistanceAnalyzer;
     use crate::synthetic::SyntheticTrace;
+    use proptest::prelude::*;
+    use std::any::Any;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::path::PathBuf;
+    use std::sync::mpsc::{RecvTimeoutError, TryRecvError};
+    use std::time::Duration;
 
     fn synthetic_addrs(n: usize) -> Vec<u64> {
         SyntheticTrace::new(1.3, 90.0, 64, 7).take(n).collect()
@@ -495,5 +701,238 @@ mod tests {
             large.peak_state_bytes(),
             "state grew with trace length"
         );
+    }
+
+    /// Run `f` on a thread of its own, failing the test if it has not
+    /// returned within a minute: a pipeline that hangs fails instead of
+    /// blocking the suite.  A panic in `f` is resumed here.
+    fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = mpsc::channel();
+        let thread = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        match rx.recv_timeout(Duration::from_secs(60)) {
+            Ok(v) => v,
+            Err(RecvTimeoutError::Timeout) => panic!("hung: no result within 60 s"),
+            Err(RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(thread.join().expect_err("sent no result"))
+            }
+        }
+    }
+
+    fn panic_text(payload: &(dyn Any + Send)) -> String {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    /// The single-threaded composition: one [`StackDistanceAnalyzer`]
+    /// running both stages inline, with a milestone fit at every
+    /// 4096 · 2ᵏ records.  Returns the report, the distinct blocks and the
+    /// state after every record.
+    fn inline_composition(
+        addrs: &[u64],
+        total_instructions: u64,
+    ) -> (Result<FitReport, FitError>, u32, Vec<u64>) {
+        let mut an = StackDistanceAnalyzer::new(64);
+        let mut history = Vec::new();
+        let mut states = Vec::with_capacity(addrs.len());
+        for (i, &a) in addrs.iter().enumerate() {
+            an.access(a);
+            let records = i as u64 + 1;
+            if records >= FIRST_MILESTONE && records.is_power_of_two() {
+                history.extend(milestone_fit(&an.histogram(), records));
+            }
+            states.push(an.state_bytes());
+        }
+        let report = final_report(
+            &an.histogram(),
+            history,
+            addrs.len() as u64,
+            total_instructions,
+        );
+        (report, an.unique_blocks(), states)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The worker pipeline at tiny batch sizes, where compactions and
+        /// milestones fall on batch boundaries, and drained once mid-stream,
+        /// gives the inline composition's results bit for bit.
+        #[test]
+        fn pipeline_matches_inline_composition(
+            seed in 0u64..1_000,
+            len in 1usize..160_000,
+            capped in any::<bool>(),
+            batch in prop_oneof![Just(1usize), Just(2), Just(64), Just(4096), 1usize..5_000],
+            chunk in 1usize..40_000,
+            probe in 0usize..160_000,
+        ) {
+            let synthetic = SyntheticTrace::new(1.3, 90.0, 64, seed);
+            let addrs: Vec<u64> = if capped {
+                synthetic.with_footprint((1u64 << 14) as f64).take(len).collect()
+            } else {
+                synthetic.take(len).collect()
+            };
+            let (report, unique, states) = inline_composition(&addrs, 2 * len as u64);
+
+            let mut an = StreamAnalyzer::with_batch_records(64, batch);
+            let probe = probe % len;
+            for (i, c) in addrs.chunks(chunk).enumerate() {
+                an.push_chunk(c);
+                if i * chunk <= probe && probe < (i + 1) * chunk {
+                    let seen = an.records() as usize;
+                    prop_assert_eq!(an.state_bytes(), states[seen - 1]);
+                    prop_assert_eq!(
+                        an.peak_state_bytes(),
+                        states[..seen].iter().copied().max().unwrap()
+                    );
+                }
+            }
+            prop_assert_eq!(an.unique_blocks(), unique);
+            prop_assert_eq!(an.state_bytes(), states[len - 1]);
+            prop_assert_eq!(an.peak_state_bytes(), states.iter().copied().max().unwrap());
+            prop_assert_eq!(
+                format!("{:?}", an.finish(2 * len as u64)),
+                format!("{report:?}")
+            );
+        }
+    }
+
+    #[test]
+    fn peak_state_is_zero_before_any_record() {
+        let mut an = StreamAnalyzer::new(64);
+        assert_eq!(an.peak_state_bytes(), 0);
+        assert!(an.state_bytes() > 0);
+    }
+
+    #[test]
+    fn dropping_mid_stream_joins_the_worker() {
+        within_a_minute(|| {
+            let mut an = StreamAnalyzer::with_batch_records(64, 1024);
+            an.push_chunk(&synthetic_addrs(100_000));
+            let worker = an
+                .worker
+                .as_mut()
+                .expect("the count stage runs on its worker");
+            // Keep the receiving end of the buffer-recycling channel: its
+            // sending end lives exactly as long as the worker does.
+            let spare = std::mem::replace(&mut worker.spare, mpsc::channel().1);
+            drop(an);
+            while spare.try_recv().is_ok() {}
+            assert_eq!(spare.try_recv(), Err(TryRecvError::Disconnected));
+        });
+    }
+
+    /// Whether `text` is the panic a bad slot causes in the count stage:
+    /// the gap underflows (checked arithmetic) or the bitset index runs
+    /// past the slot space.
+    fn is_bad_slot_panic(text: &str) -> bool {
+        text.contains("overflow") || text.contains("out of bounds")
+    }
+
+    /// Push some records, then slip the count stage a slot the slot stage
+    /// never issued, which panics the worker.
+    fn analyzer_with_a_dying_worker() -> StreamAnalyzer {
+        let mut an = StreamAnalyzer::with_batch_records(64, 256);
+        an.push_chunk(&synthetic_addrs(2_000));
+        assert!(an.worker.is_some());
+        an.batch.push(u32::MAX - 1);
+        an
+    }
+
+    #[test]
+    fn count_stage_panic_resurfaces_at_the_next_drain() {
+        let text = within_a_minute(|| {
+            let mut an = analyzer_with_a_dying_worker();
+            an.send_batch();
+            let payload = catch_unwind(AssertUnwindSafe(|| an.history().len()))
+                .expect_err("the worker's panic must reach the caller");
+            panic_text(&*payload)
+        });
+        assert!(is_bad_slot_panic(&text), "{text}");
+    }
+
+    #[test]
+    fn count_stage_panic_resurfaces_in_push() {
+        let text = within_a_minute(|| {
+            let mut an = analyzer_with_a_dying_worker();
+            let payload = catch_unwind(AssertUnwindSafe(|| {
+                an.push_chunk(&synthetic_addrs(200_000));
+            }))
+            .expect_err("back-pressure must surface the worker's panic");
+            assert!(an.worker.is_none(), "the dead worker was joined");
+            panic_text(&*payload)
+        });
+        assert!(is_bad_slot_panic(&text), "{text}");
+    }
+
+    /// Write `addrs` as a `.mtr` trace in the temp directory.
+    fn write_trace(name: &str, addrs: &[u64]) -> PathBuf {
+        let path =
+            std::env::temp_dir().join(format!("memhier-stream-{}-{name}.mtr", std::process::id()));
+        let mut w = TraceWriter::create(&path, 1).expect("create trace");
+        for &a in addrs {
+            w.record(a).expect("record");
+        }
+        w.finish(2 * addrs.len() as u64).expect("finish");
+        path
+    }
+
+    /// The error a plain decode of `path` stops at.
+    fn decode_error(path: &Path) -> TraceError {
+        let mut reader = TraceReader::open(path).expect("open");
+        loop {
+            match reader.next_record() {
+                Ok(Some(_)) => {}
+                Ok(None) => panic!("{} decodes cleanly", path.display()),
+                Err(e) => return e,
+            }
+        }
+    }
+
+    /// A damaged trace fails `run_fit` with the error the decoder reports,
+    /// after two blocks' worth of records have gone to the worker.
+    #[test]
+    fn damaged_traces_fail_run_fit_with_the_decoder_error() {
+        let path = write_trace("intact", &synthetic_addrs(200_000));
+        let bytes = std::fs::read(&path).expect("read trace");
+        std::fs::remove_file(&path).expect("remove trace");
+        // Header, then blocks of [payload length, record count, CRC, payload].
+        let mut third = 36;
+        let mut records = 0;
+        for _ in 0..2 {
+            let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+            records += word(third + 4) as usize;
+            third += 12 + word(third) as usize;
+        }
+        assert!(
+            records > 2 * BATCH_RECORDS,
+            "{records} records precede block 3"
+        );
+
+        let mut flipped = bytes.clone();
+        flipped[third + 12 + 100] ^= 0x10;
+        let truncated = &bytes[..third + 12 + 100];
+        for (name, damaged) in [("flipped", &flipped[..]), ("truncated", truncated)] {
+            let path = write_trace(name, &[]);
+            std::fs::write(&path, damaged).expect("write damaged trace");
+            let expected = format!("{:?}", decode_error(&path));
+            let trace = path.to_string_lossy().into_owned();
+            let got = within_a_minute(move || run_fit(&FitRequest::new(trace)))
+                .expect_err("a damaged trace must not fit");
+            std::fs::remove_file(&path).expect("remove trace");
+            assert_eq!(format!("{got:?}"), expected, "{name}");
+            match name {
+                "flipped" => assert!(
+                    matches!(got, TraceError::CrcMismatch { what: "block", .. }),
+                    "{got:?}"
+                ),
+                _ => assert!(matches!(got, TraceError::Truncated(_)), "{got:?}"),
+            }
+        }
     }
 }

@@ -160,7 +160,7 @@ proptest! {
 // These tests drive interleaved reuse well past two compactions and
 // demand exact agreement with the O(M·B) naive LRU stack.
 
-/// Mirrors the private `StackDistanceAnalyzer::INITIAL_SLOTS`.
+/// Mirrors the private `stackdist::INITIAL_SLOTS`.
 const INITIAL_SLOTS: usize = 1 << 16;
 
 /// Deterministic reuse-heavy stream: a hot set revisited constantly
