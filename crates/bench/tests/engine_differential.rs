@@ -19,7 +19,8 @@
 //! (re-blessed the same way, with `-- --ignored`) and replay the ledger
 //! benchmark's nine scenarios at medium size with and without an
 //! observer: the observer-free engine runs processors ahead through
-//! private L1 hits, and its reports must equal the per-event path's.
+//! private L1 hits, and its reports must equal the observed run's, which
+//! keeps strict `(clock, index)` order.
 
 use memhier_bench::runner::{simulate_workload_observed, ObserverConfig, Sizes};
 use memhier_bench::Scenario;

@@ -56,7 +56,9 @@ fn scenario(config: &str, workload: &str, observed: bool) -> Scenario {
         .workload_name(workload)
         .size(Sizes::Small);
     if observed {
-        b = b.metrics_window(WINDOW_CYCLES).trace_capacity(TRACE_CAPACITY);
+        b = b
+            .metrics_window(WINDOW_CYCLES)
+            .trace_capacity(TRACE_CAPACITY);
     }
     b.build().expect("valid scenario")
 }

@@ -31,8 +31,12 @@
 //! order-free, since release waits for every processor.
 //!
 //! The entry point is the [`SimSession`] builder: backend + one source per
-//! processor + any number of [`SimObserver`] taps.  With no observers the
-//! hot loop takes no snapshots at all — observability is strictly
+//! processor + any number of [`SimObserver`] taps.  Observed and
+//! unobserved runs share one replay loop, instantiated twice: the
+//! unobserved copy contains no observer code at all, and the observed one
+//! hands each access to the observers as an
+//! [`AccessObservation`](crate::observe::AccessObservation) that reads the
+//! backend only when an observer asks — observability is strictly
 //! pay-for-what-you-use.
 //!
 //! **Barrier contract:** a workload thread must emit
@@ -46,8 +50,8 @@
 use crate::backend::ClusterBackend;
 use crate::cache::SetAssocCache;
 use crate::event::MemEvent;
-use crate::observe::{AccessObservation, BarrierObservation, ServiceLevel, SimObserver};
-use crate::report::{LevelCounts, SimReport};
+use crate::observe::{Observers, SimObserver};
+use crate::report::SimReport;
 use crossbeam::channel::Receiver;
 use std::sync::Arc;
 
@@ -261,31 +265,6 @@ impl ProcState {
             run_ahead: Backoff::default(),
         }
     }
-
-    /// Next event, refilling the buffer from the channel when it runs dry;
-    /// `None` = stream exhausted.
-    #[inline]
-    fn next_event(&mut self) -> Option<MemEvent> {
-        loop {
-            if let Some(&e) = self.buf.as_slice().get(self.pos) {
-                self.pos += 1;
-                return Some(e);
-            }
-            let rx = self.channel.as_ref()?;
-            match rx.recv() {
-                Ok(batch) => {
-                    // Empty batches (a producer-side flush with nothing
-                    // pending) are skipped by looping.
-                    self.buf = ReplayBuf::Owned(batch);
-                    self.pos = 0;
-                }
-                Err(_) => {
-                    self.channel = None;
-                    return None;
-                }
-            }
-        }
-    }
 }
 
 /// Builder for one simulated run: a backend, one event source per
@@ -433,8 +412,7 @@ struct Engine {
     procs: Vec<ProcState>,
     barriers: u64,
     barrier_wait: u64,
-    observers: Vec<Box<dyn SimObserver>>,
-    last_counts: LevelCounts,
+    observers: Observers,
 }
 
 impl Engine {
@@ -454,8 +432,7 @@ impl Engine {
             procs,
             barriers: 0,
             barrier_wait: 0,
-            observers,
-            last_counts: LevelCounts::default(),
+            observers: Observers::new(observers),
         }
     }
 
@@ -484,13 +461,7 @@ impl Engine {
             }
         }
         if observing {
-            let obs = BarrierObservation {
-                release_clock: max,
-                waits: &waits,
-            };
-            for o in &mut self.observers {
-                o.on_barrier(&obs);
-            }
+            self.observers.barrier(max, &waits);
         }
     }
 
@@ -507,32 +478,6 @@ impl Engine {
             any = true;
         }
         any
-    }
-
-    /// Snapshot the backend around the access just completed and fan it
-    /// out to every observer.  Only called when observers are attached.
-    fn notify_access(&mut self, proc: usize, addr: u64, write: bool, issue_clock: u64, lat: u64) {
-        let counts = self.backend.counts();
-        let obs = AccessObservation {
-            proc,
-            addr,
-            write,
-            issue_clock,
-            complete_clock: issue_clock + 1 + lat,
-            mem_cycles: lat,
-            level: ServiceLevel::classify(&self.last_counts, &counts),
-            paged: counts.disk > self.last_counts.disk,
-            upgraded: counts.upgrades > self.last_counts.upgrades,
-            counts,
-            traffic: self.backend.traffic(),
-            bus_busy_cycles: self.backend.total_bus_busy_cycles(),
-            network_busy_cycles: self.backend.network_busy_cycles(),
-            io_busy_cycles: self.backend.total_io_busy_cycles(),
-        };
-        self.last_counts = counts;
-        for o in &mut self.observers {
-            o.on_access(&obs);
-        }
     }
 
     fn run_inner(mut self) -> (SimReport, Vec<Box<dyn SimObserver>>) {
@@ -569,11 +514,12 @@ impl Engine {
             // order until its clock passes the runner-up's — no other
             // clock moves meanwhile, so this is exactly the order a
             // per-event priority queue would produce.  Unobserved, the
-            // run then goes on through private events (see `run_ahead`).
+            // run then goes on through private events (see `run_ahead`);
+            // observers see every access in strict `(clock, index)` order.
             let end = if observing {
-                self.run_observed(i, si, sc)
+                self.replay_observed(i, si, sc)
             } else {
-                match self.run_fast(i, si, sc) {
+                match self.replay::<false>(i, si, sc) {
                     RunEnd::Yield if !self.procs[i].run_ahead.declines() => {
                         self.run_ahead(i, si, &keys)
                     }
@@ -594,9 +540,11 @@ impl Engine {
         self.finish()
     }
 
-    /// The observer-free hot loop: replay processor `i`'s events until it
-    /// can no longer be first in `(clock, index)` order, with the proc
-    /// state hoisted into locals and the buffer viewed as one slice.
+    /// The hot loop: replay processor `i`'s events until it can no longer
+    /// be first in `(clock, index)` order, with the proc state hoisted into
+    /// locals and the buffer viewed as one slice.  With `OBSERVE` every
+    /// access goes to the observers as it completes; without, the loop
+    /// holds no observer code.
     ///
     /// The lexicographic continuation test `(clock, i) < (sc, si)`
     /// collapses to `clock <= limit` with `limit = sc` when `i < si` and
@@ -604,8 +552,9 @@ impl Engine {
     /// leaves `si < i` when the runner-up was a displaced earlier winner,
     /// which forces `sc` strictly above the winning clock, hence `sc >= 1`.
     #[inline(always)]
-    fn run_fast(&mut self, i: usize, si: usize, sc: u64) -> RunEnd {
+    fn replay<const OBSERVE: bool>(&mut self, i: usize, si: usize, sc: u64) -> RunEnd {
         let backend = &mut self.backend;
+        let observers = &mut self.observers;
         let p = &mut self.procs[i];
         let mut clock = p.clock;
         let mut instructions = p.instructions;
@@ -629,6 +578,9 @@ impl Engine {
                     MemEvent::Read(a) | MemEvent::Write(a) => {
                         let write = matches!(e, MemEvent::Write(_));
                         let lat = backend.access(i, a, write, clock);
+                        if OBSERVE {
+                            observers.access(backend, i, a, write, clock, lat);
+                        }
                         clock += 1 + lat;
                         instructions += 1;
                         refs += 1;
@@ -673,6 +625,13 @@ impl Engine {
         p.instructions = instructions;
         p.refs = refs;
         end
+    }
+
+    /// [`Engine::replay`] with observers, kept out of the scheduling loop
+    /// so that the unobserved loop compiles as if it were alone.
+    #[inline(never)]
+    fn replay_observed(&mut self, i: usize, si: usize, sc: u64) -> RunEnd {
+        self.replay::<true>(i, si, sc)
     }
 
     /// Carry processor `i` on past the classic limit through private
@@ -766,51 +725,7 @@ impl Engine {
         limit
     }
 
-    /// The same run loop with per-access observer snapshots.  Kept as a
-    /// separate per-event path because snapshotting borrows the whole
-    /// engine; simulated results are identical to [`Engine::run_fast`].
-    fn run_observed(&mut self, i: usize, si: usize, sc: u64) -> RunEnd {
-        loop {
-            let clock = self.procs[i].clock;
-            match self.procs[i].next_event() {
-                None => {
-                    self.procs[i].finished = true;
-                    return RunEnd::Finished;
-                }
-                Some(MemEvent::Compute(k)) => {
-                    let p = &mut self.procs[i];
-                    p.clock += k as u64;
-                    p.instructions += k as u64;
-                }
-                Some(MemEvent::Read(a)) => {
-                    let lat = self.backend.access(i, a, false, clock);
-                    let p = &mut self.procs[i];
-                    p.clock += 1 + lat;
-                    p.instructions += 1;
-                    p.refs += 1;
-                    self.notify_access(i, a, false, clock, lat);
-                }
-                Some(MemEvent::Write(a)) => {
-                    let lat = self.backend.access(i, a, true, clock);
-                    let p = &mut self.procs[i];
-                    p.clock += 1 + lat;
-                    p.instructions += 1;
-                    p.refs += 1;
-                    self.notify_access(i, a, true, clock, lat);
-                }
-                Some(MemEvent::Barrier) => {
-                    self.procs[i].at_barrier = true;
-                    return RunEnd::Barrier;
-                }
-            }
-            let c = self.procs[i].clock;
-            if !(c < sc || (c == sc && i < si)) {
-                return RunEnd::Yield;
-            }
-        }
-    }
-
-    fn finish(mut self) -> (SimReport, Vec<Box<dyn SimObserver>>) {
+    fn finish(self) -> (SimReport, Vec<Box<dyn SimObserver>>) {
         let proc_cycles: Vec<u64> = self.procs.iter().map(|p| p.clock).collect();
         let wall = proc_cycles.iter().copied().max().unwrap_or(0);
         let total_instructions: u64 = self.procs.iter().map(|p| p.instructions).sum();
@@ -835,10 +750,8 @@ impl Engine {
             network_busy_cycles: self.backend.network_busy_cycles(),
             io_busy_cycles: self.backend.io_busy_cycles(),
         };
-        for o in &mut self.observers {
-            o.on_finish(&report);
-        }
-        (report, self.observers)
+        let observers = self.observers.finish(&report);
+        (report, observers)
     }
 }
 
@@ -1056,7 +969,7 @@ mod tests {
 
     #[test]
     fn chunk_size_invariance_with_timeseries_observer() {
-        // The observed path (slow loop) must be batching-invariant too:
+        // The observed path must be batching-invariant too:
         // with a TimeSeriesCollector attached, both the report and the
         // emitted windowed series must not depend on chunk size.
         let events = |p: u64| -> Vec<MemEvent> {

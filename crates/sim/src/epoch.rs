@@ -58,8 +58,8 @@ use crate::backend::ClusterBackend;
 use crate::cache::{LineState, SetAssocCache};
 use crate::engine::{ProcSource, SessionOutput};
 use crate::event::MemEvent;
-use crate::observe::{AccessObservation, BarrierObservation, ServiceLevel, SimObserver};
-use crate::report::{LevelCounts, SimReport};
+use crate::observe::{Observers, SimObserver};
+use crate::report::SimReport;
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Epoch width in simulated cycles.  A fixed constant: results must not
@@ -392,10 +392,9 @@ struct MergedEv {
 struct EpochEngine {
     backend: ClusterBackend,
     procs: Vec<EpochProc>,
-    observers: Vec<Box<dyn SimObserver>>,
+    observers: Observers,
     barriers: u64,
     barrier_wait: u64,
-    last_counts: LevelCounts,
     hit_lat: u64,
 }
 
@@ -419,10 +418,9 @@ pub(crate) fn run_epoch(
     let mut engine = EpochEngine {
         backend,
         procs,
-        observers,
+        observers: Observers::new(observers),
         barriers: 0,
         barrier_wait: 0,
-        last_counts: LevelCounts::default(),
         hit_lat,
     };
     engine.run(sim_threads);
@@ -560,37 +558,19 @@ impl EpochEngine {
                 p.clock = e.clock + 1 + lat;
                 p.instructions += 1;
                 p.refs += 1;
-                self.notify_access(e.proc, e.addr, e.write, e.clock, lat);
+                self.observers
+                    .access(&self.backend, e.proc, e.addr, e.write, e.clock, lat);
             } else {
                 self.backend.add_l1_hits(1);
-                self.notify_access(e.proc, e.addr, e.write, e.clock, self.hit_lat);
+                self.observers.access(
+                    &self.backend,
+                    e.proc,
+                    e.addr,
+                    e.write,
+                    e.clock,
+                    self.hit_lat,
+                );
             }
-        }
-    }
-
-    /// Snapshot the backend around the access just completed and fan it
-    /// out to every observer (mirrors the classic engine's snapshots).
-    fn notify_access(&mut self, proc: usize, addr: u64, write: bool, issue_clock: u64, lat: u64) {
-        let counts = self.backend.counts();
-        let obs = AccessObservation {
-            proc,
-            addr,
-            write,
-            issue_clock,
-            complete_clock: issue_clock + 1 + lat,
-            mem_cycles: lat,
-            level: ServiceLevel::classify(&self.last_counts, &counts),
-            paged: counts.disk > self.last_counts.disk,
-            upgraded: counts.upgrades > self.last_counts.upgrades,
-            counts,
-            traffic: self.backend.traffic(),
-            bus_busy_cycles: self.backend.total_bus_busy_cycles(),
-            network_busy_cycles: self.backend.network_busy_cycles(),
-            io_busy_cycles: self.backend.total_io_busy_cycles(),
-        };
-        self.last_counts = counts;
-        for o in &mut self.observers {
-            o.on_access(&obs);
         }
     }
 
@@ -633,17 +613,11 @@ impl EpochEngine {
             }
         }
         if observing {
-            let obs = BarrierObservation {
-                release_clock: max,
-                waits: &waits,
-            };
-            for o in &mut self.observers {
-                o.on_barrier(&obs);
-            }
+            self.observers.barrier(max, &waits);
         }
     }
 
-    fn finish(mut self) -> (SimReport, Vec<Box<dyn SimObserver>>) {
+    fn finish(self) -> (SimReport, Vec<Box<dyn SimObserver>>) {
         let proc_cycles: Vec<u64> = self.procs.iter().map(|p| p.clock).collect();
         let wall = proc_cycles.iter().copied().max().unwrap_or(0);
         let total_instructions: u64 = self.procs.iter().map(|p| p.instructions).sum();
@@ -668,10 +642,8 @@ impl EpochEngine {
             network_busy_cycles: self.backend.network_busy_cycles(),
             io_busy_cycles: self.backend.io_busy_cycles(),
         };
-        for o in &mut self.observers {
-            o.on_finish(&report);
-        }
-        (report, self.observers)
+        let observers = self.observers.finish(&report);
+        (report, observers)
     }
 }
 

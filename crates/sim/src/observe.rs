@@ -20,9 +20,11 @@
 //! * [`EventTracer`] — a bounded structured trace of accesses and barrier
 //!   releases with JSON Lines export ([`TraceLog::to_jsonl`]).
 
+use crate::backend::ClusterBackend;
 use crate::report::{LevelCounts, SimReport, Traffic};
 use serde::{Deserialize, Serialize};
 use std::any::Any;
+use std::fmt;
 
 /// Which memory-hierarchy level serviced a reference (paper §5.3's
 /// service categories).  Derived by the engine from the backend's
@@ -71,11 +73,19 @@ impl ServiceLevel {
     }
 }
 
-/// Read-only snapshot handed to [`SimObserver::on_access`] after every
-/// simulated memory reference.  Cumulative fields (`counts`, `traffic`,
-/// busy cycles) reflect the backend state *after* this access.
-#[derive(Debug, Clone, Copy)]
-pub struct AccessObservation {
+/// Read-only view of one simulated memory reference, handed to
+/// [`SimObserver::on_access`] right after the access.
+///
+/// The fields are what the engine knows anyway.  Everything else is a
+/// method that reads the backend when an observer asks, so an observer
+/// pays only for what it calls: [`counts`](Self::counts),
+/// [`traffic`](Self::traffic) and the three busy-cycle sums are the
+/// backend's cumulative totals *after* this access, and
+/// [`level`](Self::level), [`paged`](Self::paged) and
+/// [`upgraded`](Self::upgraded) compare those counts with the ones before
+/// it.
+#[derive(Clone, Copy)]
+pub struct AccessObservation<'a> {
     /// Issuing logical processor.
     pub proc: usize,
     /// Byte address accessed.
@@ -90,22 +100,67 @@ pub struct AccessObservation {
     /// Memory latency in cycles (includes the 1-cycle cache access, not
     /// the 1-cycle instruction execution).
     pub mem_cycles: u64,
-    /// Hierarchy level that serviced the reference.
-    pub level: ServiceLevel,
-    /// Whether this access triggered a disk page-in.
-    pub paged: bool,
-    /// Whether this write needed a Shared→Modified upgrade round.
-    pub upgraded: bool,
-    /// Cumulative level service counts after this access.
-    pub counts: LevelCounts,
-    /// Cumulative shared-media traffic after this access.
-    pub traffic: Traffic,
-    /// Cumulative memory-bus busy cycles, summed over nodes.
-    pub bus_busy_cycles: u64,
-    /// Cumulative cluster-network busy cycles.
-    pub network_busy_cycles: u64,
+    backend: &'a ClusterBackend,
+    /// Level service counts before this access.
+    before: &'a LevelCounts,
+}
+
+impl AccessObservation<'_> {
+    /// Cumulative level service counts after this access (a copy of
+    /// seven counters).
+    pub fn counts(&self) -> LevelCounts {
+        self.backend.counts()
+    }
+
+    /// Cumulative shared-media traffic after this access (a copy of two
+    /// counters).
+    pub fn traffic(&self) -> Traffic {
+        self.backend.traffic()
+    }
+
+    /// Cumulative memory-bus busy cycles, summed over every node's buses.
+    pub fn bus_busy_cycles(&self) -> u64 {
+        self.backend.total_bus_busy_cycles()
+    }
+
+    /// Cumulative cluster-network busy cycles, summed over its links.
+    pub fn network_busy_cycles(&self) -> u64 {
+        self.backend.network_busy_cycles()
+    }
+
     /// Cumulative I/O-bus busy cycles, summed over nodes.
-    pub io_busy_cycles: u64,
+    pub fn io_busy_cycles(&self) -> u64 {
+        self.backend.total_io_busy_cycles()
+    }
+
+    /// Hierarchy level that serviced the reference.
+    pub fn level(&self) -> ServiceLevel {
+        ServiceLevel::classify(self.before, &self.backend.counts())
+    }
+
+    /// Whether this access triggered a disk page-in.
+    pub fn paged(&self) -> bool {
+        self.backend.counts().disk > self.before.disk
+    }
+
+    /// Whether this write needed a Shared→Modified upgrade round.
+    pub fn upgraded(&self) -> bool {
+        self.backend.counts().upgrades > self.before.upgrades
+    }
+}
+
+impl fmt::Debug for AccessObservation<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("AccessObservation")
+            .field("proc", &self.proc)
+            .field("addr", &self.addr)
+            .field("write", &self.write)
+            .field("issue_clock", &self.issue_clock)
+            .field("complete_clock", &self.complete_clock)
+            .field("mem_cycles", &self.mem_cycles)
+            .field("level", &self.level())
+            .finish_non_exhaustive()
+    }
 }
 
 /// Snapshot handed to [`SimObserver::on_barrier`] when a barrier releases.
@@ -123,7 +178,7 @@ pub struct BarrierObservation<'a> {
 /// observers cross worker-pool thread boundaries.
 pub trait SimObserver: Any + Send {
     /// Called after every simulated memory reference.
-    fn on_access(&mut self, _obs: &AccessObservation) {}
+    fn on_access(&mut self, _obs: &AccessObservation<'_>) {}
     /// Called after every barrier release.
     fn on_barrier(&mut self, _obs: &BarrierObservation<'_>) {}
     /// Called once when the run completes, with the final report.
@@ -154,6 +209,76 @@ impl SimObserver for NopObserver {
     }
     fn into_any(self: Box<Self>) -> Box<dyn Any> {
         self
+    }
+}
+
+/// A session's attached observers, and the one place both engines build
+/// observations: each engine calls [`Observers::access`] after an access
+/// and [`Observers::barrier`] after a release, in its observation order.
+pub(crate) struct Observers {
+    list: Vec<Box<dyn SimObserver>>,
+    /// The backend's level counts after the last observed access, which
+    /// are the counts before the next.
+    last_counts: LevelCounts,
+}
+
+impl Observers {
+    pub(crate) fn new(list: Vec<Box<dyn SimObserver>>) -> Self {
+        Observers {
+            list,
+            last_counts: LevelCounts::default(),
+        }
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.list.is_empty()
+    }
+
+    /// Hand every observer the access `proc` just completed on `backend`:
+    /// issued at `issue_clock` to `addr`, taking `lat` memory cycles.
+    #[inline]
+    pub(crate) fn access(
+        &mut self,
+        backend: &ClusterBackend,
+        proc: usize,
+        addr: u64,
+        write: bool,
+        issue_clock: u64,
+        lat: u64,
+    ) {
+        let obs = AccessObservation {
+            proc,
+            addr,
+            write,
+            issue_clock,
+            complete_clock: issue_clock + 1 + lat,
+            mem_cycles: lat,
+            backend,
+            before: &self.last_counts,
+        };
+        for o in &mut self.list {
+            o.on_access(&obs);
+        }
+        self.last_counts = backend.counts();
+    }
+
+    /// Hand every observer a barrier release at `release_clock`.
+    pub(crate) fn barrier(&mut self, release_clock: u64, waits: &[(usize, u64)]) {
+        let obs = BarrierObservation {
+            release_clock,
+            waits,
+        };
+        for o in &mut self.list {
+            o.on_barrier(&obs);
+        }
+    }
+
+    /// Hand every observer the final report and give them back.
+    pub(crate) fn finish(mut self, report: &SimReport) -> Vec<Box<dyn SimObserver>> {
+        for o in &mut self.list {
+            o.on_finish(report);
+        }
+        self.list
     }
 }
 
@@ -335,26 +460,33 @@ impl TimeSeriesCollector {
 }
 
 impl SimObserver for TimeSeriesCollector {
-    fn on_access(&mut self, o: &AccessObservation) {
+    fn on_access(&mut self, o: &AccessObservation<'_>) {
+        let counts = o.counts();
+        let traffic = o.traffic();
+        let (bus, net, io) = (
+            o.bus_busy_cycles(),
+            o.network_busy_cycles(),
+            o.io_busy_cycles(),
+        );
         let dc = LevelCounts {
-            l1_hits: o.counts.l1_hits - self.last_counts.l1_hits,
-            cache_to_cache: o.counts.cache_to_cache - self.last_counts.cache_to_cache,
-            local_memory: o.counts.local_memory - self.last_counts.local_memory,
-            remote_clean: o.counts.remote_clean - self.last_counts.remote_clean,
-            remote_dirty: o.counts.remote_dirty - self.last_counts.remote_dirty,
-            disk: o.counts.disk - self.last_counts.disk,
-            upgrades: o.counts.upgrades - self.last_counts.upgrades,
+            l1_hits: counts.l1_hits - self.last_counts.l1_hits,
+            cache_to_cache: counts.cache_to_cache - self.last_counts.cache_to_cache,
+            local_memory: counts.local_memory - self.last_counts.local_memory,
+            remote_clean: counts.remote_clean - self.last_counts.remote_clean,
+            remote_dirty: counts.remote_dirty - self.last_counts.remote_dirty,
+            disk: counts.disk - self.last_counts.disk,
+            upgrades: counts.upgrades - self.last_counts.upgrades,
         };
-        let d_data = o.traffic.data_bytes - self.last_traffic.data_bytes;
-        let d_coh = o.traffic.coherence_bytes - self.last_traffic.coherence_bytes;
-        let d_bus = o.bus_busy_cycles - self.last_bus;
-        let d_net = o.network_busy_cycles - self.last_net;
-        let d_io = o.io_busy_cycles - self.last_io;
-        self.last_counts = o.counts;
-        self.last_traffic = o.traffic;
-        self.last_bus = o.bus_busy_cycles;
-        self.last_net = o.network_busy_cycles;
-        self.last_io = o.io_busy_cycles;
+        let d_data = traffic.data_bytes - self.last_traffic.data_bytes;
+        let d_coh = traffic.coherence_bytes - self.last_traffic.coherence_bytes;
+        let d_bus = bus - self.last_bus;
+        let d_net = net - self.last_net;
+        let d_io = io - self.last_io;
+        self.last_counts = counts;
+        self.last_traffic = traffic;
+        self.last_bus = bus;
+        self.last_net = net;
+        self.last_io = io;
 
         let w = self.window_mut(o.issue_clock);
         w.refs += 1;
@@ -545,7 +677,7 @@ impl EventTracer {
 }
 
 impl SimObserver for EventTracer {
-    fn on_access(&mut self, o: &AccessObservation) {
+    fn on_access(&mut self, o: &AccessObservation<'_>) {
         self.push(TraceEvent {
             kind: TraceKind::Access,
             clock: o.issue_clock,
@@ -553,7 +685,7 @@ impl SimObserver for EventTracer {
             addr: Some(o.addr),
             write: Some(o.write),
             latency: Some(o.mem_cycles),
-            level: Some(o.level),
+            level: Some(o.level()),
             released: None,
             max_wait: None,
         });
@@ -587,6 +719,9 @@ impl SimObserver for EventTracer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::homemap::HomeMap;
+    use memhier_core::machine::{LatencyParams, MachineSpec};
+    use memhier_core::platform::ClusterSpec;
 
     #[test]
     fn classify_picks_the_incremented_level() {
@@ -626,29 +761,57 @@ mod tests {
         }
     }
 
+    fn smp_backend() -> ClusterBackend {
+        let spec = ClusterSpec::single(MachineSpec::new(1, 256, 64, 200.0));
+        ClusterBackend::new(&spec, LatencyParams::paper(), HomeMap::new(1, 256))
+    }
+
+    /// Records what each access's observation reports.
+    #[derive(Default)]
+    struct Probe(Vec<(ServiceLevel, bool, LevelCounts)>);
+
+    impl SimObserver for Probe {
+        fn on_access(&mut self, o: &AccessObservation<'_>) {
+            self.0.push((o.level(), o.paged(), o.counts()));
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+        fn into_any(self: Box<Self>) -> Box<dyn Any> {
+            self
+        }
+    }
+
+    #[test]
+    fn observations_read_the_backend_around_the_access() {
+        let mut backend = smp_backend();
+        let mut taps = Observers::new(vec![Box::new(Probe::default())]);
+        for clock in [0, 5000] {
+            let lat = backend.access(0, 64, false, clock);
+            taps.access(&backend, 0, 64, false, clock, lat);
+        }
+        let probe = taps.list[0].as_any().downcast_ref::<Probe>().unwrap();
+        let (cold, paged, counts) = probe.0[0];
+        assert_eq!((cold, paged), (ServiceLevel::LocalMemory, true));
+        assert_eq!((counts.local_memory, counts.disk), (1, 1));
+        let (warm, paged, counts) = probe.0[1];
+        assert_eq!((warm, paged), (ServiceLevel::L1, false));
+        assert_eq!(counts.l1_hits, 1);
+    }
+
     #[test]
     fn collector_windows_are_dense() {
-        let mut c = TimeSeriesCollector::new(100);
-        let obs = AccessObservation {
-            proc: 0,
-            addr: 64,
-            write: false,
-            issue_clock: 250,
-            complete_clock: 252,
-            mem_cycles: 1,
-            level: ServiceLevel::L1,
-            paged: false,
-            upgraded: false,
-            counts: LevelCounts {
-                l1_hits: 1,
-                ..LevelCounts::default()
-            },
-            traffic: Traffic::default(),
-            bus_busy_cycles: 0,
-            network_busy_cycles: 0,
-            io_busy_cycles: 0,
-        };
-        c.on_access(&obs);
+        let mut backend = smp_backend();
+        let lat = backend.access(0, 64, false, 250);
+        let mut taps = Observers::new(vec![Box::new(TimeSeriesCollector::new(100))]);
+        taps.access(&backend, 0, 64, false, 250, lat);
+        let c = taps.list[0]
+            .as_any()
+            .downcast_ref::<TimeSeriesCollector>()
+            .unwrap();
         assert_eq!(c.windows.len(), 3);
         assert_eq!(c.windows[2].refs, 1);
         assert_eq!(c.windows[0].refs, 0);

@@ -3,9 +3,9 @@
 //! Without observers, the engine carries a processor past the runner-up's
 //! clock through private events (Compute, read hits, write hits on
 //! Modified lines) as long as no other processor's next coherence event
-//! could fall before them.  With any observer attached it replays strictly
-//! one event at a time in `(clock, index)` order.  The two must give the
-//! same `SimReport`, so the per-event path with a [`NopObserver`] is the
+//! could fall before them.  With any observer attached it runs nothing
+//! ahead and replays in strict `(clock, index)` order.  The two must give
+//! the same `SimReport`, so the observed run with a [`NopObserver`] is the
 //! reference here.
 //!
 //! The streams are built to make run-ahead mistakes visible: tiny caches

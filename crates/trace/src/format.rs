@@ -479,6 +479,10 @@ impl<R: Read> TraceReader<R> {
             ));
         }
         let payload = &mut self.payload;
+        // Grow to exactly the declared length: `resize` alone may double.
+        if len > payload.capacity() {
+            payload.reserve_exact(len - payload.len());
+        }
         payload.resize(len, 0);
         self.src
             .read_exact(payload)
@@ -493,11 +497,18 @@ impl<R: Read> TraceReader<R> {
         }
         self.block.clear();
         // Every record takes at least one byte, which bounds a corrupt
-        // count's allocation by the payload length.
-        self.block.reserve(count.min(len));
+        // count's allocation by the payload length, and decoding stops at
+        // the count.
+        self.block.reserve_exact(count.min(len));
         let mut pos = 0usize;
         let mut prev = self.prev;
         while pos < payload.len() {
+            if self.block.len() == count {
+                return Err(TraceError::Invalid(
+                    "block",
+                    format!("block promises {count} records, its payload holds more"),
+                ));
+            }
             let mut v = 0u64;
             let mut shift = 0u32;
             loop {
@@ -793,6 +804,259 @@ mod tests {
             TraceError::UnknownField("alpa".into()),
         ] {
             assert!(!e.to_string().is_empty());
+        }
+    }
+}
+
+/// Mutation fuzzing of [`TraceReader`]: valid small traces, bent by byte
+/// flips, truncation, block splices and edited header or block fields,
+/// must read to `Ok` or a typed error, never a panic, and the reader may
+/// allocate no more than the input declares.
+#[cfg(test)]
+mod fuzz {
+    use super::*;
+    use proptest::prelude::*;
+    use std::io::Cursor;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// Addresses from `(kind, value)` draws: short strides, repeats and
+    /// wild jumps, so varints of every length occur.
+    fn addresses(draws: &[(u8, u64)]) -> Vec<u64> {
+        let mut prev = 0u64;
+        draws
+            .iter()
+            .map(|&(kind, v)| {
+                prev = match kind % 4 {
+                    0 => prev.wrapping_add(v % 256),
+                    1 => prev,
+                    2 => prev.wrapping_sub(v % 100_000),
+                    _ => v,
+                };
+                prev
+            })
+            .collect()
+    }
+
+    fn encode(addrs: &[u64], block_payload: usize) -> Vec<u8> {
+        let mut cur = Cursor::new(Vec::new());
+        let mut w = TraceWriter::new(&mut cur, 1)
+            .unwrap()
+            .with_block_payload(block_payload);
+        for &a in addrs {
+            w.record(a).unwrap();
+        }
+        w.finish(addrs.len() as u64 * 3).unwrap();
+        cur.into_inner()
+    }
+
+    /// `(start, end)` of each block of the well-formed prefix of the
+    /// block chain.
+    fn blocks(bytes: &[u8]) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        let mut at = HEADER_LEN;
+        while at + BLOCK_HEADER_LEN <= bytes.len() {
+            let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+            let end = at + BLOCK_HEADER_LEN + len;
+            if end > bytes.len() {
+                break;
+            }
+            out.push((at, end));
+            at = end;
+        }
+        out
+    }
+
+    /// A block boundary chosen by `pick` (the header's end or a block's).
+    fn boundary(bytes: &[u8], pick: u64) -> usize {
+        let ends: Vec<usize> = std::iter::once(HEADER_LEN.min(bytes.len()))
+            .chain(blocks(bytes).into_iter().map(|(_, end)| end))
+            .collect();
+        ends[pick as usize % ends.len()]
+    }
+
+    /// A plausible-to-hostile replacement for a length or count field.
+    fn bent(old: u64, pick: u64) -> u64 {
+        match pick % 6 {
+            0 => old.wrapping_add(1 + pick % 3),
+            1 => old.saturating_sub(1 + pick % 3),
+            2 => 0,
+            3 => MAX_BLOCK_PAYLOAD as u64 + 1,
+            4 => u64::MAX,
+            _ => pick >> 8,
+        }
+    }
+
+    fn recrc_header(bytes: &mut [u8]) {
+        if bytes.len() >= HEADER_LEN {
+            let crc = crc32(&bytes[..32]).to_le_bytes();
+            bytes[32..36].copy_from_slice(&crc);
+        }
+    }
+
+    /// Apply one mutation, chosen and placed by `(kind, a, b)`; `donor`
+    /// is another valid trace for cross-trace splices.
+    fn mutate(bytes: &mut Vec<u8>, (kind, a, b): (u8, u64, u64), donor: &[u8]) {
+        let chain = blocks(bytes);
+        let block = (!chain.is_empty()).then(|| chain[a as usize % chain.len()]);
+        match kind % 10 {
+            0 if !bytes.is_empty() => {
+                let i = a as usize % bytes.len();
+                bytes[i] ^= (b as u8) | 1;
+            }
+            1 => bytes.truncate(a as usize % (bytes.len() + 1)),
+            2 => {
+                // Duplicate a block at a boundary.
+                if let Some((s, e)) = block {
+                    let copy = bytes[s..e].to_vec();
+                    let at = boundary(bytes, b);
+                    bytes.splice(at..at, copy);
+                }
+            }
+            3 => {
+                if let Some((s, e)) = block {
+                    bytes.drain(s..e);
+                }
+            }
+            4 => {
+                // Swap two blocks.
+                let other = (!chain.is_empty()).then(|| chain[b as usize % chain.len()]);
+                if let (Some((s1, e1)), Some((s2, e2))) = (block, other) {
+                    let (first, second) = if s1 <= s2 {
+                        ((s1, e1), (s2, e2))
+                    } else {
+                        ((s2, e2), (s1, e1))
+                    };
+                    if first != second {
+                        let mut out = bytes[..first.0].to_vec();
+                        out.extend_from_slice(&bytes[second.0..second.1]);
+                        out.extend_from_slice(&bytes[first.1..second.0]);
+                        out.extend_from_slice(&bytes[first.0..first.1]);
+                        out.extend_from_slice(&bytes[second.1..]);
+                        *bytes = out;
+                    }
+                }
+            }
+            5 => {
+                // Splice in a block of another trace.
+                let theirs = blocks(donor);
+                if !theirs.is_empty() {
+                    let (s, e) = theirs[a as usize % theirs.len()];
+                    let at = boundary(bytes, b);
+                    bytes.splice(at..at, donor[s..e].iter().copied());
+                }
+            }
+            6 if bytes.len() >= HEADER_LEN => {
+                let old = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
+                bytes[16..24].copy_from_slice(&bent(old, b).to_le_bytes());
+                recrc_header(bytes);
+            }
+            7 | 8 => {
+                // A block's record count (7) or payload length (8).
+                if let Some((s, _)) = block {
+                    let at = if kind % 10 == 7 { s + 4 } else { s };
+                    let old = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+                    let new = bent(u64::from(old), b) as u32;
+                    bytes[at..at + 4].copy_from_slice(&new.to_le_bytes());
+                }
+            }
+            9 => {
+                // Edit a payload byte and re-seal the block's checksum,
+                // so the varint decoder sees the damage.
+                if let Some((s, e)) = block.filter(|&(s, e)| e > s + BLOCK_HEADER_LEN) {
+                    let payload = s + BLOCK_HEADER_LEN;
+                    let i = payload + a as usize % (e - payload);
+                    bytes[i] = b as u8;
+                    let crc = crc32(&bytes[payload..e]).to_le_bytes();
+                    bytes[s + 8..s + 12].copy_from_slice(&crc);
+                }
+            }
+            _ => bytes.extend((0..b % 24).map(|i| (a >> (i % 8 * 8)) as u8)),
+        }
+    }
+
+    /// Read `bytes` to the end or the first error, checking after every
+    /// step that the reader holds no more than the input declared: one
+    /// block payload buffer no larger than the largest declared length
+    /// (at most [`MAX_BLOCK_PAYLOAD`]), and decoded records no more than
+    /// that length (every record takes at least a byte).
+    fn check(bytes: &[u8]) -> Result<(), String> {
+        let typed = |e: TraceError| match e {
+            // A `Cursor` never fails: running out mid-structure is
+            // truncation, and everything else has a variant of its own.
+            TraceError::Io(e) => Err(format!("untyped I/O error: {e}")),
+            _ => Ok(()),
+        };
+        let mut r = match TraceReader::new(Cursor::new(bytes)) {
+            Ok(r) => r,
+            Err(e) => return typed(e),
+        };
+        let mut declared = 0usize;
+        loop {
+            let step = r.next_record();
+            declared = declared.max(r.payload.len());
+            let payload = r.payload.capacity();
+            if payload > declared || payload > MAX_BLOCK_PAYLOAD {
+                return Err(format!(
+                    "payload buffer of {payload} bytes for declared lengths up to {declared}"
+                ));
+            }
+            if r.block.capacity() > declared {
+                return Err(format!(
+                    "room for {} records for declared lengths up to {declared}",
+                    r.block.capacity()
+                ));
+            }
+            match step {
+                Ok(Some(_)) => {}
+                Ok(None) => return Ok(()),
+                Err(e) => return typed(e),
+            }
+        }
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// [`check`] with panics caught, failing with the input in hex.
+    fn check_reported(bytes: &[u8]) -> Result<(), TestCaseError> {
+        let outcome = catch_unwind(AssertUnwindSafe(|| check(bytes)))
+            .unwrap_or_else(|_| Err("the reader panicked".to_string()));
+        outcome.map_err(|why| TestCaseError::fail(format!("{why}; input {}", hex(bytes))))
+    }
+
+    /// Every input that once broke an invariant here is kept in
+    /// `tests/golden/reader_fuzz/`.
+    #[test]
+    fn regression_inputs_read_cleanly() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/reader_fuzz");
+        let mut cases = 0;
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if let Err(e) = check_reported(&std::fs::read(&path).unwrap()) {
+                panic!("{}: {e}", path.display());
+            }
+            cases += 1;
+        }
+        assert!(cases > 0, "no regression inputs in {}", dir.display());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn mutated_traces_fail_typed_and_allocate_what_they_declare(
+            draws in proptest::collection::vec((0u8..255, any::<u64>()), 0..300),
+            donor in proptest::collection::vec((0u8..255, any::<u64>()), 1..100),
+            block_payload in 10usize..160,
+            ops in proptest::collection::vec((0u8..255, any::<u64>(), any::<u64>()), 1..4),
+        ) {
+            let donor = encode(&addresses(&donor), 10 + block_payload / 2);
+            let mut bytes = encode(&addresses(&draws), block_payload);
+            for op in ops {
+                mutate(&mut bytes, op, &donor);
+            }
+            check_reported(&bytes)?;
         }
     }
 }
