@@ -149,9 +149,10 @@ impl TraceRecorder {
     fn hand_off(&mut self) {
         self.sent += self.buf.len() as u64;
         let writer = self.writer.as_ref().expect("recording until finished");
-        let spare = match self.open {
-            true => writer.spare.recv().ok(),
-            false => None,
+        let spare = if self.open {
+            writer.spare.recv().ok()
+        } else {
+            None
         };
         let Some(fresh) = spare else {
             self.open = false;
