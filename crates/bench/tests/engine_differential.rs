@@ -15,8 +15,8 @@
 //! the full `SimReport` JSON: the whole point of the rewrite is that
 //! absolute results do **not** move.
 //!
-//! Ignored release-only tests pin the paper-size FT16-GraphWalk report
-//! (re-blessed the same way, with `-- --ignored`) and replay the ledger
+//! Ignored release-only tests pin the paper-size FT16-GraphWalk and
+//! C14-Radix reports (re-blessed the same way, with `-- --ignored`) and replay the ledger
 //! benchmark's nine scenarios at medium size with and without an
 //! observer: the observer-free engine runs processors ahead through
 //! private L1 hits, and its reports must equal the observed run's, which
@@ -333,6 +333,28 @@ fn paper_ft16_graphwalk_report() {
     let mut json = serde_json::to_string_pretty(&s.run().run.report).expect("serialize report");
     json.push('\n');
     check_report("ft16_graphwalk_paper", &json);
+}
+
+/// The paper-size scenario with the largest workload footprint: 1 M
+/// Radix keys, their destination array and the histogram offsets.  This
+/// is the report `memhier simulate --config C14 --workload Radix --paper
+/// --json` prints.  Too slow for a debug build:
+///
+/// ```text
+/// cargo test --release -p memhier-bench --test engine_differential -- --ignored
+/// ```
+#[test]
+#[ignore]
+fn paper_c14_radix_report() {
+    let s = Scenario::builder()
+        .config_name("C14")
+        .workload_name("Radix")
+        .size(Sizes::Paper)
+        .build()
+        .expect("valid scenario");
+    let mut json = serde_json::to_string_pretty(&s.run().run.report).expect("serialize report");
+    json.push('\n');
+    check_report("c14_radix_paper", &json);
 }
 
 /// The ledger benchmark's nine scenarios (`CONFIG-WORKLOAD`).
