@@ -232,7 +232,7 @@ pub struct RecordSummary {
 /// configures; like all observers it cannot perturb simulated time, so
 /// recording a run does not change its report.
 pub fn record_scenario(scenario: &Scenario, path: &Path) -> Result<RecordSummary, TraceError> {
-    let workload = scenario.size.workload(scenario.workload);
+    let workload = scenario.resolved_workload();
     let cluster = scenario.config.clone();
     let latency = LatencyParams::paper();
     let procs = cluster.total_procs() as usize;
@@ -453,5 +453,28 @@ mod tests {
             panic_text(&*payload)
         });
         assert_eq!(text, "the sink exploded");
+    }
+
+    #[test]
+    fn records_the_parameterised_workload() {
+        use crate::runner::Sizes;
+        let scenario = Scenario::builder()
+            .config_name("C1")
+            .workload_name("Radix")
+            .workload_params(serde_json::json!({"keys": 1024, "radix": 16, "key_bits": 8}))
+            .size(Sizes::Small)
+            .build()
+            .unwrap();
+        let path = scratch("params");
+        let summary = record_scenario(&scenario, &path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let run = scenario.run().run;
+        // 1 Ki 8-bit keys, not the 16 Ki keys of the stock small Radix.
+        assert_eq!(run.report.total_refs, 14_528);
+        assert_eq!(summary.records, run.report.total_refs);
+        assert_eq!(
+            summary.total_instructions,
+            run.counters.total_instructions()
+        );
     }
 }

@@ -15,6 +15,7 @@
 //! assert!(w.supports_processes(4));
 //! ```
 
+use crate::radix::MAX_KEY_BITS;
 use crate::registry::{Workload, WorkloadKind};
 use memhier_core::ParamInfo;
 use serde::__private::Value;
@@ -196,6 +197,11 @@ impl Workload {
                 if !radix.is_power_of_two() {
                     return Err(format!("`radix` must be a power of two, got {radix}"));
                 }
+                if *key_bits > MAX_KEY_BITS {
+                    return Err(format!(
+                        "`key_bits` must be at most {MAX_KEY_BITS}, got {key_bits}"
+                    ));
+                }
             }
             Workload::Edge { dim, iterations } => {
                 *dim = get_usize(params, "dim", *dim)?;
@@ -224,6 +230,9 @@ impl Workload {
                 *steps = get_usize(params, "steps", *steps)?;
                 if *nodes < 2 {
                     return Err("`nodes` must be at least 2".to_string());
+                }
+                if u32::try_from(*nodes).is_err() {
+                    return Err(format!("`nodes` must be at most {}, got {nodes}", u32::MAX));
                 }
             }
             Workload::Inference { dim, layers, batch } => {
@@ -333,5 +342,31 @@ mod tests {
 
         let err = Workload::build(WorkloadKind::Fft, &json!({"size": "jumbo"})).unwrap_err();
         assert!(err.contains("unknown size"), "{err}");
+    }
+
+    #[test]
+    fn radix_key_bits_range() {
+        let build = |bits: u32| Workload::build(WorkloadKind::Radix, &json!({"key_bits": bits}));
+        for bits in [1, 32, 33, 64] {
+            let Ok(Workload::Radix { key_bits, .. }) = build(bits) else {
+                panic!("{bits}-bit keys refused");
+            };
+            assert_eq!(key_bits, bits);
+        }
+        let err = build(0).unwrap_err();
+        assert!(
+            err.contains("`key_bits` must be a positive integer"),
+            "{err}"
+        );
+        let err = build(65).unwrap_err();
+        assert_eq!(err, "`key_bits` must be at most 64, got 65");
+    }
+
+    #[test]
+    fn graphwalk_nodes_fit_u32_cells() {
+        let build = |nodes: u64| Workload::build(WorkloadKind::GraphWalk, &json!({"nodes": nodes}));
+        assert!(build(u32::MAX as u64).is_ok());
+        let err = build(u32::MAX as u64 + 1).unwrap_err();
+        assert_eq!(err, "`nodes` must be at most 4294967295, got 4294967296");
     }
 }

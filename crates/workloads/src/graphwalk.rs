@@ -31,31 +31,38 @@ pub struct GraphWalkProgram {
     nodes: usize,
     steps: usize,
     /// Successor pointers: a single-cycle permutation (read-only).
-    next: TracedArray<u64>,
+    next: TracedArray<u32>,
     /// Visit marks (write-only; values are racy, addresses are not).
-    marks: TracedArray<u64>,
+    marks: TracedArray<u32>,
     /// One result slot per process: the node its walk ended on.
     ends: TracedArray<u64>,
 }
 
 impl GraphWalkProgram {
     /// Build a `nodes`-cycle from `seed`; each of `procs` processes walks
-    /// `steps` hops (`procs` must not exceed `nodes`).
+    /// `steps` hops (`procs` must not exceed `nodes`, and node indices
+    /// must fit the `u32` successor cells).
     pub fn random_cycle(nodes: usize, steps: usize, procs: usize, seed: u64) -> Arc<Self> {
         assert!(nodes >= 2);
+        assert!(
+            u32::try_from(nodes).is_ok(),
+            "{nodes} nodes exceed the u32 successor cells"
+        );
         assert!(
             procs <= nodes,
             "more processes ({procs}) than nodes ({nodes})"
         );
-        // Sattolo's algorithm: a uniformly random cyclic permutation.
+        let mut sp = AddressSpace::default();
+        // Sattolo's algorithm, in place: a uniformly random cyclic
+        // permutation.
+        let next = TracedArray::new_with(sp.alloc(nodes), nodes, |i| i as u32);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut perm: Vec<u64> = (0..nodes as u64).collect();
         for i in (1..nodes).rev() {
             let j = rng.gen_range(0..i);
-            perm.swap(i, j);
+            let (a, b) = (next.get_silent(i), next.get_silent(j));
+            next.set_silent(i, b);
+            next.set_silent(j, a);
         }
-        let mut sp = AddressSpace::default();
-        let next = TracedArray::new_with(sp.alloc(nodes), nodes, |i| perm[i]);
         let marks = TracedArray::new(sp.alloc(nodes), nodes);
         let ends = TracedArray::new(sp.alloc(procs), procs);
         Arc::new(GraphWalkProgram {
@@ -100,7 +107,7 @@ impl SpmdProgram for GraphWalkProgram {
         for s in 0..self.steps {
             cur = self.next.get(ctx, cur) as usize;
             if s % MARK_EVERY == MARK_EVERY - 1 {
-                self.marks.set(ctx, cur, pid as u64);
+                self.marks.set(ctx, cur, pid as u32);
             }
             carry += HOP_COMPUTE;
             let k = carry as u32;

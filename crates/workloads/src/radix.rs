@@ -11,11 +11,63 @@
 //! (Table 2: α = 1.14, β = 120.84).
 
 use crate::spmd::{SpmdCtx, SpmdProgram};
-use crate::traced::{AddressSpace, TracedArray};
+use crate::traced::{AddressSpace, Scalar, TracedArray};
 use std::sync::Arc;
 
-/// The parallel radix-sort program instance.
-pub struct RadixProgram {
+/// Host cell type of the keys and histogram offsets.  The simulated layout
+/// is the same at either width; only the host footprint differs.
+pub trait RadixKey: Scalar + Default + Into<u64> {
+    /// Width in bits.
+    const BITS: u32;
+    /// Narrowing conversion of a value known to fit.
+    fn from_u64(v: u64) -> Self;
+}
+
+impl RadixKey for u32 {
+    const BITS: u32 = u32::BITS;
+    fn from_u64(v: u64) -> Self {
+        v as u32
+    }
+}
+
+impl RadixKey for u64 {
+    const BITS: u32 = u64::BITS;
+    fn from_u64(v: u64) -> Self {
+        v
+    }
+}
+
+/// Widest key width a program accepts.
+pub const MAX_KEY_BITS: u32 = u64::BITS;
+
+/// A radix-sort program on the narrowest cells that hold its keys and
+/// offsets: `u32` up to 32-bit keys and `u32::MAX` keys (every registry
+/// size), `u64` above.
+pub fn program(
+    keys: usize,
+    radix: usize,
+    key_bits: u32,
+    procs: usize,
+    seed: u64,
+) -> Arc<dyn SpmdProgram> {
+    if key_bits <= u32::BITS && u32::try_from(keys).is_ok() {
+        RadixProgram::<u32>::new(keys, radix, key_bits, procs, seed)
+    } else {
+        RadixProgram::<u64>::new(keys, radix, key_bits, procs, seed)
+    }
+}
+
+/// Key `i` of the input generated from `seed`: `key_bits` high bits of a
+/// mixed counter.
+fn key_at(seed: u64, key_bits: u32, i: usize) -> u64 {
+    let mut x = seed.wrapping_add(i as u64).wrapping_mul(0x9E3779B97F4A7C15);
+    x ^= x >> 29;
+    x = x.wrapping_mul(0xBF58476D1CE4E5B9);
+    x >> (64 - key_bits)
+}
+
+/// The parallel radix-sort program instance, keys held in `K` cells.
+pub struct RadixProgram<K: RadixKey> {
     procs: usize,
     n: usize,
     /// Radix (a power of two).
@@ -26,15 +78,15 @@ pub struct RadixProgram {
     passes: u32,
     /// Maximum key value is `2^key_bits − 1`.
     key_bits: u32,
-    src: TracedArray<u64>,
-    dst: TracedArray<u64>,
+    /// Seed the input keys are generated from.
+    seed: u64,
+    src: TracedArray<K>,
+    dst: TracedArray<K>,
     /// `P × R` histogram / offset matrix; row `p` belongs to process `p`.
-    hist: TracedArray<u64>,
-    /// Input snapshot for verification.
-    input: Vec<u64>,
+    hist: TracedArray<K>,
 }
 
-impl RadixProgram {
+impl<K: RadixKey> RadixProgram<K> {
     /// Build with `keys` random keys of `key_bits` bits, radix `radix`,
     /// for `procs` processes (must divide `keys`).
     pub fn new(keys: usize, radix: usize, key_bits: u32, procs: usize, seed: u64) -> Arc<Self> {
@@ -43,18 +95,24 @@ impl RadixProgram {
             keys.is_multiple_of(procs),
             "process count must divide key count"
         );
+        assert!(
+            (1..=K::BITS).contains(&key_bits),
+            "{key_bits}-bit keys do not fit {}-bit cells",
+            K::BITS
+        );
+        assert!(
+            keys as u64 <= u64::MAX >> (64 - K::BITS),
+            "{keys} offsets do not fit {}-bit cells",
+            K::BITS
+        );
         let bits = radix.trailing_zeros();
         let passes = key_bits.div_ceil(bits);
         let mut sp = AddressSpace::default();
         let src = TracedArray::new_with(sp.alloc(keys), keys, |i| {
-            let mut x = seed.wrapping_add(i as u64).wrapping_mul(0x9E3779B97F4A7C15);
-            x ^= x >> 29;
-            x = x.wrapping_mul(0xBF58476D1CE4E5B9);
-            x >> (64 - key_bits)
+            K::from_u64(key_at(seed, key_bits, i))
         });
         let dst = TracedArray::new(sp.alloc(keys), keys);
         let hist = TracedArray::new(sp.alloc(procs * radix), procs * radix);
-        let input = src.snapshot();
         Arc::new(RadixProgram {
             procs,
             n: keys,
@@ -62,10 +120,10 @@ impl RadixProgram {
             bits,
             passes,
             key_bits,
+            seed,
             src,
             dst,
             hist,
-            input,
         })
     }
 
@@ -75,7 +133,7 @@ impl RadixProgram {
     }
 
     /// The pass's source and destination arrays (ping-pong by parity).
-    fn arrays(&self, pass: u32) -> (&TracedArray<u64>, &TracedArray<u64>) {
+    fn arrays(&self, pass: u32) -> (&TracedArray<K>, &TracedArray<K>) {
         if pass.is_multiple_of(2) {
             (&self.src, &self.dst)
         } else {
@@ -86,12 +144,15 @@ impl RadixProgram {
     /// Where the sorted result lives after all passes.
     pub fn result(&self) -> Vec<u64> {
         let (_, out) = self.arrays(self.passes - 1);
-        out.snapshot()
+        (0..self.n).map(|i| out.get_silent(i).into()).collect()
     }
 
-    /// The saved input.
-    pub fn input(&self) -> &[u64] {
-        &self.input
+    /// The input keys, regenerated from the seed (the source array is
+    /// overwritten by the passes).
+    pub fn input(&self) -> Vec<u64> {
+        (0..self.n)
+            .map(|i| key_at(self.seed, self.key_bits, i))
+            .collect()
     }
 
     /// Number of digit passes.
@@ -105,7 +166,7 @@ impl RadixProgram {
     }
 }
 
-impl SpmdProgram for RadixProgram {
+impl<K: RadixKey> SpmdProgram for RadixProgram<K> {
     fn processes(&self) -> usize {
         self.procs
     }
@@ -116,16 +177,16 @@ impl SpmdProgram for RadixProgram {
             let (from, to) = self.arrays(pass);
             let shift = pass * self.bits;
             let mask = (r - 1) as u64;
+            let digit = |k: K| ((k.into() >> shift) & mask) as usize;
 
             // Phase 1: zero own histogram row, count digits of own chunk.
             for d in 0..r {
-                self.hist.set(ctx, pid * r + d, 0);
+                self.hist.set(ctx, pid * r + d, K::default());
             }
             for i in self.chunk_of(pid) {
-                let k = from.get(ctx, i);
-                let d = ((k >> shift) & mask) as usize;
-                let c = self.hist.get(ctx, pid * r + d);
-                self.hist.set(ctx, pid * r + d, c + 1);
+                let d = digit(from.get(ctx, i));
+                let c: u64 = self.hist.get(ctx, pid * r + d).into();
+                self.hist.set(ctx, pid * r + d, K::from_u64(c + 1));
                 ctx.compute(3);
             }
             ctx.barrier();
@@ -137,8 +198,8 @@ impl SpmdProgram for RadixProgram {
                 for d in 0..r {
                     let mut col = 0u64;
                     for p in 0..self.procs {
-                        let c = self.hist.get(ctx, p * r + d);
-                        self.hist.set(ctx, p * r + d, base + col);
+                        let c: u64 = self.hist.get(ctx, p * r + d).into();
+                        self.hist.set(ctx, p * r + d, K::from_u64(base + col));
                         col += c;
                         ctx.compute(2);
                     }
@@ -152,9 +213,9 @@ impl SpmdProgram for RadixProgram {
             // our own histogram row, so reads/writes stay in our partition.
             for i in self.chunk_of(pid) {
                 let k = from.get(ctx, i);
-                let d = ((k >> shift) & mask) as usize;
-                let pos = self.hist.get(ctx, pid * r + d);
-                self.hist.set(ctx, pid * r + d, pos + 1);
+                let d = digit(k);
+                let pos: u64 = self.hist.get(ctx, pid * r + d).into();
+                self.hist.set(ctx, pid * r + d, K::from_u64(pos + 1));
                 to.set(ctx, pos as usize, k);
                 ctx.compute(4);
             }
@@ -195,11 +256,11 @@ mod tests {
 
     #[test]
     fn serial_sorts() {
-        let p = RadixProgram::new(1024, 16, 12, 1, 42);
+        let p = RadixProgram::<u32>::new(1024, 16, 12, 1, 42);
         run_spmd(Arc::clone(&p));
         let out = p.result();
         assert!(is_sorted(&out));
-        let mut expect = p.input().to_vec();
+        let mut expect = p.input();
         expect.sort_unstable();
         assert_eq!(out, expect);
     }
@@ -207,10 +268,10 @@ mod tests {
     #[test]
     fn parallel_sorts_identically() {
         for procs in [2, 4, 8] {
-            let p = RadixProgram::new(1024, 16, 12, procs, 7);
+            let p = RadixProgram::<u32>::new(1024, 16, 12, procs, 7);
             run_spmd(Arc::clone(&p));
             let out = p.result();
-            let mut expect = p.input().to_vec();
+            let mut expect = p.input();
             expect.sort_unstable();
             assert_eq!(out, expect, "procs = {procs}");
         }
@@ -219,17 +280,17 @@ mod tests {
     #[test]
     fn paper_radix_pass_count() {
         // Radix 1024 (10 bits) over 20-bit keys: 2 passes.
-        let p = RadixProgram::new(1024, 1024, 20, 4, 1);
+        let p = RadixProgram::<u32>::new(1024, 1024, 20, 4, 1);
         assert_eq!(p.passes(), 2);
         // 30-bit keys would need 3.
-        let p = RadixProgram::new(1024, 1024, 30, 4, 1);
+        let p = RadixProgram::<u32>::new(1024, 1024, 30, 4, 1);
         assert_eq!(p.passes(), 3);
     }
 
     #[test]
     fn odd_pass_count_result_location() {
         // 1 pass: result must be read from dst.
-        let p = RadixProgram::new(256, 256, 8, 2, 3);
+        let p = RadixProgram::<u32>::new(256, 256, 8, 2, 3);
         assert_eq!(p.passes(), 1);
         run_spmd(Arc::clone(&p));
         assert!(is_sorted(&p.result()));
@@ -237,20 +298,54 @@ mod tests {
 
     #[test]
     fn rho_is_memory_bound() {
-        let c = run_spmd(RadixProgram::new(2048, 64, 12, 2, 5));
+        let c = run_spmd(program(2048, 64, 12, 2, 5));
         // Radix is the most memory-bound scientific kernel (paper: 0.37).
         assert!(c.rho() > 0.3, "rho = {}", c.rho());
     }
 
     #[test]
     fn keys_respect_bit_width() {
-        let p = RadixProgram::new(512, 16, 10, 1, 9);
+        let p = RadixProgram::<u32>::new(512, 16, 10, 1, 9);
         assert!(p.input().iter().all(|&k| k < 1 << 10));
+    }
+
+    #[test]
+    fn both_cell_widths_emit_the_same_events() {
+        use crate::spmd::collect_events;
+        for procs in [1, 4] {
+            let narrow = collect_events(RadixProgram::<u32>::new(1024, 16, 12, procs, 3));
+            let wide = collect_events(RadixProgram::<u64>::new(1024, 16, 12, procs, 3));
+            assert!(narrow == wide, "procs = {procs}");
+        }
+    }
+
+    #[test]
+    fn wide_keys_sort_in_u64_cells() {
+        for key_bits in [33, 64] {
+            let p = RadixProgram::<u64>::new(512, 256, key_bits, 2, 11);
+            run_spmd(Arc::clone(&p));
+            let mut expect = p.input();
+            assert!(expect.iter().any(|&k| k >= 1 << 32), "{key_bits}");
+            expect.sort_unstable();
+            assert_eq!(p.result(), expect, "key_bits = {key_bits}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "33-bit keys do not fit 32-bit cells")]
+    fn narrow_cells_reject_wide_keys() {
+        RadixProgram::<u32>::new(256, 16, 33, 1, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "65-bit keys do not fit 64-bit cells")]
+    fn rejects_keys_wider_than_64_bits() {
+        RadixProgram::<u64>::new(256, 16, 65, 1, 1);
     }
 
     #[test]
     #[should_panic(expected = "must divide")]
     fn rejects_indivisible_chunks() {
-        RadixProgram::new(1000, 16, 10, 3, 1);
+        RadixProgram::<u32>::new(1000, 16, 10, 3, 1);
     }
 }

@@ -8,7 +8,7 @@ use crate::fft::FftProgram;
 use crate::graphwalk::GraphWalkProgram;
 use crate::inference::InferenceProgram;
 use crate::lu::LuProgram;
-use crate::radix::RadixProgram;
+use crate::radix;
 use crate::spmd::SpmdProgram;
 use crate::stencil4d::Stencil4dProgram;
 use crate::stream::StreamProgram;
@@ -289,7 +289,7 @@ impl Workload {
                 keys,
                 radix,
                 key_bits,
-            } => RadixProgram::new(keys, radix, key_bits, processes, seed),
+            } => radix::program(keys, radix, key_bits, processes, seed),
             Workload::Edge { dim, iterations } => {
                 EdgeProgram::synthetic(dim, iterations, processes)
             }

@@ -5,68 +5,62 @@
 //! emits the corresponding [`memhier_sim::MemEvent`] — the same role MINT's
 //! binary instrumentation plays for the paper's simulators.
 //!
-//! Storage is a `Vec<AtomicU64>` accessed with `Ordering::Relaxed`: the
-//! kernels are barrier-synchronized with disjoint writes inside each phase,
-//! and the real `std::sync::Barrier` between phases provides the
+//! Storage is a `Vec` of the element type's atomic cell ([`Scalar::Cell`]):
+//! `AtomicU32` for `u32` elements, `AtomicU64` for the 8-byte types, so a
+//! host array takes the element's own width.  The simulated layout does
+//! not depend on it: every element still occupies [`CELL_BYTES`] of the
+//! simulated address space.  Cells are accessed with `Ordering::Relaxed`:
+//! the kernels are barrier-synchronized with disjoint writes inside each
+//! phase, and the real `std::sync::Barrier` between phases provides the
 //! happens-before edges, so relaxed atomics are sufficient and keep the
 //! code free of `unsafe` (see the Rust Atomics and Locks guidance on
 //! fence-synchronized relaxed data).
 
 use crate::spmd::SpmdCtx;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-/// Element types storable in a traced cell (bit-packed into a `u64`).
+/// Element types storable in a traced cell.
 pub trait Scalar: Copy + Send + Sync + 'static {
-    /// Pack into cell bits.
-    fn to_bits64(self) -> u64;
-    /// Unpack from cell bits.
-    fn from_bits64(bits: u64) -> Self;
+    /// The atomic host cell holding one element.
+    type Cell: Send + Sync;
+    /// A cell holding `self`.
+    fn cell(self) -> Self::Cell;
+    /// Relaxed load.
+    fn load(cell: &Self::Cell) -> Self;
+    /// Relaxed store.
+    fn store(cell: &Self::Cell, v: Self);
 }
 
-impl Scalar for f64 {
-    fn to_bits64(self) -> u64 {
-        self.to_bits()
-    }
-    fn from_bits64(bits: u64) -> Self {
-        f64::from_bits(bits)
-    }
+macro_rules! scalar {
+    ($t:ty, $cell:ty, $to:expr, $from:expr) => {
+        impl Scalar for $t {
+            type Cell = $cell;
+            fn cell(self) -> $cell {
+                <$cell>::new($to(self))
+            }
+            fn load(cell: &$cell) -> Self {
+                $from(cell.load(Ordering::Relaxed))
+            }
+            fn store(cell: &$cell, v: Self) {
+                cell.store($to(v), Ordering::Relaxed)
+            }
+        }
+    };
 }
 
-impl Scalar for u64 {
-    fn to_bits64(self) -> u64 {
-        self
-    }
-    fn from_bits64(bits: u64) -> Self {
-        bits
-    }
-}
-
-impl Scalar for u32 {
-    fn to_bits64(self) -> u64 {
-        self as u64
-    }
-    fn from_bits64(bits: u64) -> Self {
-        bits as u32
-    }
-}
-
-impl Scalar for i64 {
-    fn to_bits64(self) -> u64 {
-        self as u64
-    }
-    fn from_bits64(bits: u64) -> Self {
-        bits as i64
-    }
-}
+scalar!(f64, AtomicU64, f64::to_bits, f64::from_bits);
+scalar!(u64, AtomicU64, |v| v, |b| b);
+scalar!(i64, AtomicU64, |v: i64| v as u64, |b| b as i64);
+scalar!(u32, AtomicU32, |v| v, |b| b);
 
 /// A shared, instrumented array of `T` with a fixed simulated base address.
 ///
-/// Every element occupies 8 simulated bytes (one cell), so the element at
-/// index `i` lives at `base + 8·i` in the simulated address space.
+/// Every element occupies 8 simulated bytes (one cell) whatever its host
+/// width, so the element at index `i` lives at `base + 8·i` in the
+/// simulated address space.
 pub struct TracedArray<T: Scalar> {
     base: u64,
-    cells: Vec<AtomicU64>,
-    _marker: std::marker::PhantomData<T>,
+    cells: Vec<T::Cell>,
 }
 
 /// Simulated bytes per element.
@@ -77,14 +71,8 @@ impl<T: Scalar> TracedArray<T> {
     /// `init(i)` (initialization is *untraced*: the paper measures the
     /// parallel phase, not program loading).
     pub fn new_with(base: u64, len: usize, init: impl Fn(usize) -> T) -> Self {
-        let cells = (0..len)
-            .map(|i| AtomicU64::new(init(i).to_bits64()))
-            .collect();
-        TracedArray {
-            base,
-            cells,
-            _marker: std::marker::PhantomData,
-        }
+        let cells = (0..len).map(|i| init(i).cell()).collect();
+        TracedArray { base, cells }
     }
 
     /// Allocate `len` zero-bit elements at `base`.
@@ -123,23 +111,23 @@ impl<T: Scalar> TracedArray<T> {
     /// Traced load.
     pub fn get(&self, ctx: &mut SpmdCtx, i: usize) -> T {
         ctx.read(self.addr_of(i));
-        T::from_bits64(self.cells[i].load(Ordering::Relaxed))
+        T::load(&self.cells[i])
     }
 
     /// Traced store.
     pub fn set(&self, ctx: &mut SpmdCtx, i: usize, v: T) {
         ctx.write(self.addr_of(i));
-        self.cells[i].store(v.to_bits64(), Ordering::Relaxed);
+        T::store(&self.cells[i], v);
     }
 
     /// Untraced load — for result verification and initialization only.
     pub fn get_silent(&self, i: usize) -> T {
-        T::from_bits64(self.cells[i].load(Ordering::Relaxed))
+        T::load(&self.cells[i])
     }
 
     /// Untraced store — for initialization only.
     pub fn set_silent(&self, i: usize, v: T) {
-        self.cells[i].store(v.to_bits64(), Ordering::Relaxed);
+        T::store(&self.cells[i], v);
     }
 
     /// Untraced snapshot of the whole array.
@@ -192,10 +180,23 @@ mod tests {
 
     #[test]
     fn scalar_roundtrips() {
-        assert_eq!(f64::from_bits64(3.25f64.to_bits64()), 3.25);
-        assert_eq!(u64::from_bits64(u64::MAX.to_bits64()), u64::MAX);
-        assert_eq!(u32::from_bits64(7u32.to_bits64()), 7);
-        assert_eq!(i64::from_bits64((-9i64).to_bits64()), -9);
+        assert_eq!(f64::load(&3.25f64.cell()), 3.25);
+        assert_eq!(u64::load(&u64::MAX.cell()), u64::MAX);
+        assert_eq!(u32::load(&u32::MAX.cell()), u32::MAX);
+        assert_eq!(i64::load(&(-9i64).cell()), -9);
+    }
+
+    #[test]
+    fn cells_take_the_element_width() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<<u32 as Scalar>::Cell>(), 4);
+        assert_eq!(size_of::<<f64 as Scalar>::Cell>(), 8);
+        assert_eq!(size_of::<<u64 as Scalar>::Cell>(), 8);
+        assert_eq!(size_of::<<i64 as Scalar>::Cell>(), 8);
+        // The simulated layout is the same at either width.
+        let a: TracedArray<u32> = TracedArray::new(0x1000, 10);
+        assert_eq!(a.addr_of(3), 0x1000 + 24);
+        assert_eq!(a.end(), 0x1000 + 80);
     }
 
     #[test]

@@ -19,13 +19,17 @@ proptest! {
         procs in prop_oneof![Just(1usize), Just(2), Just(4)],
         key_bits in 8u32..16,
     ) {
-        let p = RadixProgram::new(512, 16, key_bits, procs, seed);
+        let p = RadixProgram::<u32>::new(512, 16, key_bits, procs, seed);
         run_spmd(Arc::clone(&p));
         let out = p.result();
         prop_assert!(out.windows(2).all(|w| w[0] <= w[1]), "not sorted");
-        let mut expect = p.input().to_vec();
+        let mut expect = p.input();
         expect.sort_unstable();
-        prop_assert_eq!(out, expect);
+        prop_assert_eq!(&out, &expect);
+        // 64-bit cells sort the same keys to the same result.
+        let wide = RadixProgram::<u64>::new(512, 16, key_bits, procs, seed);
+        run_spmd(Arc::clone(&wide));
+        prop_assert_eq!(wide.result(), out);
     }
 
     #[test]
@@ -78,7 +82,7 @@ proptest! {
     ) {
         // Every process emits the same number of barriers (bulk-synchronous
         // SPMD), and barrier counts match across processes.
-        let p = RadixProgram::new(256, 16, 12, procs, seed);
+        let p = RadixProgram::<u32>::new(256, 16, 12, procs, seed);
         let events = collect_events(p);
         let counts: Vec<usize> = events
             .iter()
@@ -90,7 +94,7 @@ proptest! {
 
     #[test]
     fn compute_events_never_zero(seed in any::<u64>()) {
-        let p = RadixProgram::new(256, 16, 12, 2, seed);
+        let p = RadixProgram::<u32>::new(256, 16, 12, 2, seed);
         let events = collect_events(p);
         for (ev, _) in events {
             for e in ev {
