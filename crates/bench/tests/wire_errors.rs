@@ -2,11 +2,12 @@
 //!
 //! Every request and report type the CLI and `memhierd` decode —
 //! `OptimizeRequest`, `RecommendRequest`, `FitRequest`, `FitReport`,
-//! `OptimizeReport`, `RecommendReport`, plus inline cluster specs inside
-//! a `Scenario` — is fed a valid body and then every single-fault
-//! mutation of it: each key (nested ones too) dropped, retyped or set to
-//! `null`, and an unknown key added to each object; non-object bodies
-//! are rows of their own.  Hand-listed rows add out-of-range values.  Each row of
+//! `OptimizeReport`, `RecommendReport`, `Scenario` and the `/v1/sweep`
+//! grid (`Grid`, through `Scenario::expand_grid`) — is fed a valid body
+//! and then every single-fault mutation of it: each key (nested ones
+//! too) dropped, retyped or set to `null`, and an unknown key added to
+//! each object; non-object bodies are rows of their own.  Hand-listed
+//! rows add out-of-range values and unknown names.  Each row of
 //! `tests/golden/wire_errors.jsonl` pins the outcome: the re-serialized
 //! value on success, the exact `Display` text on failure.
 //!
@@ -16,7 +17,7 @@
 //! MEMHIER_BLESS=1 cargo test -p memhier-bench --test wire_errors
 //! ```
 
-use memhier_bench::Scenario;
+use memhier_bench::{Scenario, Sizes};
 use memhier_cost::{OptimizeReport, OptimizeRequest, RecommendReport, RecommendRequest};
 use memhier_trace::{FitReport, FitRequest};
 use serde_json::Value;
@@ -321,6 +322,140 @@ const EXTRA: &[(&str, &str)] = &[
     ),
 ];
 
+/// Scenario and sweep-grid bodies, whose rows follow the ones above.
+/// The scenario body carries every key but `faults`, which is validated
+/// and then dropped, so no decodable row spells it.  A grid decodes to
+/// the array of its scenarios.  `null` for a grid's `size` or
+/// `sim_threads` means "absent", where in a scenario it is an error.
+const SCENARIO_BASES: &[(&str, &str)] = &[
+    (
+        "Scenario",
+        r#"{"config": "C5", "workload": {"key": "Stencil4D", "params": {"iterations": 3}},
+            "size": "small", "metrics_window": 1000, "trace_capacity": 4096, "sim_threads": 2}"#,
+    ),
+    ("Grid", include_str!("golden/scenarios/sweep_request.json")),
+];
+
+/// Hand-listed scenario and grid faults: the `{platform, params}` and
+/// `{key, params}` object forms, unknown names (reported by the builder,
+/// workload before size before config), and the retired keys.
+const SCENARIO_EXTRA: &[(&str, &str)] = &[
+    (
+        "Scenario",
+        r#"{"config": {"platform": "warp-drive"}, "workload": "FFT"}"#,
+    ),
+    (
+        "Scenario",
+        r#"{"config": {"platform": 5}, "workload": "FFT"}"#,
+    ),
+    (
+        "Scenario",
+        r#"{"config": {"platform": "numa-smp", "params": {"procs": 8, "domainz": 4}},
+            "workload": "FFT", "size": "small"}"#,
+    ),
+    (
+        "Scenario",
+        r#"{"config": {"platform": "numa-smp", "params": {"procs": 8}, "name": "N"},
+            "workload": "FFT"}"#,
+    ),
+    (
+        "Scenario",
+        r#"{"config": {"platform": "numa-smp", "params": 5}, "workload": "FFT"}"#,
+    ),
+    (
+        "Scenario",
+        r#"{"config": {"platform": "numa-smp", "params": {"procs": 8, "domains": 4}},
+            "workload": "Stencil4D", "size": "small"}"#,
+    ),
+    (
+        "Scenario",
+        r#"{"config": {"platform": "clump", "params": {"machines": 3, "procs": 4}},
+            "workload": "EDGE"}"#,
+    ),
+    (
+        "Scenario",
+        r#"{"config": "C5", "workload": {"params": {"iterations": 3}}}"#,
+    ),
+    (
+        "Scenario",
+        r#"{"config": "C5", "workload": {"key": "FFT", "params": {}, "extra": 1}}"#,
+    ),
+    (
+        "Scenario",
+        r#"{"config": "C5", "workload": {"key": "FFT", "params": {"size": "small"}}}"#,
+    ),
+    (
+        "Scenario",
+        r#"{"config": "C5", "workload": {"key": "Stream", "params": {"stride": 2}}}"#,
+    ),
+    ("Scenario", r#"{}"#),
+    ("Scenario", r#"{"size": "small"}"#),
+    ("Scenario", r#"{"config": "C99", "workload": "FFT"}"#),
+    ("Scenario", r#"{"config": "C5", "workload": "SORT"}"#),
+    (
+        "Scenario",
+        r#"{"config": "C5", "workload": "FFT", "size": "huge"}"#,
+    ),
+    (
+        "Scenario",
+        r#"{"config": "C99", "workload": "SORT", "size": "huge"}"#,
+    ),
+    ("Scenario", r#"{"config": "C99", "size": "huge"}"#),
+    (
+        "Scenario",
+        r#"{"config": "c5", "workload": "fft", "size": "SMALL"}"#,
+    ),
+    (
+        "Scenario",
+        r#"{"config": "C5", "workload": "FFT", "metrics_window": 0}"#,
+    ),
+    (
+        "Scenario",
+        r#"{"config": "C5", "workload": "FFT", "metrics_window": 2.5}"#,
+    ),
+    (
+        "Scenario",
+        r#"{"config": "C5", "workload": "FFT", "trace_capacity": -1}"#,
+    ),
+    (
+        "Scenario",
+        r#"{"config": "C5", "workload": "FFT", "sim_threads": -1}"#,
+    ),
+    (
+        "Scenario",
+        r#"{"config": "C5", "workload": "FFT", "faults": 5}"#,
+    ),
+    (
+        "Scenario",
+        r#"{"config": "C5", "workload": "FFT", "faults": null}"#,
+    ),
+    (
+        "Scenario",
+        r#"{"config": "C5", "workload": "FFT", "faults": "point:explode"}"#,
+    ),
+    ("Grid", r#"{"configs": ["C5", 7], "workloads": ["LU"]}"#),
+    ("Grid", r#"{"configs": ["C5"], "workloads": "LU"}"#),
+    ("Grid", r#"{"configs": [], "workloads": ["LU"]}"#),
+    ("Grid", r#"{"configs": ["C99"], "workloads": ["LU"]}"#),
+    ("Grid", r#"{"configs": ["C5"], "workloads": ["SORT"]}"#),
+    (
+        "Grid",
+        r#"{"configs": ["C5"], "workloads": ["LU"], "size": "huge"}"#,
+    ),
+    (
+        "Grid",
+        r#"{"configs": ["C99"], "workloads": ["SORT"], "size": "huge"}"#,
+    ),
+    (
+        "Grid",
+        r#"{"configs": ["C5"], "workloads": ["LU"], "sim_threads": -1}"#,
+    ),
+    (
+        "Grid",
+        r#"{"configs": ["c5"], "workloads": ["lu"], "size": "Paper"}"#,
+    ),
+];
+
 /// Decode `v` as `ty`: the re-serialized value, or the error's text.
 fn decode(ty: &str, v: &Value) -> Result<Value, String> {
     fn text<E: std::fmt::Display>(e: E) -> String {
@@ -342,6 +477,9 @@ fn decode(ty: &str, v: &Value) -> Result<Value, String> {
             .map(|r| r.to_json())
             .map_err(text),
         "Scenario" => Scenario::from_json(v).map(|s| s.to_json()).map_err(text),
+        "Grid" => Scenario::expand_grid(v, Sizes::Small)
+            .map(|grid| Value::Array(grid.iter().map(Scenario::to_json).collect()))
+            .map_err(text),
         other => panic!("no decoder for `{other}`"),
     }
 }
@@ -416,25 +554,27 @@ fn row(ty: &str, case: &str, input: &Value, show_input: bool) -> String {
 fn golden_rows() -> String {
     let mut lines = Vec::new();
     let parse = |text: &str| -> Value { serde_json::from_str(text).expect("case is valid JSON") };
-    for (ty, text) in BASES {
-        let base = parse(text);
-        lines.push(row(ty, "valid", &base, true));
-        for body in [
-            Value::Array(vec![]),
-            Value::String("FFT".into()),
-            num(5),
-            Value::Null,
-        ] {
-            lines.push(row(ty, "non-object body", &body, true));
+    for (bases, extra) in [(BASES, EXTRA), (SCENARIO_BASES, SCENARIO_EXTRA)] {
+        for (ty, text) in bases {
+            let base = parse(text);
+            lines.push(row(ty, "valid", &base, true));
+            for body in [
+                Value::Array(vec![]),
+                Value::String("FFT".into()),
+                num(5),
+                Value::Null,
+            ] {
+                lines.push(row(ty, "non-object body", &body, true));
+            }
+            let mut cases = Vec::new();
+            mutations(&base, "", &mut cases);
+            for (case, input) in &cases {
+                lines.push(row(ty, case, input, false));
+            }
         }
-        let mut cases = Vec::new();
-        mutations(&base, "", &mut cases);
-        for (case, input) in &cases {
-            lines.push(row(ty, case, input, false));
+        for (ty, text) in extra {
+            lines.push(row(ty, "listed", &parse(text), true));
         }
-    }
-    for (ty, text) in EXTRA {
-        lines.push(row(ty, "listed", &parse(text), true));
     }
     lines.join("\n") + "\n"
 }
