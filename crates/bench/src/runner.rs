@@ -27,23 +27,6 @@ pub enum Sizes {
     Paper,
 }
 
-/// Serializes as the lowercase tier name the CLI flags and `memhierd`
-/// bodies use (`"small" | "medium" | "paper"`).
-impl Serialize for Sizes {
-    fn to_json_value(&self) -> serde_json::Value {
-        serde_json::Value::String(crate::scenario::size_name(*self).to_string())
-    }
-}
-
-impl Deserialize for Sizes {
-    fn from_json_value(v: serde_json::Value) -> Result<Self, serde::Error> {
-        let name = v
-            .as_str()
-            .ok_or_else(|| serde::Error::custom("size must be a string"))?;
-        crate::names::sizes_by_name(name).map_err(serde::Error::custom)
-    }
-}
-
 impl Sizes {
     /// Resolve a workload at this tier.
     pub fn workload(&self, kind: WorkloadKind) -> Workload {

@@ -1,5 +1,5 @@
 //! The unified `Scenario` API: one canonical description of "run this
-//! workload on this platform, with these observers and faults".
+//! workload on this platform, with these observers".
 //!
 //! Before this module, the CLI, `memhierd`, and the sweep runner each
 //! grew their own config path (flag strings, ad-hoc JSON fields, and
@@ -23,17 +23,20 @@
 //! * **compact string** — `CONFIG:WORKLOAD[:SIZE]`, e.g. `C5:FFT:small`
 //!   (size defaults to `medium`, matching the CLI);
 //! * **JSON object** — `{"config": "C5", "workload": "FFT", "size":
-//!   "small", "metrics_window": 1000, "trace_capacity": 4096, "faults":
-//!   "point:panic:nth=2"}`.  `config` is the paper name (`C1`..`C15`) or
-//!   a full inline [`ClusterSpec`] object; optional fields are omitted
-//!   when at their defaults, so *builder → JSON → parse → JSON* is a
-//!   fixed point (locked in by `tests/scenario_roundtrip.rs`).
+//!   "small", "metrics_window": 1000, "trace_capacity": 4096}`, one
+//!   derived wire struct.  `config` is a config name, a `{platform,
+//!   params}` object or an inline [`ClusterSpec`]; `workload` is a name or
+//!   a `{key, params}` object.  It prints as a name only when the spec
+//!   *is* the config of that name (a C1 spec named `C5` is spelled out),
+//!   and optional fields are omitted at their defaults, so *builder →
+//!   JSON → parse → JSON* is a lossless fixed point (locked in by
+//!   `tests/scenario_roundtrip.rs`).  The retired `sim_threads` and
+//!   `faults` keys are type-checked and ignored.
 //!
 //! Parsing reports typed [`ScenarioError`]s, which convert into
 //! `memhier::MemhierError` (and `memhierd`'s HTTP 400s) instead of the
 //! bare `String`s the entry points used before.
 
-use crate::faults::FaultPlan;
 use crate::names::{config_by_name, sizes_by_name, workload_kind_by_name};
 use crate::runner::{simulate_workload_observed, ObservedRun, ObserverConfig, Sizes};
 use crate::sweeprun::SweepPlan;
@@ -41,7 +44,7 @@ use memhier_core::machine::LatencyParams;
 use memhier_core::platform::ClusterSpec;
 use memhier_core::{platform_by_key, platform_keys};
 use memhier_workloads::registry::{Workload, WorkloadKind};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, ErrorKind, Expected, Serialize};
 use serde_json::Value;
 use std::fmt;
 use std::str::FromStr;
@@ -107,10 +110,38 @@ impl fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
+/// Decoder faults in the scenario wording: the outermost key names the
+/// field, an unknown key is spelled with the keys leading to it
+/// (`config.machine.numaa`), a non-object is a syntax error named by the
+/// struct's `expecting` text, and a `ScenarioError` the `config` or
+/// `workload` codec raised comes back unchanged.
+impl From<serde::Error> for ScenarioError {
+    fn from(e: serde::Error) -> Self {
+        if let Some(scenario) = e.downcast_ref::<ScenarioError>() {
+            return scenario.clone();
+        }
+        let field = e.path.first().map_or("", |&(_, key)| key);
+        match e.kind {
+            ErrorKind::UnknownField(key) => {
+                let mut path: Vec<&str> = e.path.iter().map(|&(_, key)| key).collect();
+                path.push(&key);
+                ScenarioError::UnknownField(path.join("."))
+            }
+            ErrorKind::Invalid(Expected::Object(what), _) if e.path.is_empty() => {
+                ScenarioError::Syntax(format!("{what} must be a JSON object"))
+            }
+            ErrorKind::Invalid(expected, _) => {
+                ScenarioError::Invalid(field, format!("must be {}", expected.describe()))
+            }
+            kind => ScenarioError::Invalid(field, kind.to_string()),
+        }
+    }
+}
+
 /// Everything needed to simulate one run: the platform, the workload and
-/// its problem size, which observers to attach, and what faults to
-/// inject.  Construct via [`Scenario::builder`], a compact string, or
-/// JSON (see the module docs for the grammar).
+/// its problem size, and which observers to attach.  Construct via
+/// [`Scenario::builder`], a compact string, or JSON (see the module docs
+/// for the grammar).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// The cluster to simulate.
@@ -127,12 +158,220 @@ pub struct Scenario {
     /// Observers attached to the run (default: none — the engine's hot
     /// loop stays observer-free).
     pub observers: ObserverConfig,
-    /// Fault-injection plan (default: empty).  Parsed, validated and
-    /// round-tripped through the JSON form, but never applied:
-    /// [`Scenario::run`] and [`Scenario::sweep_plan`] ignore it.  Faults
-    /// are injected only by `--faults` / `MEMHIER_FAULTS`, through
-    /// `CheckpointConfig` and `memhierd`'s `ServeConfig`.
-    pub faults: FaultPlan,
+}
+
+/// The JSON form of a [`Scenario`].  Keys may be omitted but never
+/// `null`; `config` and `workload` are required by the builder, which
+/// also resolves the names.
+#[derive(Serialize, Deserialize)]
+#[serde(deny_unknown_fields, expecting = "a scenario")]
+struct ScenarioWire {
+    #[serde(deserialize_with = "present")]
+    config: Option<ConfigWire>,
+    #[serde(deserialize_with = "present")]
+    workload: Option<WorkloadWire>,
+    #[serde(deserialize_with = "present")]
+    size: Option<String>,
+    #[serde(skip_serializing_if = "Option::is_none", deserialize_with = "positive")]
+    metrics_window: Option<u64>,
+    #[serde(skip_serializing_if = "Option::is_none", deserialize_with = "present")]
+    trace_capacity: Option<usize>,
+    /// Retired: once chose a second engine.  Checked, never set.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    #[serde(deserialize_with = "sim_threads")]
+    sim_threads: Option<u64>,
+    /// Retired: a fault plan nothing applied.  Checked, never set.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    #[serde(deserialize_with = "fault_spec")]
+    faults: Option<String>,
+}
+
+/// The `/v1/sweep` grid: `configs × workloads` at one size.  A `null`
+/// `size` or `sim_threads` reads as absent.
+#[derive(Default, Deserialize)]
+#[serde(deny_unknown_fields)]
+struct GridWire {
+    #[serde(deserialize_with = "names")]
+    configs: Option<Vec<String>>,
+    #[serde(deserialize_with = "names")]
+    workloads: Option<Vec<String>>,
+    size: Option<String>,
+    /// Retired, as in a scenario: checked, never read.
+    #[allow(dead_code)]
+    #[serde(deserialize_with = "grid_sim_threads")]
+    sim_threads: Option<u64>,
+}
+
+/// A scenario's `config`: a configuration name, resolved by the builder,
+/// or a spec given inline as a cluster-spec or `{platform, params}`
+/// object.
+enum ConfigWire {
+    Name(String),
+    Spec(ClusterSpec),
+}
+
+impl ConfigWire {
+    /// The lossless spelling: the name only when `spec` is exactly the
+    /// configuration of that name.
+    fn of(spec: &ClusterSpec) -> ConfigWire {
+        match &spec.name {
+            Some(name) if config_by_name(name).as_ref() == Ok(spec) => {
+                ConfigWire::Name(name.clone())
+            }
+            _ => ConfigWire::Spec(spec.clone()),
+        }
+    }
+}
+
+impl Serialize for ConfigWire {
+    fn to_json_value(&self) -> Value {
+        match self {
+            ConfigWire::Name(name) => Value::String(name.clone()),
+            ConfigWire::Spec(spec) => spec.to_json_value(),
+        }
+    }
+}
+
+impl Deserialize for ConfigWire {
+    fn from_json_value(v: Value) -> Result<Self, serde::Error> {
+        let invalid = |why: String| serde::Error::custom(ScenarioError::Invalid("config", why));
+        if let (Value::Object(fields), Some(platform)) = (&v, v.get("platform")) {
+            if let Some((key, _)) = fields
+                .iter()
+                .find(|(k, _)| k != "platform" && k != "params")
+            {
+                return Err(serde::Error::unknown_field(key.clone()));
+            }
+            let key = platform
+                .as_str()
+                .ok_or_else(|| invalid("`platform` must be a registry key string".into()))?;
+            let family = platform_by_key(key).ok_or_else(|| {
+                invalid(format!(
+                    "unknown platform `{key}` (known: {})",
+                    platform_keys().join("|")
+                ))
+            })?;
+            return family
+                .build(&v["params"])
+                .map(ConfigWire::Spec)
+                .map_err(|e| invalid(e.to_string()));
+        }
+        match v {
+            Value::String(name) => Ok(ConfigWire::Name(name)),
+            // An unknown key keeps its path (`config.machine.numaa`).
+            Value::Object(_) => ClusterSpec::from_json_value(v)
+                .map(ConfigWire::Spec)
+                .map_err(|e| match e.kind {
+                    ErrorKind::UnknownField(_) => e,
+                    _ => invalid(e.to_string()),
+                }),
+            _ => Err(invalid(
+                "must be a name string, a {platform, params} object, or a cluster-spec object"
+                    .into(),
+            )),
+        }
+    }
+}
+
+/// A scenario's `workload`: a registry key, or a `{key, params}` object
+/// whose parameter map the builder validates.  `params` is `null` in the
+/// plain form.
+struct WorkloadWire {
+    key: String,
+    params: Value,
+}
+
+impl Serialize for WorkloadWire {
+    fn to_json_value(&self) -> Value {
+        let key = Value::String(self.key.clone());
+        if self.params.is_null() {
+            return key;
+        }
+        Value::Object(vec![
+            ("key".to_string(), key),
+            ("params".to_string(), self.params.clone()),
+        ])
+    }
+}
+
+impl Deserialize for WorkloadWire {
+    fn from_json_value(v: Value) -> Result<Self, serde::Error> {
+        let invalid =
+            |why: &str| serde::Error::custom(ScenarioError::Invalid("workload", why.to_string()));
+        match &v {
+            Value::String(key) => Ok(WorkloadWire {
+                key: key.clone(),
+                params: Value::Null,
+            }),
+            Value::Object(fields) => {
+                if let Some((key, _)) = fields.iter().find(|(k, _)| k != "key" && k != "params") {
+                    return Err(serde::Error::unknown_field(key.clone()));
+                }
+                let key = v["key"]
+                    .as_str()
+                    .ok_or_else(|| invalid("object form needs a `key` string"))?;
+                Ok(WorkloadWire {
+                    key: key.to_string(),
+                    params: v["params"].clone(),
+                })
+            }
+            _ => Err(invalid("must be a string or a {key, params} object")),
+        }
+    }
+}
+
+/// What a `deserialize_with` helper reads from a present key.
+type Field<T> = Result<Option<T>, serde::Error>;
+
+/// An optional key that is present must hold a value of its type.
+fn present<T: Deserialize>(v: Value) -> Field<T> {
+    T::from_json_value(v).map(Some)
+}
+
+/// `v` as `read` takes it, or the error that it must be `what`.
+fn must_be<T>(v: Value, what: &'static str, read: impl FnOnce(&Value) -> Option<T>) -> Field<T> {
+    let got = read(&v).map(Some);
+    got.ok_or_else(|| serde::Error::invalid(Expected::Other(what), v))
+}
+
+/// A metrics window: a positive cycle count.
+fn positive(v: Value) -> Field<u64> {
+    let what = "a positive integer (cycles)";
+    must_be(v, what, |v| v.as_u64().filter(|&n| n > 0))
+}
+
+/// The retired `sim_threads` key, which once selected a second engine.
+/// Older bodies and plan files still carry it, so it is type-checked as
+/// before and its value ignored: every scenario runs the one engine.
+fn sim_threads(v: Value) -> Field<u64> {
+    let what = "a non-negative integer (0 = classic engine)";
+    must_be(v, what, Value::as_u64)
+}
+
+/// The retired `faults` key: it must still be a valid fault spec.
+fn fault_spec(v: Value) -> Field<String> {
+    let spec = must_be(v, "a fault-spec string", |v| v.as_str().map(str::to_string))?;
+    let plan = crate::faults::FaultPlan::parse(spec.as_deref().unwrap_or_default());
+    plan.map(|_| spec).map_err(serde::Error::custom)
+}
+
+/// [`sim_threads`], reading `null` as absent (the grid's rule).
+fn grid_sim_threads(v: Value) -> Field<u64> {
+    match v {
+        Value::Null => Ok(None),
+        v => sim_threads(v),
+    }
+}
+
+/// A grid's list of names.  Anything but an array reads as absent, which
+/// [`Scenario::expand_grid`] refuses.
+fn names(v: Value) -> Field<Vec<String>> {
+    match v {
+        Value::Array(_) => {
+            present(v).map_err(|_| serde::Error::custom("must contain only strings"))
+        }
+        _ => Ok(None),
+    }
 }
 
 impl Scenario {
@@ -163,60 +402,32 @@ impl Scenario {
         }
     }
 
-    /// The canonical JSON form.  `config` collapses to its paper name
-    /// when it has one; fields at their defaults are omitted, so parsing
-    /// this value back yields `self` and re-serializing yields the same
-    /// JSON (the round-trip fixed point).
+    /// The canonical JSON form.  `config` is a name only when it is
+    /// exactly the configuration of that name, and fields at their
+    /// defaults are omitted, so parsing this value back yields `self`
+    /// and re-serializing yields the same JSON (the round-trip fixed
+    /// point).
     pub fn to_json(&self) -> Value {
-        let mut fields = vec![
-            (
-                "config".to_string(),
-                match &self.config.name {
-                    Some(name) => Value::String(name.clone()),
-                    None => serde_json::to_value(&self.config).unwrap_or(Value::Null),
-                },
-            ),
-            (
-                "workload".to_string(),
-                match &self.workload_params {
-                    None => Value::String(self.workload.name().to_string()),
-                    Some(params) => Value::Object(vec![
-                        (
-                            "key".to_string(),
-                            Value::String(self.workload.name().to_string()),
-                        ),
-                        ("params".to_string(), params.clone()),
-                    ]),
-                },
-            ),
-            (
-                "size".to_string(),
-                Value::String(size_name(self.size).to_string()),
-            ),
-        ];
-        if let Some(w) = self.observers.metrics_window {
-            fields.push((
-                "metrics_window".to_string(),
-                serde_json::to_value(&w).unwrap(),
-            ));
+        ScenarioWire {
+            config: Some(ConfigWire::of(&self.config)),
+            workload: Some(WorkloadWire {
+                key: self.workload.name().to_string(),
+                params: self.workload_params.clone().unwrap_or(Value::Null),
+            }),
+            size: Some(size_name(self.size).to_string()),
+            metrics_window: self.observers.metrics_window,
+            trace_capacity: self.observers.trace_capacity,
+            sim_threads: None,
+            faults: None,
         }
-        if let Some(cap) = self.observers.trace_capacity {
-            fields.push((
-                "trace_capacity".to_string(),
-                serde_json::to_value(&cap).unwrap(),
-            ));
-        }
-        if !self.faults.is_empty() {
-            fields.push(("faults".to_string(), Value::String(self.faults.to_string())));
-        }
-        Value::Object(fields)
+        .to_json_value()
     }
 
     /// Parse the JSON form (see the module docs).  Missing `size`
     /// defaults to `medium`; unknown keys are rejected so a typo'd field
     /// fails loudly instead of being silently ignored.  The retired
-    /// `sim_threads` key is the one exception: it is type-checked and its
-    /// value ignored.
+    /// `sim_threads` and `faults` keys are the exceptions: they are
+    /// type-checked and their values ignored.
     pub fn from_json(v: &Value) -> Result<Scenario, ScenarioError> {
         Scenario::from_json_default(v, Sizes::Medium)
     }
@@ -225,100 +436,26 @@ impl Scenario {
     /// `size` field (`memhierd`'s sweep endpoint defaults to `small`
     /// where the CLI defaults to `medium`).
     pub fn from_json_default(v: &Value, default_size: Sizes) -> Result<Scenario, ScenarioError> {
-        let fields = match v {
-            Value::Object(fields) => fields,
-            _ => {
-                return Err(ScenarioError::Syntax(
-                    "a scenario must be a JSON object".to_string(),
-                ))
-            }
-        };
+        let wire = ScenarioWire::from_json_value(v.clone())?;
         let mut b = Scenario::builder().size(default_size);
-        for (key, value) in fields {
-            match key.as_str() {
-                "config" => {
-                    b = match value {
-                        Value::String(name) => b.config_name(name),
-                        Value::Object(_) if value.get("platform").is_some() => {
-                            b.config(platform_config_from_json(value)?)
-                        }
-                        Value::Object(_) => b.config(cluster_spec_from_json(value)?),
-                        _ => {
-                            return Err(ScenarioError::Invalid(
-                                "config",
-                                "must be a name string, a {platform, params} object, \
-                                 or a cluster-spec object"
-                                    .to_string(),
-                            ))
-                        }
-                    };
-                }
-                "workload" => {
-                    b = match value {
-                        Value::String(name) => b.workload_name(name),
-                        Value::Object(fields) => {
-                            for (k, _) in fields {
-                                if k != "key" && k != "params" {
-                                    return Err(ScenarioError::UnknownField(format!(
-                                        "workload.{k}"
-                                    )));
-                                }
-                            }
-                            let key = value.get("key").and_then(Value::as_str).ok_or(
-                                ScenarioError::Invalid(
-                                    "workload",
-                                    "object form needs a `key` string".to_string(),
-                                ),
-                            )?;
-                            let params = value.get("params").cloned().unwrap_or(Value::Null);
-                            b.workload_name(key).workload_params(params)
-                        }
-                        _ => {
-                            return Err(ScenarioError::Invalid(
-                                "workload",
-                                "must be a string or a {key, params} object".to_string(),
-                            ))
-                        }
-                    };
-                }
-                "size" => {
-                    let name = value.as_str().ok_or(ScenarioError::Invalid(
-                        "size",
-                        "must be a string".to_string(),
-                    ))?;
-                    b = b.size_name(name);
-                }
-                "metrics_window" => {
-                    let w = value
-                        .as_u64()
-                        .filter(|&w| w > 0)
-                        .ok_or(ScenarioError::Invalid(
-                            "metrics_window",
-                            "must be a positive integer (cycles)".to_string(),
-                        ))?;
-                    b = b.metrics_window(w);
-                }
-                "trace_capacity" => {
-                    let cap = value.as_u64().ok_or(ScenarioError::Invalid(
-                        "trace_capacity",
-                        "must be a non-negative integer".to_string(),
-                    ))?;
-                    b = b.trace_capacity(cap as usize);
-                }
-                "sim_threads" => legacy_sim_threads(value)?,
-                "faults" => {
-                    let spec = value.as_str().ok_or(ScenarioError::Invalid(
-                        "faults",
-                        "must be a fault-spec string".to_string(),
-                    ))?;
-                    let plan =
-                        FaultPlan::parse(spec).map_err(|e| ScenarioError::Invalid("faults", e))?;
-                    b = b.faults(plan);
-                }
-                other => return Err(ScenarioError::UnknownField(other.to_string())),
-            }
+        b = match wire.config {
+            Some(ConfigWire::Name(name)) => b.config_name(&name),
+            Some(ConfigWire::Spec(spec)) => b.config(spec),
+            None => b,
+        };
+        if let Some(workload) = wire.workload {
+            b = b
+                .workload_name(&workload.key)
+                .workload_params(workload.params);
         }
-        b.build()
+        if let Some(size) = wire.size {
+            b = b.size_name(&size);
+        }
+        b.observers(ObserverConfig {
+            metrics_window: wire.metrics_window,
+            trace_capacity: wire.trace_capacity,
+        })
+        .build()
     }
 
     /// Expand a sweep-grid request — `{"configs": [..], "workloads":
@@ -328,56 +465,40 @@ impl Scenario {
     /// and of the CLI's `--configs`/`--workloads` lists; any other key
     /// but the retired, ignored `sim_threads` is rejected as a typo.
     pub fn expand_grid(v: &Value, default_size: Sizes) -> Result<Vec<Scenario>, ScenarioError> {
-        if let Value::Object(fields) = v {
-            let known = ["configs", "workloads", "size", "sim_threads"];
-            if let Some((key, _)) = fields.iter().find(|(k, _)| !known.contains(&k.as_str())) {
-                return Err(ScenarioError::UnknownField(key.clone()));
-            }
-        }
-        let names = |key: &'static str| -> Result<Vec<&str>, ScenarioError> {
-            v.get(key)
-                .and_then(Value::as_array)
-                .ok_or(ScenarioError::Invalid(
-                    key,
-                    "must be an array of strings".to_string(),
-                ))?
-                .iter()
-                .map(|e| {
-                    e.as_str().ok_or(ScenarioError::Invalid(
-                        key,
-                        "must contain only strings".to_string(),
-                    ))
-                })
-                .collect()
+        // A body that is not an object has no `configs` list.
+        let grid = match v {
+            Value::Object(_) => GridWire::from_json_value(v.clone())?,
+            _ => GridWire::default(),
         };
-        let configs = names("configs")?;
-        let workloads = names("workloads")?;
-        let size = match v.get("size").filter(|f| !f.is_null()) {
+        let list = |names: Option<Vec<String>>, key| {
+            names.ok_or_else(|| ScenarioError::Invalid(key, "must be an array of strings".into()))
+        };
+        let configs = list(grid.configs, "configs")?;
+        let workloads = list(grid.workloads, "workloads")?;
+        let size = match grid.size {
             None => default_size,
-            Some(f) => {
-                let name = f.as_str().ok_or(ScenarioError::Invalid(
-                    "size",
-                    "must be a string".to_string(),
-                ))?;
-                sizes_by_name(name).map_err(|_| ScenarioError::UnknownSize(name.to_string()))?
-            }
+            Some(name) => sizes_by_name(&name).map_err(|_| ScenarioError::UnknownSize(name))?,
         };
-        if let Some(f) = v.get("sim_threads").filter(|f| !f.is_null()) {
-            legacy_sim_threads(f)?;
-        }
-        let mut out = Vec::with_capacity(configs.len() * workloads.len());
-        for config in &configs {
-            for workload in &workloads {
-                out.push(
-                    Scenario::builder()
-                        .config_name(config)
-                        .workload_name(workload)
-                        .size(size)
-                        .build()?,
-                );
-            }
-        }
-        Ok(out)
+        Scenario::grid(&configs, &workloads, size)
+    }
+
+    /// One scenario per `configs × workloads` point at `size`,
+    /// cluster-major; the first name that does not resolve is the error.
+    pub fn grid(
+        configs: &[String],
+        workloads: &[String],
+        size: Sizes,
+    ) -> Result<Vec<Scenario>, ScenarioError> {
+        let point = |c, w| {
+            Scenario::builder()
+                .config_name(c)
+                .workload_name(w)
+                .size(size)
+        };
+        configs
+            .iter()
+            .flat_map(|c| workloads.iter().map(move |w| point(c, w).build()))
+            .collect()
     }
 
     /// Parse a plan file's contents: a JSON array whose elements are
@@ -429,25 +550,18 @@ impl Scenario {
     }
 }
 
-/// Compact form when the config has a paper name, JSON otherwise; both
-/// spellings parse back via [`FromStr`].
+/// Compact form when the config is a named configuration and nothing
+/// else is set, JSON otherwise; both spellings parse back via
+/// [`FromStr`].
 impl fmt::Display for Scenario {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let plain = self.observers == ObserverConfig::default()
-            && self.faults.is_empty()
-            && self.workload_params.is_none();
-        match (&self.config.name, plain) {
-            (Some(name), true) => write!(
-                f,
-                "{name}:{}:{}",
-                self.workload.name(),
-                size_name(self.size)
-            ),
-            _ => write!(
-                f,
-                "{}",
-                serde_json::to_string(&self.to_json()).map_err(|_| fmt::Error)?
-            ),
+        let plain = self.observers == ObserverConfig::default() && self.workload_params.is_none();
+        match (ConfigWire::of(&self.config), plain) {
+            (ConfigWire::Name(name), true) => {
+                let (workload, size) = (self.workload.name(), size_name(self.size));
+                write!(f, "{name}:{workload}:{size}")
+            }
+            _ => f.write_str(&serde_json::to_string(&self.to_json()).map_err(|_| fmt::Error)?),
         }
     }
 }
@@ -488,18 +602,6 @@ impl FromStr for Scenario {
     }
 }
 
-impl Serialize for Scenario {
-    fn to_json_value(&self) -> Value {
-        self.to_json()
-    }
-}
-
-impl Deserialize for Scenario {
-    fn from_json_value(v: Value) -> Result<Self, serde::Error> {
-        Scenario::from_json(&v).map_err(serde::Error::custom)
-    }
-}
-
 /// Typed, infallible-until-`build` builder for [`Scenario`].  Name
 /// setters (`config_name`, `workload_name`, `size_name`) defer
 /// resolution to [`ScenarioBuilder::build`], so the builder chains
@@ -511,7 +613,6 @@ pub struct ScenarioBuilder {
     workload_params: Option<Value>,
     size: Option<Result<Sizes, ScenarioError>>,
     observers: ObserverConfig,
-    faults: FaultPlan,
 }
 
 impl ScenarioBuilder {
@@ -591,12 +692,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Set the fault-injection plan.
-    pub fn faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
     /// Resolve deferred names and produce the scenario.  `config` and
     /// `workload` are required; `size` defaults to [`Sizes::Medium`].
     pub fn build(self) -> Result<Scenario, ScenarioError> {
@@ -622,7 +717,6 @@ impl ScenarioBuilder {
             workload_params: self.workload_params,
             size,
             observers: self.observers,
-            faults: self.faults,
         })
     }
 }
@@ -635,63 +729,6 @@ pub fn size_name(size: Sizes) -> &'static str {
         Sizes::Medium => "medium",
         Sizes::Paper => "paper",
     }
-}
-
-/// Check the retired `sim_threads` key, which once selected a second
-/// simulation engine.  Older request bodies and plan files still carry
-/// it, so it is type-checked as before and its value ignored: every
-/// scenario runs the one engine.
-fn legacy_sim_threads(value: &Value) -> Result<(), ScenarioError> {
-    value.as_u64().map(drop).ok_or(ScenarioError::Invalid(
-        "sim_threads",
-        "must be a non-negative integer (0 = classic engine)".to_string(),
-    ))
-}
-
-/// Decode an inline [`ClusterSpec`] object.  A typo'd key at any depth
-/// is an unknown `config.…` field (`config.machine.numaa`), not a flat
-/// machine that silently ignores it.
-fn cluster_spec_from_json(v: &Value) -> Result<ClusterSpec, ScenarioError> {
-    ClusterSpec::from_json_value(v.clone()).map_err(|e| match &e.kind {
-        serde::ErrorKind::UnknownField(key) => {
-            let mut path: Vec<&str> = e.path.iter().map(|&(_, field)| field).collect();
-            path.push(key);
-            ScenarioError::UnknownField(format!("config.{}", path.join(".")))
-        }
-        _ => ScenarioError::Invalid("config", e.to_string()),
-    })
-}
-
-/// Build a [`ClusterSpec`] from the `{"platform": key, "params": {...}}`
-/// config form via the platform family table.
-fn platform_config_from_json(v: &Value) -> Result<ClusterSpec, ScenarioError> {
-    if let Value::Object(fields) = v {
-        for (k, _) in fields {
-            if k != "platform" && k != "params" {
-                return Err(ScenarioError::UnknownField(format!("config.{k}")));
-            }
-        }
-    }
-    let key = v
-        .get("platform")
-        .and_then(Value::as_str)
-        .ok_or(ScenarioError::Invalid(
-            "config",
-            "`platform` must be a registry key string".to_string(),
-        ))?;
-    let family = platform_by_key(key).ok_or_else(|| {
-        ScenarioError::Invalid(
-            "config",
-            format!(
-                "unknown platform `{key}` (known: {})",
-                platform_keys().join("|")
-            ),
-        )
-    })?;
-    let params = v.get("params").cloned().unwrap_or(Value::Null);
-    family
-        .build(&params)
-        .map_err(|e| ScenarioError::Invalid("config", e.to_string()))
 }
 
 /// Resolve a workload parameter map against the registry: the scenario's
@@ -745,7 +782,6 @@ mod tests {
         assert_eq!(s.workload, WorkloadKind::Fft);
         assert_eq!(s.size, Sizes::Small);
         assert!(!s.observers.is_active());
-        assert!(s.faults.is_empty());
     }
 
     #[test]
@@ -780,13 +816,31 @@ mod tests {
             .workload(WorkloadKind::Radix)
             .size(Sizes::Paper)
             .metrics_window(5_000)
-            .faults(FaultPlan::parse("point:panic:nth=2").unwrap())
             .build()
             .unwrap();
         let json = s.to_json();
         let back = Scenario::from_json(&json).unwrap();
         assert_eq!(back, s);
         assert_eq!(back.to_json(), json);
+    }
+
+    #[test]
+    fn retired_faults_key_is_checked_and_dropped() {
+        let parse = |extra: &str| {
+            let body = format!(r#"{{"config": "C5", "workload": "FFT", "size": "small"{extra}}}"#);
+            Scenario::from_json(&serde_json::from_str(&body).unwrap())
+        };
+        let with = parse(r#", "faults": "point:panic:nth=2", "sim_threads": 4"#).unwrap();
+        assert_eq!(with, c5_fft());
+        assert_eq!(with.to_json(), c5_fft().to_json());
+        assert!(matches!(
+            parse(r#", "faults": "point:explode""#).unwrap_err(),
+            ScenarioError::Invalid("faults", _)
+        ));
+        assert!(matches!(
+            parse(r#", "faults": 5"#).unwrap_err(),
+            ScenarioError::Invalid("faults", _)
+        ));
     }
 
     #[test]

@@ -3,19 +3,20 @@
 //! Two layers:
 //!
 //! * a property test that *builder → JSON → parse → JSON* is a fixed
-//!   point across randomly chosen configs, workloads, sizes, observers,
-//!   and fault plans (with the compact-string and `Display` spellings
-//!   parsing back to the same value);
+//!   point across randomly chosen configs (named, or inline specs that
+//!   are unnamed, borrow another config's name, or carry a fresh one),
+//!   workloads, sizes and observers (with the compact-string and
+//!   `Display` spellings parsing back to the same value);
 //! * golden fixtures pinning the wire formats: a `memhierd` `/v1/sweep`
 //!   request body and a `memhier sweep --configs @plan.json` plan file
 //!   must deserialize into *identical* `Scenario` batches, and a
-//!   `/v1/simulate` body must equal its builder spelling.  The two sweep
-//!   fixtures predate the retired `sim_threads` key and still carry it,
-//!   so they also pin that older inputs keep parsing.
+//!   `/v1/simulate` body must equal its builder spelling.  The fixtures
+//!   predate the retired `sim_threads` and `faults` keys and still carry
+//!   them, so they also pin that older inputs keep parsing.
 
-use memhier_bench::faults::FaultPlan;
 use memhier_bench::runner::Sizes;
-use memhier_bench::{Scenario, ScenarioError};
+use memhier_bench::{config_by_name, Scenario, ScenarioError};
+use memhier_core::platform::ClusterSpec;
 use memhier_workloads::registry::WorkloadKind;
 use proptest::prelude::*;
 
@@ -35,7 +36,7 @@ fn workload_strategy() -> impl Strategy<Value = WorkloadKind> {
 
 /// Every named config spelling: the paper's `C1..C15` plus the extended
 /// NUMA and fat-tree configurations.
-fn config_strategy() -> impl Strategy<Value = String> {
+fn name_strategy() -> impl Strategy<Value = String> {
     prop_oneof![
         (1u32..=15).prop_map(|i| format!("C{i}")),
         Just("N4".to_string()),
@@ -45,20 +46,22 @@ fn config_strategy() -> impl Strategy<Value = String> {
     ]
 }
 
-fn size_strategy() -> impl Strategy<Value = Sizes> {
-    prop_oneof![Just(Sizes::Small), Just(Sizes::Medium), Just(Sizes::Paper)]
+/// A named config, or one of its specs given inline: unnamed, under
+/// another config's name, or under a name no config has.
+fn config_strategy() -> impl Strategy<Value = ClusterSpec> {
+    (name_strategy(), name_strategy(), 0u8..4).prop_map(|(name, other, form)| {
+        let spec = config_by_name(&name).expect("strategy emits known names");
+        match form {
+            0 => spec,
+            1 => ClusterSpec { name: None, ..spec },
+            2 => spec.named(other),
+            _ => spec.named("MyCluster"),
+        }
+    })
 }
 
-/// Canonical fault specs (empty = no plan).  Spellings here are already
-/// in `FaultPlan`'s `Display` form so the JSON fixed point holds.
-fn fault_strategy() -> impl Strategy<Value = &'static str> {
-    prop_oneof![
-        Just(""),
-        Just("point:panic:nth=2"),
-        Just("ckpt:io:nth=3"),
-        Just("serve:delay:rate=0.1:ms=200"),
-        Just("point:panic:rate=0.05:seed=7,ckpt:io:nth=3"),
-    ]
+fn size_strategy() -> impl Strategy<Value = Sizes> {
+    prop_oneof![Just(Sizes::Small), Just(Sizes::Medium), Just(Sizes::Paper)]
 }
 
 proptest! {
@@ -73,10 +76,9 @@ proptest! {
         size in size_strategy(),
         window in 0u64..10_000,
         cap in 0u64..5_000,
-        fault in fault_strategy(),
     ) {
         let mut b = Scenario::builder()
-            .config_name(&cfg)
+            .config(cfg)
             .workload(workload)
             .size(size);
         if window > 0 {
@@ -84,9 +86,6 @@ proptest! {
         }
         if cap > 0 {
             b = b.trace_capacity(cap as usize);
-        }
-        if !fault.is_empty() {
-            b = b.faults(FaultPlan::parse(fault).expect("strategy emits valid specs"));
         }
         // The one thing a named config can refuse is a problem that does
         // not split across its processes (FT16 × small Stencil4D); that
@@ -97,7 +96,7 @@ proptest! {
                 prop_assert!(!size.workload(workload).supports_processes(processes));
                 return Ok(());
             }
-            built => built.expect("named configs always resolve"),
+            built => built.expect("named configs' specs always resolve"),
         };
 
         // JSON fixed point.
@@ -151,7 +150,8 @@ fn golden_sweep_request_and_plan_file_agree() {
 }
 
 /// The golden `/v1/simulate` body equals its builder spelling, field for
-/// field, and survives a serialize→parse round trip byte-identically.
+/// field, and its canonical JSON is the fixture without the retired
+/// `faults` key, which is checked and dropped.
 #[test]
 fn golden_simulate_request_matches_builder() {
     let body: serde_json::Value =
@@ -164,16 +164,52 @@ fn golden_simulate_request_matches_builder() {
         .size(Sizes::Paper)
         .metrics_window(5_000)
         .trace_capacity(4_096)
-        .faults(FaultPlan::parse("point:panic:nth=2").unwrap())
         .build()
         .unwrap();
     assert_eq!(parsed, built);
 
     // The canonical JSON matches the fixture's field order and spelling.
+    let mut expected = body.clone();
+    if let serde_json::Value::Object(fields) = &mut expected {
+        fields.retain(|(key, _)| key != "faults");
+    }
+    assert_ne!(expected, body, "the fixture still carries `faults`");
     assert_eq!(
         serde_json::to_string(&parsed.to_json()).unwrap(),
-        serde_json::to_string(&body).unwrap()
+        serde_json::to_string(&expected).unwrap()
     );
+}
+
+/// An inline spec's `name` is only a label: a C1 spec named "C5" is not
+/// C5, and "MyCluster" names no configuration.  Both survive `to_json`
+/// and `Display` unchanged.
+#[test]
+fn named_inline_specs_round_trip_losslessly() {
+    let c1 = config_by_name("C1").unwrap();
+    for name in ["C5", "MyCluster"] {
+        let scenario = Scenario::builder()
+            .config(c1.clone().named(name))
+            .workload(WorkloadKind::Fft)
+            .size(Sizes::Small)
+            .build()
+            .unwrap();
+        let json = scenario.to_json();
+        assert!(
+            json["config"].get("machine").is_some(),
+            "{name}: spelled out"
+        );
+        assert_eq!(
+            Scenario::from_json(&json).as_ref(),
+            Ok(&scenario),
+            "{name}: JSON"
+        );
+        let text = scenario.to_string();
+        assert_eq!(
+            text.parse::<Scenario>().as_ref(),
+            Ok(&scenario),
+            "{name}: {text}"
+        );
+    }
 }
 
 /// Golden wire pin for the registry-redesign matrix: every new workload

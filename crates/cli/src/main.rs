@@ -1176,19 +1176,7 @@ fn sweep_scenarios(m: &Matches) -> Result<Vec<Scenario>, MemhierError> {
             "--configs and --workloads must each name at least one entry".to_string(),
         ));
     }
-    let mut out = Vec::with_capacity(names.len() * kinds.len());
-    for config in &names {
-        for kind in &kinds {
-            out.push(
-                Scenario::builder()
-                    .config_name(config)
-                    .workload_name(kind)
-                    .size(m.sizes())
-                    .build()?,
-            );
-        }
-    }
-    Ok(out)
+    Ok(Scenario::grid(&names, &kinds, m.sizes())?)
 }
 
 fn cmd_serve(rest: &[String]) -> Result<(), MemhierError> {

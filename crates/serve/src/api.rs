@@ -26,13 +26,13 @@
 //! `method path` plus the request JSON **canonicalized** (object keys
 //! sorted recursively, compact form) — key order and whitespace in the
 //! client's JSON never cause a spurious miss.  A `/v1/simulate` body is
-//! parsed into its [`Scenario`] first and keyed on the scenario's
-//! canonical JSON (a config that is not the paper config of its name
-//! spelled out as the full cluster spec), so bodies that describe the
-//! same run (a defaulted `size`, a workload name in another case, the
-//! ignored `faults` or `sim_threads` keys) share one entry.  The parsed
-//! request travels with the job ([`Cacheable`]), so a miss parses its
-//! body once.
+//! parsed into its [`Scenario`] first and keyed on
+//! [`Scenario::to_json`], which is lossless (a config is a name only
+//! when it is exactly that named configuration), so bodies that
+//! describe the same run (a defaulted `size`, a workload name in another
+//! case, the retired `faults` or `sim_threads` keys) share one entry and
+//! different runs never do.  The parsed request travels with the job
+//! ([`Cacheable`]), so a miss parses its body once.
 //!
 //! `/v1/simulate` serializes exactly what `memhier simulate --json`
 //! prints (`SimReport`, pretty, trailing newline), `/v1/recommend` the
@@ -48,7 +48,7 @@
 use crate::cache::ResponseCache;
 use crate::http::{HttpError, Request, Response};
 use crate::metrics::Metrics;
-use memhier_bench::{config_by_name, run_optimize, run_recommend, run_sweep, Scenario, Sizes};
+use memhier_bench::{run_optimize, run_recommend, run_sweep, Scenario, Sizes};
 use memhier_core::model::AnalyticModel;
 use memhier_cost::{CostError, OptimizeRequest, RecommendRequest};
 use memhier_trace::{run_fit, FitRequest};
@@ -305,23 +305,7 @@ impl Cacheable {
         let parsed = body_object(req)?;
         let (canonical, body) = if req.path == "/v1/simulate" {
             let scenario = Scenario::from_json_default(&parsed, Sizes::Medium)?;
-            // The run ignores `faults`; the retired `sim_threads` never
-            // reaches the scenario at all.  `to_json` shortens a named
-            // config to its name, but a cluster-spec object may carry any
-            // name: spell out a spec that is not the config of its name.
-            let mut canonical = scenario.to_json();
-            let config = &scenario.config;
-            let named = config.name.as_deref().and_then(|n| config_by_name(n).ok());
-            let is_named_config = named.as_ref() == Some(config);
-            if let Value::Object(fields) = &mut canonical {
-                fields.retain(|(k, _)| k != "faults");
-                for (k, v) in fields.iter_mut() {
-                    if k == "config" && !is_named_config {
-                        *v = serde_json::to_value(config).unwrap_or(Value::Null);
-                    }
-                }
-            }
-            (canonicalize(&canonical), Body::Scenario(scenario))
+            (canonicalize(&scenario.to_json()), Body::Scenario(scenario))
         } else {
             (canonicalize(&parsed), Body::Json(parsed))
         };
