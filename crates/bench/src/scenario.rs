@@ -810,6 +810,15 @@ mod tests {
     }
 
     #[test]
+    fn names_ignore_case_like_workloads() {
+        let lower = "c5:fft:small".parse::<Scenario>().unwrap();
+        let upper = "C5:FFT:small".parse::<Scenario>().unwrap();
+        assert_eq!(lower, upper);
+        assert_eq!(lower.to_string(), "C5:FFT:small");
+        assert_eq!(lower.run().run.report, upper.run().run.report);
+    }
+
+    #[test]
     fn json_round_trips_and_is_a_fixed_point() {
         let s = Scenario::builder()
             .config_name("C8")

@@ -148,11 +148,12 @@ pub mod configs {
         NAMED[PAPER_ROWS..].iter().map(NamedConfig::build).collect()
     }
 
-    /// Look up a named configuration (exact, case-sensitive name).
+    /// Look up a named configuration by name, ignoring ASCII case like
+    /// workload and size names (`c5` is `C5`).
     pub fn by_name(name: &str) -> Option<ClusterSpec> {
         NAMED
             .iter()
-            .find(|c| c.name == name)
+            .find(|c| c.name.eq_ignore_ascii_case(name))
             .map(NamedConfig::build)
     }
 }
@@ -176,7 +177,8 @@ mod tests {
             assert!(c.validate().is_ok(), "{:?}", c.name);
         }
         assert!(configs::by_name("C99").is_none());
-        assert!(configs::by_name("c5").is_none(), "names are case-sensitive");
+        assert_eq!(configs::by_name("c5"), Some(named("C5")));
+        assert_eq!(configs::by_name("ft16"), Some(named("FT16")));
     }
 
     #[test]
