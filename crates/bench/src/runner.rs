@@ -214,13 +214,11 @@ pub fn characterize(workload: &Workload, granularity: u64) -> Characterization {
     let (analyzer, counters) = stream_spmd(program, |rxs| {
         let rx = rxs.into_iter().next().expect("one process");
         let mut an = StackDistanceAnalyzer::new(granularity);
-        while let Ok(batch) = rx.recv() {
-            for ev in batch {
-                if let Some(addr) = ev.address() {
-                    an.access(addr);
-                }
+        rx.for_each(|ev| {
+            if let Some(addr) = ev.address() {
+                an.access(addr);
             }
-        }
+        });
         an
     });
     let hist = analyzer.histogram();
@@ -273,16 +271,14 @@ pub fn measure_sharing(workload: &Workload, procs: usize) -> f64 {
                 std::thread::spawn(move || {
                     let mut shared = 0u64;
                     let mut total = 0u64;
-                    while let Ok(batch) = rx.recv() {
-                        for ev in batch {
-                            if let Some(addr) = ev.address() {
-                                total += 1;
-                                if owner(addr) != Some(pid) {
-                                    shared += 1;
-                                }
+                    rx.for_each(|ev| {
+                        if let Some(addr) = ev.address() {
+                            total += 1;
+                            if owner(addr) != Some(pid) {
+                                shared += 1;
                             }
                         }
-                    }
+                    });
                     (shared, total)
                 })
             })

@@ -711,6 +711,9 @@ impl ScenarioBuilder {
                 processes,
             });
         }
+        resolved
+            .check_layout(processes)
+            .map_err(|e| ScenarioError::Invalid("workload", e))?;
         Ok(Scenario {
             config,
             workload,

@@ -539,18 +539,11 @@ fn cmd_fit_phases(kind: WorkloadKind, sizes: Sizes, json: bool) -> Result<(), Me
     let (analyzer, _) = stream_spmd(program, |rxs| {
         let rx = rxs.into_iter().next().expect("one process");
         let mut an = PhaseAnalyzer::new(64);
-        while let Ok(batch) = rx.recv() {
-            for ev in batch {
-                match ev {
-                    memhier_sim::MemEvent::Barrier => an.barrier(),
-                    other => {
-                        if let Some(a) = other.address() {
-                            an.access(a);
-                        }
-                    }
-                }
-            }
-        }
+        rx.for_each(|ev| match ev.address() {
+            Some(a) => an.access(a),
+            None if ev.is_barrier() => an.barrier(),
+            None => {}
+        });
         an
     });
     let (phases, global) = analyzer.finish();

@@ -1,7 +1,8 @@
 //! Hermetic shim of the `crossbeam::channel` API subset this workspace
 //! uses: [`channel::bounded`] MPMC channels with blocking `send`/`recv`,
-//! `recv_timeout`, and crossbeam's disconnection semantics (a `recv` on
-//! an empty channel whose senders are all dropped returns `Err`).
+//! non-blocking `try_send`/`try_recv`, `recv_timeout`, and crossbeam's
+//! disconnection semantics (a `recv` on an empty channel whose senders
+//! are all dropped returns `Err`).
 //!
 //! Built on `std::sync::{Mutex, Condvar}`, so slower than real
 //! crossbeam: every operation takes the lock, and every wake-up is a
@@ -85,6 +86,16 @@ pub mod channel {
     #[derive(Debug, PartialEq, Eq)]
     pub struct SendError<T>(pub T);
 
+    /// Error returned by [`Sender::try_send`]; carries the unsent value
+    /// like upstream.
+    #[derive(Debug, PartialEq, Eq)]
+    pub enum TrySendError<T> {
+        /// The queue is at capacity.
+        Full(T),
+        /// Every receiver has been dropped.
+        Disconnected(T),
+    }
+
     /// Error returned by [`Receiver::recv`] when empty and disconnected.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct RecvError;
@@ -159,6 +170,25 @@ pub mod channel {
                 }
                 st = inner.not_full.wait(st).expect("channel mutex poisoned");
             }
+        }
+
+        /// Enqueue if there is room, without blocking.
+        pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
+            let inner = &*self.inner;
+            let mut st = inner.lock();
+            if st.receivers == 0 {
+                return Err(TrySendError::Disconnected(value));
+            }
+            if st.queue.len() >= inner.cap {
+                return Err(TrySendError::Full(value));
+            }
+            st.queue.push_back(value);
+            let wake = st.blocked_receivers > 0;
+            drop(st);
+            if wake {
+                inner.not_empty.notify_one();
+            }
+            Ok(())
         }
     }
 
@@ -302,6 +332,17 @@ pub mod channel {
             assert_eq!(rx.recv(), Ok(2));
             assert_eq!(rx.recv(), Ok(3));
             h.join().unwrap();
+        }
+
+        #[test]
+        fn try_send_never_blocks() {
+            let (tx, rx) = bounded(1);
+            assert_eq!(tx.try_send(1u8), Ok(()));
+            assert_eq!(tx.try_send(2), Err(TrySendError::Full(2)));
+            assert_eq!(rx.recv(), Ok(1));
+            assert_eq!(tx.try_send(3), Ok(()));
+            drop(rx);
+            assert_eq!(tx.try_send(4), Err(TrySendError::Disconnected(4)));
         }
 
         #[test]

@@ -1,8 +1,9 @@
 //! The program-driven SPMD execution engine.
 //!
 //! Each logical processor's instruction stream arrives as a sequence of
-//! [`MemEvent`]s, either in memory or over a bounded crossbeam channel from
-//! a live workload thread.  The engine advances processors in **simulated
+//! [`MemEvent`]s, either in memory or over a bounded
+//! [`batch_channel`](crate::event::batch_channel) from a live workload
+//! thread.  The engine advances processors in **simulated
 //! time order** (a conservative discrete-event loop keyed on per-processor
 //! clocks), so shared-resource queueing in the backend sees requests in the
 //! order the simulated machine would issue them.
@@ -40,7 +41,7 @@
 //! pay-for-what-you-use.
 //!
 //! **Barrier contract:** a workload thread must emit
-//! [`MemEvent::Barrier`] (and flush its batch) *before* blocking on any
+//! [`MemEvent::BARRIER`] (and flush its batch) *before* blocking on any
 //! real synchronization.  The engine parks a process at a barrier and
 //! releases all of them — clocks aligned to the latest arrival — once every
 //! unfinished process has arrived.  Violating the contract can deadlock the
@@ -49,10 +50,9 @@
 
 use crate::backend::ClusterBackend;
 use crate::cache::SetAssocCache;
-use crate::event::MemEvent;
+use crate::event::{BatchReceiver, MemEvent};
 use crate::observe::{Observers, SimObserver};
 use crate::report::SimReport;
-use crossbeam::channel::Receiver;
 use std::sync::Arc;
 
 /// Where a logical processor's events come from.
@@ -81,11 +81,15 @@ pub enum ProcSource {
     ///   half, so before it empties), so it is generating or waiting at
     ///   a real barrier;
     /// * a producer waiting at a real barrier has already flushed its
-    ///   [`MemEvent::Barrier`] (the barrier contract above), so the
+    ///   [`MemEvent::BARRIER`] (the barrier contract above), so the
     ///   engine parks that processor at the simulated barrier before it
     ///   needs the channel again, and serves the others until every
     ///   producer has arrived and the real barrier opens.
-    Channel(Receiver<Vec<MemEvent>>),
+    ///
+    /// The engine hands each spent batch back before it takes the next,
+    /// so a producer refills it instead of allocating.  That return path
+    /// never blocks either side, so it adds no wait to the argument.
+    Channel(BatchReceiver),
 }
 
 impl ProcSource {
@@ -119,7 +123,7 @@ impl ReplayBuf {
 
 struct ProcState {
     /// Live producer channel; dropped once it disconnects.
-    channel: Option<Receiver<Vec<MemEvent>>>,
+    channel: Option<BatchReceiver>,
     /// Current replay buffer, consumed by cursor.
     buf: ReplayBuf,
     pos: usize,
@@ -199,11 +203,9 @@ struct Lookahead {
 /// read hit, or a write hit on a Modified line.
 #[inline(always)]
 fn is_private(cache: &SetAssocCache, e: MemEvent) -> bool {
-    match e {
-        MemEvent::Compute(_) => true,
-        MemEvent::Read(a) => cache.is_private_hit(a, false),
-        MemEvent::Write(a) => cache.is_private_hit(a, true),
-        MemEvent::Barrier => false,
+    match e.address() {
+        Some(a) => cache.is_private_hit(a, e.is_write()),
+        None => !e.is_barrier(),
     }
 }
 
@@ -230,9 +232,9 @@ fn horizon(p: &mut ProcState, cache: &SetAssocCache, hit_lat: u64) -> u64 {
     let mut clock = la.clock;
     let mut q = start;
     while q < end && is_private(cache, slice[q]) {
-        clock += match slice[q] {
-            MemEvent::Compute(k) => k as u64,
-            _ => 1 + hit_lat,
+        clock += match slice[q].compute_count() {
+            Some(k) => k as u64,
+            None => 1 + hit_lat,
         };
         q += 1;
     }
@@ -566,34 +568,32 @@ impl Engine {
             while let Some(&e) = slice.get(pos) {
                 pos += 1;
                 // Memory references dominate the stream, so test for them
-                // with one compare-chain branch instead of letting the
-                // four-way match become an indirect jump-table dispatch
+                // first, with one compare on the event word's top bit, then
+                // tell a barrier from a compute run with a second: a
+                // compare chain, not an indirect jump-table dispatch
                 // (which mispredicts on mixed read/write/compute runs).
-                match e {
+                if let Some(a) = e.address() {
                     // A memory instruction costs 1 cycle to execute (the
                     // paper's "one instruction execution: 1") plus the
                     // memory time returned by the backend (which includes
                     // the 1-cycle cache access) — exactly the model's
                     // `1/S + ρ·T` split.
-                    MemEvent::Read(a) | MemEvent::Write(a) => {
-                        let write = matches!(e, MemEvent::Write(_));
-                        let lat = backend.access(i, a, write, clock);
-                        if OBSERVE {
-                            observers.access(backend, i, a, write, clock, lat);
-                        }
-                        clock += 1 + lat;
-                        instructions += 1;
-                        refs += 1;
+                    let write = e.is_write();
+                    let lat = backend.access(i, a, write, clock);
+                    if OBSERVE {
+                        observers.access(backend, i, a, write, clock, lat);
                     }
-                    MemEvent::Compute(k) => {
-                        clock += k as u64;
-                        instructions += k as u64;
-                    }
-                    MemEvent::Barrier => {
-                        p.pos = pos;
-                        p.at_barrier = true;
-                        break 'run RunEnd::Barrier;
-                    }
+                    clock += 1 + lat;
+                    instructions += 1;
+                    refs += 1;
+                } else if e.is_barrier() {
+                    p.pos = pos;
+                    p.at_barrier = true;
+                    break 'run RunEnd::Barrier;
+                } else {
+                    let k = e.instructions();
+                    clock += k;
+                    instructions += k;
                 }
                 if clock > limit {
                     p.pos = pos;
@@ -606,19 +606,28 @@ impl Engine {
                     p.finished = true;
                     break RunEnd::Finished;
                 }
-                Some(rx) => match rx.recv() {
-                    Ok(batch) => {
-                        // Empty batches (a producer-side flush with nothing
-                        // pending) fall through to the next recv.
-                        p.buf = ReplayBuf::Owned(batch);
-                        p.pos = 0;
+                Some(rx) => {
+                    // Hand the spent batch back before taking the next, so
+                    // the producer can refill it instead of allocating.
+                    if let ReplayBuf::Owned(spent) =
+                        std::mem::replace(&mut p.buf, ReplayBuf::Owned(Vec::new()))
+                    {
+                        rx.recycle(spent);
                     }
-                    Err(_) => {
-                        p.channel = None;
-                        p.finished = true;
-                        break RunEnd::Finished;
+                    match rx.recv() {
+                        Ok(batch) => {
+                            // Empty batches (a producer-side flush with
+                            // nothing pending) fall through to the next recv.
+                            p.buf = ReplayBuf::Owned(batch);
+                            p.pos = 0;
+                        }
+                        Err(_) => {
+                            p.channel = None;
+                            p.finished = true;
+                            break RunEnd::Finished;
+                        }
                     }
-                },
+                }
             }
         };
         p.clock = clock;
@@ -666,26 +675,22 @@ impl Engine {
         let mut end = RunEnd::Yield;
         while clock <= limit {
             let Some(&e) = slice.get(pos) else { break };
-            match e {
-                MemEvent::Read(a) | MemEvent::Write(a) => {
-                    let write = matches!(e, MemEvent::Write(_));
-                    let Some(lat) = backend.private_hit(i, a, write) else {
-                        break;
-                    };
-                    clock += 1 + lat;
-                    instructions += 1;
-                    refs += 1;
-                }
-                MemEvent::Compute(k) => {
-                    clock += k as u64;
-                    instructions += k as u64;
-                }
-                MemEvent::Barrier => {
-                    pos += 1;
-                    p.at_barrier = true;
-                    end = RunEnd::Barrier;
+            if let Some(a) = e.address() {
+                let Some(lat) = backend.private_hit(i, a, e.is_write()) else {
                     break;
-                }
+                };
+                clock += 1 + lat;
+                instructions += 1;
+                refs += 1;
+            } else if e.is_barrier() {
+                pos += 1;
+                p.at_barrier = true;
+                end = RunEnd::Barrier;
+                break;
+            } else {
+                let k = e.instructions();
+                clock += k;
+                instructions += k;
             }
             pos += 1;
         }
@@ -758,9 +763,9 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{batch_channel, BatchSender};
     use crate::homemap::HomeMap;
     use crate::observe::{EventTracer, NopObserver, TimeSeriesCollector, TraceKind};
-    use crossbeam::channel;
     use memhier_core::machine::{LatencyParams, MachineSpec};
     use memhier_core::platform::ClusterSpec;
 
@@ -776,7 +781,7 @@ mod tests {
     #[test]
     fn compute_only_stream() {
         let backend = smp_backend(1);
-        let src = ProcSource::from_events(vec![MemEvent::Compute(100), MemEvent::Compute(50)]);
+        let src = ProcSource::from_events(vec![MemEvent::compute(100), MemEvent::compute(50)]);
         let r = run_sim(backend, vec![src]);
         assert_eq!(r.wall_cycles, 150);
         assert_eq!(r.total_instructions, 150);
@@ -788,7 +793,7 @@ mod tests {
     fn memory_latency_accumulates() {
         let backend = smp_backend(1);
         // Cold read: 1 + 50 + 2000; warm same-line read: 1.
-        let src = ProcSource::from_events(vec![MemEvent::Read(0), MemEvent::Read(0)]);
+        let src = ProcSource::from_events(vec![MemEvent::read(0), MemEvent::read(0)]);
         let r = run_sim(backend, vec![src]);
         // Cold: 1 (instr) + 2051 (mem).  Warm: 1 (instr) + 1 (hit).
         assert_eq!(r.wall_cycles, 2052 + 2);
@@ -802,14 +807,14 @@ mod tests {
         // Proc 0 computes 1000, proc 1 computes 10; both barrier, then
         // each computes 5 more.
         let s0 = ProcSource::from_events(vec![
-            MemEvent::Compute(1000),
-            MemEvent::Barrier,
-            MemEvent::Compute(5),
+            MemEvent::compute(1000),
+            MemEvent::BARRIER,
+            MemEvent::compute(5),
         ]);
         let s1 = ProcSource::from_events(vec![
-            MemEvent::Compute(10),
-            MemEvent::Barrier,
-            MemEvent::Compute(5),
+            MemEvent::compute(10),
+            MemEvent::BARRIER,
+            MemEvent::compute(5),
         ]);
         let r = run_sim(backend, vec![s0, s1]);
         assert_eq!(r.wall_cycles, 1005);
@@ -824,11 +829,11 @@ mod tests {
         // complete (the barrier degenerates to a self-barrier).
         let backend = smp_backend(2);
         let s0 = ProcSource::from_events(vec![
-            MemEvent::Compute(10),
-            MemEvent::Barrier,
-            MemEvent::Compute(1),
+            MemEvent::compute(10),
+            MemEvent::BARRIER,
+            MemEvent::compute(1),
         ]);
-        let s1 = ProcSource::from_events(vec![MemEvent::Compute(3)]);
+        let s1 = ProcSource::from_events(vec![MemEvent::compute(3)]);
         let r = run_sim(backend, vec![s0, s1]);
         assert_eq!(r.proc_cycles[0], 11);
         assert_eq!(r.barriers, 1);
@@ -840,17 +845,17 @@ mod tests {
         // requirement (a single producer for several bounded channels can
         // deadlock against the engine's time-ordered consumption).
         let backend = smp_backend(2);
-        let (tx0, rx0) = channel::bounded(4);
-        let (tx1, rx1) = channel::bounded(4);
+        let (tx0, rx0) = batch_channel(4);
+        let (tx1, rx1) = batch_channel(4);
         let f0 = std::thread::spawn(move || {
             for i in 0..10u64 {
-                tx0.send(vec![MemEvent::Read(i * 64), MemEvent::Compute(3)])
+                tx0.send(vec![MemEvent::read(i * 64), MemEvent::compute(3)])
                     .unwrap();
             }
         });
         let f1 = std::thread::spawn(move || {
             for i in 0..10u64 {
-                tx1.send(vec![MemEvent::Read(i * 64 + 8192), MemEvent::Compute(3)])
+                tx1.send(vec![MemEvent::read(i * 64 + 8192), MemEvent::compute(3)])
                     .unwrap();
             }
         });
@@ -876,7 +881,7 @@ mod tests {
                 .map(|p| {
                     ProcSource::from_events(
                         (0..200u64)
-                            .map(|i| MemEvent::Read(p as u64 * (1 << 20) + i * 64))
+                            .map(|i| MemEvent::read(p as u64 * (1 << 20) + i * 64))
                             .collect(),
                     )
                 })
@@ -897,7 +902,7 @@ mod tests {
     #[test]
     fn e_instr_seconds_uses_clock() {
         let backend = smp_backend(1);
-        let src = ProcSource::from_events(vec![MemEvent::Compute(100)]);
+        let src = ProcSource::from_events(vec![MemEvent::compute(100)]);
         let r = run_sim(backend, vec![src]);
         assert!((r.e_instr_seconds - 1.0 / 2e8).abs() < 1e-18);
     }
@@ -911,6 +916,17 @@ mod tests {
             .run();
     }
 
+    /// Send `events` in `chunk`-sized batches, refilling the batches the
+    /// consumer hands back, then an empty one.
+    fn send_chunked(tx: BatchSender, events: &[MemEvent], chunk: usize) {
+        for piece in events.chunks(chunk) {
+            let mut batch = tx.reuse().unwrap_or_default();
+            batch.extend_from_slice(piece);
+            tx.send(batch).unwrap();
+        }
+        tx.send(Vec::new()).unwrap();
+    }
+
     #[test]
     fn chunk_size_invariance() {
         // Results must not depend on how the event stream is batched:
@@ -918,27 +934,22 @@ mod tests {
         let events = |p: u64| -> Vec<MemEvent> {
             (0..500u64)
                 .map(|i| match i % 4 {
-                    0 => MemEvent::Write(p * (1 << 20) + i * 8),
-                    1 => MemEvent::Compute(7),
-                    _ => MemEvent::Read(p * (1 << 20) + i * 32),
+                    0 => MemEvent::write(p * (1 << 20) + i * 8),
+                    1 => MemEvent::compute(7),
+                    _ => MemEvent::read(p * (1 << 20) + i * 32),
                 })
-                .chain([MemEvent::Barrier])
-                .chain((0..100u64).map(|i| MemEvent::Read(i * 64)))
+                .chain([MemEvent::BARRIER])
+                .chain((0..100u64).map(|i| MemEvent::read(i * 64)))
                 .collect()
         };
         let chunked = |chunk: usize| -> SimReport {
             let mut sources = Vec::new();
             let mut handles = Vec::new();
             for p in 0..2u64 {
-                let (tx, rx) = channel::bounded::<Vec<MemEvent>>(4);
+                let (tx, rx) = batch_channel(4);
                 let evs = events(p);
-                handles.push(std::thread::spawn(move || {
-                    for piece in evs.chunks(chunk) {
-                        tx.send(piece.to_vec()).unwrap();
-                    }
-                    // An empty trailing flush must be invisible.
-                    tx.send(Vec::new()).unwrap();
-                }));
+                // An empty trailing flush must be invisible.
+                handles.push(std::thread::spawn(move || send_chunked(tx, &evs, chunk)));
                 sources.push(ProcSource::Channel(rx));
             }
             let r = run_sim(smp_backend(2), sources);
@@ -975,12 +986,12 @@ mod tests {
         let events = |p: u64| -> Vec<MemEvent> {
             (0..800u64)
                 .map(|i| match i % 5 {
-                    0 => MemEvent::Write(p * (1 << 21) + i * 16),
-                    1 => MemEvent::Compute(3),
-                    _ => MemEvent::Read(p * (1 << 21) + i * 64),
+                    0 => MemEvent::write(p * (1 << 21) + i * 16),
+                    1 => MemEvent::compute(3),
+                    _ => MemEvent::read(p * (1 << 21) + i * 64),
                 })
-                .chain([MemEvent::Barrier])
-                .chain((0..200u64).map(|i| MemEvent::Read(i * 128)))
+                .chain([MemEvent::BARRIER])
+                .chain((0..200u64).map(|i| MemEvent::read(i * 128)))
                 .collect()
         };
         let observed = |sources: Vec<ProcSource>| {
@@ -999,13 +1010,9 @@ mod tests {
             let mut sources = Vec::new();
             let mut handles = Vec::new();
             for p in 0..2u64 {
-                let (tx, rx) = channel::bounded::<Vec<MemEvent>>(4);
+                let (tx, rx) = batch_channel(4);
                 let evs = events(p);
-                handles.push(std::thread::spawn(move || {
-                    for piece in evs.chunks(chunk) {
-                        tx.send(piece.to_vec()).unwrap();
-                    }
-                }));
+                handles.push(std::thread::spawn(move || send_chunked(tx, &evs, chunk)));
                 sources.push(ProcSource::Channel(rx));
             }
             let out = observed(sources);
@@ -1030,9 +1037,9 @@ mod tests {
                 (0..100u64)
                     .map(|i| {
                         if i % 3 == 0 {
-                            MemEvent::Write(i * 64)
+                            MemEvent::write(i * 64)
                         } else {
-                            MemEvent::Read(i * 32)
+                            MemEvent::read(i * 32)
                         }
                     })
                     .collect(),
@@ -1051,14 +1058,14 @@ mod tests {
         let sources = vec![
             ProcSource::from_events(
                 (0..300u64)
-                    .map(|i| MemEvent::Read(i * 64))
-                    .chain([MemEvent::Barrier, MemEvent::Compute(10)])
+                    .map(|i| MemEvent::read(i * 64))
+                    .chain([MemEvent::BARRIER, MemEvent::compute(10)])
                     .collect(),
             ),
             ProcSource::from_events(
                 (0..50u64)
-                    .map(|i| MemEvent::Write(i * 64))
-                    .chain([MemEvent::Barrier, MemEvent::Compute(10)])
+                    .map(|i| MemEvent::write(i * 64))
+                    .chain([MemEvent::BARRIER, MemEvent::compute(10)])
                     .collect(),
             ),
         ];
@@ -1097,14 +1104,14 @@ mod tests {
     fn tracer_records_accesses_and_barriers() {
         let sources = vec![
             ProcSource::from_events(vec![
-                MemEvent::Read(0),
-                MemEvent::Barrier,
-                MemEvent::Read(64),
+                MemEvent::read(0),
+                MemEvent::BARRIER,
+                MemEvent::read(64),
             ]),
             ProcSource::from_events(vec![
-                MemEvent::Compute(5),
-                MemEvent::Barrier,
-                MemEvent::Read(8192),
+                MemEvent::compute(5),
+                MemEvent::BARRIER,
+                MemEvent::read(8192),
             ]),
         ];
         let out = SimSession::new(smp_backend(2))

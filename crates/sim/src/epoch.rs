@@ -135,47 +135,43 @@ fn advance_proc(
             p.finished = true;
             return;
         };
-        match e {
-            MemEvent::Read(a) | MemEvent::Write(a) => {
-                let write = matches!(e, MemEvent::Write(_));
-                // Classify with a non-mutating probe: `lookup` refreshes
-                // LRU even on a miss, and a deferred event must reach the
-                // backend's own `lookup` with the cache untouched.
-                let local = match cache.probe(a) {
-                    Some(_) if !write => true,
-                    Some(LineState::Modified) => true,
-                    _ => false,
-                };
-                if !local {
-                    p.pending = Some((a, write));
-                    p.pos += 1;
-                    return;
-                }
-                cache.lookup(a);
-                if observing {
-                    p.hit_records.push(HitRec {
-                        clock: p.clock,
-                        addr: a,
-                        write,
-                    });
-                } else {
-                    p.hits += 1;
-                }
+        if let Some(a) = e.address() {
+            let write = e.is_write();
+            // Classify with a non-mutating probe: `lookup` refreshes
+            // LRU even on a miss, and a deferred event must reach the
+            // backend's own `lookup` with the cache untouched.
+            let local = match cache.probe(a) {
+                Some(_) if !write => true,
+                Some(LineState::Modified) => true,
+                _ => false,
+            };
+            if !local {
+                p.pending = Some((a, write));
                 p.pos += 1;
-                p.clock += 1 + hit_lat;
-                p.instructions += 1;
-                p.refs += 1;
-            }
-            MemEvent::Compute(k) => {
-                p.pos += 1;
-                p.clock += k as u64;
-                p.instructions += k as u64;
-            }
-            MemEvent::Barrier => {
-                p.pos += 1;
-                p.at_barrier = true;
                 return;
             }
+            cache.lookup(a);
+            if observing {
+                p.hit_records.push(HitRec {
+                    clock: p.clock,
+                    addr: a,
+                    write,
+                });
+            } else {
+                p.hits += 1;
+            }
+            p.pos += 1;
+            p.clock += 1 + hit_lat;
+            p.instructions += 1;
+            p.refs += 1;
+        } else if e.is_barrier() {
+            p.pos += 1;
+            p.at_barrier = true;
+            return;
+        } else {
+            p.pos += 1;
+            p.clock += e.instructions();
+            p.instructions += e.instructions();
         }
     }
 }
@@ -362,6 +358,7 @@ fn materialize(sources: Vec<ProcSource>) -> Vec<Arc<[MemEvent]>> {
                 let mut all = Vec::new();
                 while let Ok(batch) = rx.recv() {
                     all.extend_from_slice(&batch);
+                    rx.recycle(batch);
                 }
                 all
             })),
@@ -669,12 +666,12 @@ mod tests {
     fn mixed_events(p: u64, refs: u64) -> Vec<MemEvent> {
         (0..refs)
             .map(|i| match i % 4 {
-                0 => MemEvent::Write((p * 7 + i) * 72 % (1 << 18)),
-                1 => MemEvent::Compute(5),
-                _ => MemEvent::Read((p * 13 + i) * 40 % (1 << 18)),
+                0 => MemEvent::write((p * 7 + i) * 72 % (1 << 18)),
+                1 => MemEvent::compute(5),
+                _ => MemEvent::read((p * 13 + i) * 40 % (1 << 18)),
             })
-            .chain([MemEvent::Barrier])
-            .chain((0..refs / 2).map(|i| MemEvent::Read(i * 64 % (1 << 16))))
+            .chain([MemEvent::BARRIER])
+            .chain((0..refs / 2).map(|i| MemEvent::read(i * 64 % (1 << 16))))
             .collect()
     }
 
@@ -736,9 +733,9 @@ mod tests {
         // classic engine exactly.
         let events: Vec<MemEvent> = (0..2000u64)
             .map(|i| match i % 3 {
-                0 => MemEvent::Write(i * 48 % (1 << 20)),
-                1 => MemEvent::Compute(2),
-                _ => MemEvent::Read(i * 56 % (1 << 20)),
+                0 => MemEvent::write(i * 48 % (1 << 20)),
+                1 => MemEvent::compute(2),
+                _ => MemEvent::read(i * 56 % (1 << 20)),
             })
             .collect();
         let classic = SimSession::new(smp_backend(1))
@@ -756,14 +753,14 @@ mod tests {
     #[test]
     fn barrier_aligns_clocks_like_classic() {
         let s0 = vec![
-            MemEvent::Compute(1000),
-            MemEvent::Barrier,
-            MemEvent::Compute(5),
+            MemEvent::compute(1000),
+            MemEvent::BARRIER,
+            MemEvent::compute(5),
         ];
         let s1 = vec![
-            MemEvent::Compute(10),
-            MemEvent::Barrier,
-            MemEvent::Compute(5),
+            MemEvent::compute(10),
+            MemEvent::BARRIER,
+            MemEvent::compute(5),
         ];
         let r = SimSession::new(smp_backend(2))
             .with_sources(vec![
@@ -781,11 +778,10 @@ mod tests {
 
     #[test]
     fn channel_sources_are_predrained() {
-        use crossbeam::channel;
         let mut sources = Vec::new();
         let mut handles = Vec::new();
         for p in 0..2u64 {
-            let (tx, rx) = channel::bounded::<Vec<MemEvent>>(2);
+            let (tx, rx) = crate::event::batch_channel(2);
             let evs = mixed_events(p, 300);
             handles.push(std::thread::spawn(move || {
                 for piece in evs.chunks(7) {
@@ -819,11 +815,11 @@ mod tests {
     fn epoch_boundary_straddling_stream() {
         // A compute burst that jumps far past several epoch horizons, then
         // more memory work: the epoch loop must re-anchor and finish.
-        let events: Vec<MemEvent> = [MemEvent::Compute(100)]
+        let events: Vec<MemEvent> = [MemEvent::compute(100)]
             .into_iter()
-            .chain((0..50u64).map(|i| MemEvent::Read(i * 64)))
-            .chain([MemEvent::Compute(10 * EPOCH_CYCLES as u32)])
-            .chain((0..50u64).map(|i| MemEvent::Write(i * 64)))
+            .chain((0..50u64).map(|i| MemEvent::read(i * 64)))
+            .chain([MemEvent::compute(10 * EPOCH_CYCLES as u32)])
+            .chain((0..50u64).map(|i| MemEvent::write(i * 64)))
             .collect();
         let r = SimSession::new(smp_backend(1))
             .with_sources(vec![ProcSource::from_events(events)])

@@ -102,7 +102,7 @@ proptest! {
             ClusterBackend::new(&cluster, LatencyParams::paper(), HomeMap::new(1, 256));
         let mk = || {
             ProcSource::from_events(
-                computes.iter().map(|&k| MemEvent::Compute(k)).collect(),
+                computes.iter().map(|&k| MemEvent::compute(k)).collect(),
             )
         };
         let r = SimSession::new(backend)
@@ -130,7 +130,7 @@ proptest! {
             .iter()
             .take(n)
             .map(|&k| {
-                ProcSource::from_events(vec![MemEvent::Compute(k), MemEvent::Barrier])
+                ProcSource::from_events(vec![MemEvent::compute(k), MemEvent::BARRIER])
             })
             .collect();
         let r = SimSession::new(backend).with_sources(sources).run().report;

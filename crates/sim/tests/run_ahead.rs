@@ -17,9 +17,9 @@
 //! varies per case, from mostly-private streams whose lookahead reaches
 //! far to shared-heavy ones that invalidate it constantly.
 
-use crossbeam::channel;
 use memhier_core::machine::{LatencyParams, MachineSpec, NetworkKind};
 use memhier_core::platform::ClusterSpec;
+use memhier_sim::event::batch_channel;
 use memhier_sim::observe::NopObserver;
 use memhier_sim::{ClusterBackend, HomeMap, MemEvent, ProcSource, SimReport, SimSession};
 use proptest::prelude::*;
@@ -77,35 +77,35 @@ fn stream(rng: &mut ChaCha8Rng, proc: u64, len: usize, mix: Mix) -> Vec<MemEvent
         let event = if roll < 0.10 {
             // Short compute, or now and then a long burst.
             if rng.gen_bool(0.1) {
-                MemEvent::Compute(rng.gen_range(1_000..20_000))
+                MemEvent::compute(rng.gen_range(1_000..20_000))
             } else {
-                MemEvent::Compute(rng.gen_range(1..20))
+                MemEvent::compute(rng.gen_range(1..20))
             }
         } else if roll < 0.11 {
-            MemEvent::Barrier
+            MemEvent::BARRIER
         } else if roll < 0.11 + mix.shared {
             let a = rng.gen_range(0..mix.shared_lines) * LINE + rng.gen_range(0..LINE);
             if rng.gen_bool(mix.write_share) {
-                MemEvent::Write(a)
+                MemEvent::write(a)
             } else {
-                MemEvent::Read(a)
+                MemEvent::read(a)
             }
         } else if roll < 0.11 + mix.shared + mix.cold {
             let a = private + rng.gen_range(6..128u64) * LINE;
             if rng.gen_bool(0.5) {
                 // Read then write: an Exclusive→Modified upgrade.
-                events.push(MemEvent::Read(a));
-                MemEvent::Write(a)
+                events.push(MemEvent::read(a));
+                MemEvent::write(a)
             } else {
-                MemEvent::Read(a)
+                MemEvent::read(a)
             }
         } else {
             // A few private lines, reused enough to hit.
             let a = private + rng.gen_range(0..6u64) * LINE;
             if rng.gen_bool(0.3) {
-                MemEvent::Write(a)
+                MemEvent::write(a)
             } else {
-                MemEvent::Read(a)
+                MemEvent::read(a)
             }
         };
         events.push(event);
@@ -123,7 +123,7 @@ fn chunked(rng: &mut ChaCha8Rng, events: &[MemEvent]) -> ProcSource {
         chunks.push(rest[..n].to_vec());
         rest = &rest[n..];
     }
-    let (tx, rx) = channel::bounded(chunks.len().max(1));
+    let (tx, rx) = batch_channel(chunks.len().max(1));
     for chunk in chunks {
         tx.send(chunk).expect("receiver alive");
     }

@@ -168,7 +168,9 @@ impl Workload {
 
     /// Build `kind` from a JSON object of parameters: `size` picks the
     /// base tier (default paper), the other keys override its fields.
-    /// Unknown keys are rejected.
+    /// Unknown keys are rejected, and so is a problem whose arrays do not
+    /// fit the simulated address space on one process
+    /// ([`Workload::check_layout`]).
     pub fn build(kind: WorkloadKind, params: &Value) -> Result<Workload, String> {
         check_unknown_keys(kind, params)?;
         let mut w = base_size(kind, params)?;
@@ -241,6 +243,7 @@ impl Workload {
                 *batch = get_usize(params, "batch", *batch)?;
             }
         }
+        w.check_layout(1)?;
         Ok(w)
     }
 }
@@ -360,6 +363,23 @@ mod tests {
         );
         let err = build(65).unwrap_err();
         assert_eq!(err, "`key_bits` must be at most 64, got 65");
+    }
+
+    #[test]
+    fn layouts_end_below_2_pow_62() {
+        let build = |elems: u64| Workload::build(WorkloadKind::Stream, &json!({"elems": elems}));
+        // Two arrays of `elems` cells from the 2^28 base: the last byte
+        // of the second is at 2^62 − 1.
+        let elems = (1u64 << 58) - (1 << 24);
+        assert!(matches!(build(elems), Ok(Workload::Stream { elems: e, .. }) if e as u64 == elems));
+        let too_large = "the workload's arrays do not fit in the 2^62-byte simulated address space";
+        assert_eq!(build(elems + 1).unwrap_err(), too_large);
+        // Sizes whose product overflows are refused the same way.
+        let err = Workload::build(WorkloadKind::Lu, &json!({"n": 1u64 << 32, "block": 1}));
+        assert_eq!(err.unwrap_err(), too_large);
+        // Arrays that scale with the processor count are checked at it.
+        let tpcc = Workload::build(WorkloadKind::Tpcc, &json!({"db_cells": 1u64 << 57})).unwrap();
+        assert_eq!(tpcc.check_layout(4).unwrap_err(), too_large);
     }
 
     #[test]

@@ -13,6 +13,7 @@ use crate::spmd::SpmdProgram;
 use crate::stencil4d::Stencil4dProgram;
 use crate::stream::StreamProgram;
 use crate::tpcc::TpccProgram;
+use crate::traced::{AddressSpace, CELL_BYTES, TOO_LARGE};
 use std::sync::Arc;
 
 pub use memhier_core::WorkloadKind;
@@ -274,6 +275,39 @@ impl Workload {
         }
     }
 
+    /// Check that the arrays [`instantiate`](Self::instantiate) lays out
+    /// for `processes` processes fit the simulated address space (below
+    /// [`ADDRESS_LIMIT`](memhier_sim::event::ADDRESS_LIMIT)); returns the
+    /// end of the last one.
+    pub fn check_layout(&self, processes: usize) -> Result<u64, String> {
+        let mut space = AddressSpace::default();
+        let mut end = AddressSpace::DEFAULT_BASE;
+        for len in self.array_lens(processes).ok_or(TOO_LARGE)? {
+            end = space.try_alloc(len)? + len as u64 * CELL_BYTES;
+        }
+        Ok(end)
+    }
+
+    /// Element counts of the arrays `instantiate(processes)` allocates,
+    /// in allocation order; `None` if one overflows `usize`.
+    fn array_lens(&self, processes: usize) -> Option<Vec<usize>> {
+        let square = |n: usize| n.checked_mul(n);
+        Some(match *self {
+            Workload::Fft { points } => vec![points; 6],
+            Workload::Lu { n, .. } => vec![square(n)?],
+            Workload::Radix { keys, radix, .. } => vec![keys, keys, processes.checked_mul(radix)?],
+            Workload::Edge { dim, .. } => vec![square(dim)?; 4],
+            Workload::Tpcc { db_cells, .. } => vec![db_cells.checked_mul(processes)?, db_cells],
+            Workload::Stencil4D { l, .. } => vec![square(square(l)?)?; 2],
+            Workload::Stream { elems, .. } => vec![elems; 2],
+            Workload::GraphWalk { nodes, .. } => vec![nodes, nodes, processes],
+            Workload::Inference { dim, layers, batch } => {
+                let acts = batch.checked_mul(dim)?;
+                vec![layers.checked_mul(square(dim)?)?, acts, acts]
+            }
+        })
+    }
+
     /// Instantiate for `processes` SPMD processes with a fixed seed.
     ///
     /// Panics if `processes` is incompatible with the size (each kernel
@@ -315,6 +349,24 @@ impl Workload {
 mod tests {
     use super::*;
     use crate::spmd::run_spmd;
+
+    #[test]
+    fn every_reference_falls_inside_the_checked_layout() {
+        for kind in WorkloadKind::ALL {
+            let w = Workload::small(kind);
+            let procs = if w.supports_processes(2) { 2 } else { 1 };
+            let end = w.check_layout(procs).unwrap();
+            let max = crate::spmd::collect_events(w.instantiate(procs))
+                .iter()
+                .flat_map(|(events, _)| events.iter().filter_map(|e| e.address()))
+                .max()
+                .unwrap();
+            assert!(
+                max < end,
+                "{kind:?}: {max:#x} past the layout's end {end:#x}"
+            );
+        }
+    }
 
     #[test]
     fn paper_sizes_match_section_5_2() {

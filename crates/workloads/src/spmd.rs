@@ -15,12 +15,13 @@
 //!   caller-supplied consumer (the simulator engine or a trace analyzer).
 //!
 //! Streaming memory is bounded and small: each process's channel queues
-//! at most 8 batches (`STREAM_DEPTH`) of 4,096 16-byte events, so a
+//! at most 8 batches (`STREAM_DEPTH`) of 4,096 8-byte events, so a
 //! generator that outruns its consumer blocks instead of growing the
-//! host's resident set.
+//! host's resident set.  The consumer hands spent batches back, and a
+//! generator refills one of those before it allocates another.
 
 use crate::traced::CELL_BYTES;
-use crossbeam::channel::{bounded, Receiver, Sender};
+use memhier_sim::event::{batch_channel, BatchReceiver, BatchSender};
 use memhier_sim::MemEvent;
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Barrier};
@@ -72,8 +73,9 @@ pub enum TraceSink {
     Discard,
     /// Keep them all in memory.
     Collect(Vec<MemEvent>),
-    /// Stream batches through a bounded channel.
-    Channel(Sender<Vec<MemEvent>>),
+    /// Stream batches through a bounded channel, refilling the batches
+    /// its consumer hands back.
+    Channel(BatchSender),
 }
 
 /// Per-process execution context: event emission + barrier + counters.
@@ -82,6 +84,8 @@ pub struct SpmdCtx {
     sink: TraceSink,
     batch: Vec<MemEvent>,
     barrier: Option<Arc<Barrier>>,
+    /// Batches allocated so far; the rest were reused.
+    allocated: usize,
     /// Running counters.
     pub counters: ProcCounters,
 }
@@ -92,13 +96,16 @@ const BATCH: usize = 4096;
 /// Batches each [`stream_spmd`] channel queues before its producer
 /// blocks.
 ///
-/// A batch is `BATCH` 16-byte events, 64 KiB.  Per process, at most
+/// A batch is `BATCH` 8-byte events, 32 KiB.  Per process, at most
 /// `STREAM_DEPTH` batches sit in the channel, one is being filled by the
 /// generator and one is being replayed by the consumer, so streamed
-/// events hold about `procs × (STREAM_DEPTH + 2) × 64 KiB` of host
-/// memory: 10 MiB for a 16-processor run.  The channel wakes a blocked
-/// producer only once its queue has drained to half, so a shallow queue
-/// still refills `STREAM_DEPTH / 2` batches per wake-up.
+/// events hold about `procs × (STREAM_DEPTH + 2) × 32 KiB` of host
+/// memory: 5 MiB for a 16-processor run.  When the consumer returns
+/// each spent batch before it takes the next, as the engine does, a
+/// process allocates no more batches than that, since it sends a full
+/// batch before it takes a spent one back or allocates.  The channel wakes a blocked producer only once
+/// its queue has drained to half, so a shallow queue still refills
+/// `STREAM_DEPTH / 2` batches per wake-up.
 const STREAM_DEPTH: usize = 8;
 
 impl SpmdCtx {
@@ -109,6 +116,7 @@ impl SpmdCtx {
             sink,
             batch: Vec::with_capacity(BATCH),
             barrier,
+            allocated: 1,
             counters: ProcCounters::default(),
         }
     }
@@ -128,13 +136,13 @@ impl SpmdCtx {
     /// Emit a load of `addr`.
     pub fn read(&mut self, addr: u64) {
         self.counters.reads += 1;
-        self.push(MemEvent::Read(addr));
+        self.push(MemEvent::read(addr));
     }
 
     /// Emit a store to `addr`.
     pub fn write(&mut self, addr: u64) {
         self.counters.writes += 1;
-        self.push(MemEvent::Write(addr));
+        self.push(MemEvent::write(addr));
     }
 
     /// Account `k` non-memory instructions (coalesced with a preceding
@@ -144,20 +152,20 @@ impl SpmdCtx {
             return;
         }
         self.counters.compute += k as u64;
-        if let Some(MemEvent::Compute(prev)) = self.batch.last_mut() {
-            if let Some(sum) = prev.checked_add(k) {
-                *prev = sum;
+        if let Some(last) = self.batch.last_mut() {
+            if let Some(sum) = last.compute_count().and_then(|prev| prev.checked_add(k)) {
+                *last = MemEvent::compute(sum);
                 return;
             }
         }
-        self.push(MemEvent::Compute(k));
+        self.push(MemEvent::compute(k));
     }
 
     /// Cross a barrier: emit the simulated barrier, flush, then block on
     /// the real barrier (in that order — the engine's deadlock contract).
     pub fn barrier(&mut self) {
         self.counters.barriers += 1;
-        self.push(MemEvent::Barrier);
+        self.push(MemEvent::BARRIER);
         self.flush();
         if let Some(b) = &self.barrier {
             b.wait();
@@ -165,7 +173,9 @@ impl SpmdCtx {
     }
 
     /// Flush buffered events to the sink.  Only a channel takes the
-    /// buffer away; the other sinks leave it in place for reuse.
+    /// buffer away, and refills it with a batch its consumer handed back
+    /// or, when none is waiting, a fresh one; the other sinks leave it in
+    /// place for reuse.
     pub fn flush(&mut self) {
         if self.batch.is_empty() {
             return;
@@ -174,22 +184,34 @@ impl SpmdCtx {
             TraceSink::Discard => self.batch.clear(),
             TraceSink::Collect(v) => v.append(&mut self.batch),
             TraceSink::Channel(tx) => {
-                let batch = std::mem::replace(&mut self.batch, Vec::with_capacity(BATCH));
                 // The engine consuming the far end has ended early only if
                 // the simulation was aborted; dropping the rest is correct.
-                let _ = tx.send(batch);
+                let _ = tx.send(std::mem::take(&mut self.batch));
+                self.batch = tx.reuse().unwrap_or_else(|| {
+                    self.allocated += 1;
+                    Vec::with_capacity(BATCH)
+                });
             }
         }
     }
 
-    /// Finish: flush and extract counters (and collected events).
-    fn finish(mut self) -> (ProcCounters, Vec<MemEvent>) {
-        self.flush();
+    /// Finish: hand the sink what is buffered, with no batch to follow,
+    /// and extract counters, collected events and the batches allocated.
+    fn finish(mut self) -> (ProcCounters, Vec<MemEvent>, usize) {
         let events = match self.sink {
-            TraceSink::Collect(v) => v,
-            _ => Vec::new(),
+            TraceSink::Discard => Vec::new(),
+            TraceSink::Collect(mut v) => {
+                v.append(&mut self.batch);
+                v
+            }
+            TraceSink::Channel(tx) => {
+                if !self.batch.is_empty() {
+                    let _ = tx.send(self.batch);
+                }
+                Vec::new()
+            }
         };
-        (self.counters, events)
+        (self.counters, events, self.allocated)
     }
 }
 
@@ -247,7 +269,7 @@ pub fn collect_events<P: SpmdProgram + ?Sized>(
             std::thread::spawn(move || {
                 let mut ctx = SpmdCtx::new(pid, TraceSink::Collect(Vec::new()), Some(b));
                 p.run(pid, &mut ctx);
-                let (c, e) = ctx.finish();
+                let (c, e, _) = ctx.finish();
                 (e, c)
             })
         })
@@ -266,23 +288,32 @@ pub fn collect_events<P: SpmdProgram + ?Sized>(
 /// `consume` must keep draining all channels until they disconnect (the
 /// simulation engine and the trace analyzer both do).  A process whose
 /// consumer falls behind blocks in its next flush once `STREAM_DEPTH`
-/// batches are queued, and resumes once half of them are taken.
+/// batches are queued, and resumes once half of them are taken.  A
+/// consumer should [`recycle`](BatchReceiver::recycle) each batch it is
+/// done with; one that does not costs its producers an allocation per
+/// batch, never a wait.
 pub fn stream_spmd<P, R>(
     program: Arc<P>,
-    consume: impl FnOnce(Vec<Receiver<Vec<MemEvent>>>) -> R,
+    consume: impl FnOnce(Vec<BatchReceiver>) -> R,
 ) -> (R, ProcCounters)
+where
+    P: SpmdProgram + ?Sized,
+{
+    let (result, counters, _) = stream_counted(program, consume);
+    (result, counters)
+}
+
+/// [`stream_spmd`], also returning the batches its processes allocated.
+fn stream_counted<P, R>(
+    program: Arc<P>,
+    consume: impl FnOnce(Vec<BatchReceiver>) -> R,
+) -> (R, ProcCounters, usize)
 where
     P: SpmdProgram + ?Sized,
 {
     let n = program.processes();
     let barrier = Arc::new(Barrier::new(n));
-    let mut txs = Vec::with_capacity(n);
-    let mut rxs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = bounded::<Vec<MemEvent>>(STREAM_DEPTH);
-        txs.push(tx);
-        rxs.push(rx);
-    }
+    let (txs, rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| batch_channel(STREAM_DEPTH)).unzip();
     let handles: Vec<_> = txs
         .into_iter()
         .enumerate()
@@ -292,16 +323,20 @@ where
             std::thread::spawn(move || {
                 let mut ctx = SpmdCtx::new(pid, TraceSink::Channel(tx), Some(b));
                 p.run(pid, &mut ctx);
-                ctx.finish().0
+                let (c, _, allocated) = ctx.finish();
+                (c, allocated)
             })
         })
         .collect();
     let result = consume(rxs);
     let mut total = ProcCounters::default();
+    let mut allocated = 0;
     for h in handles {
-        total.merge(&h.join().expect("spmd process panicked"));
+        let (c, a) = h.join().expect("spmd process panicked");
+        total.merge(&c);
+        allocated += a;
     }
-    (result, total)
+    (result, total, allocated)
 }
 
 /// Build the simulator's home map from a program's partitions: the owner
@@ -384,25 +419,13 @@ mod tests {
         for (events, c) in &out {
             // 10 reads + coalesced computes + barrier + 1 write.
             assert_eq!(c.mem_refs(), 11);
-            let reads = events
-                .iter()
-                .filter(|e| matches!(e, MemEvent::Read(_)))
-                .count();
+            let reads = events.iter().filter(|e| e.is_read()).count();
             assert_eq!(reads, 10);
-            let barriers = events
-                .iter()
-                .filter(|e| matches!(e, MemEvent::Barrier))
-                .count();
+            let barriers = events.iter().filter(|e| e.is_barrier()).count();
             assert_eq!(barriers, 1);
             // Barrier must come before the final write.
-            let bpos = events
-                .iter()
-                .position(|e| matches!(e, MemEvent::Barrier))
-                .unwrap();
-            let wpos = events
-                .iter()
-                .position(|e| matches!(e, MemEvent::Write(_)))
-                .unwrap();
+            let bpos = events.iter().position(|e| e.is_barrier()).unwrap();
+            let wpos = events.iter().position(|e| e.is_write()).unwrap();
             assert!(bpos < wpos);
         }
     }
@@ -418,31 +441,50 @@ mod tests {
         assert_eq!(
             ev,
             vec![
-                MemEvent::Compute(7),
-                MemEvent::Read(0),
-                MemEvent::Compute(1)
+                MemEvent::compute(7),
+                MemEvent::read(0),
+                MemEvent::compute(1)
             ]
         );
     }
 
     #[test]
+    fn compute_splits_at_u32_max() {
+        let (mut ctx, drain) = test_ctx(0);
+        ctx.compute(u32::MAX - 1);
+        ctx.compute(1);
+        ctx.compute(1);
+        ctx.compute(u32::MAX);
+        let ev = drain(ctx);
+        assert_eq!(
+            ev,
+            vec![
+                MemEvent::compute(u32::MAX),
+                MemEvent::compute(1),
+                MemEvent::compute(u32::MAX)
+            ]
+        );
+        let (mut ctx, drain) = test_ctx(0);
+        ctx.compute(u32::MAX);
+        ctx.compute(u32::MAX);
+        assert_eq!(drain(ctx), vec![MemEvent::compute(u32::MAX); 2]);
+    }
+
+    #[test]
     fn stream_mode_delivers_everything() {
         let (streamed, c) = stream_spmd(Arc::new(Toy { procs: 3 }), |rxs| {
-            let mut events = vec![Vec::new(); rxs.len()];
-            // Drain fairly: round-robin until all disconnect.
-            let mut open: Vec<_> = rxs.into_iter().map(Some).collect();
-            while open.iter().any(Option::is_some) {
-                for (slot, events) in open.iter_mut().zip(&mut events) {
-                    if let Some(rx) = slot {
-                        match rx.recv_timeout(std::time::Duration::from_millis(50)) {
-                            Ok(batch) => events.extend(batch),
-                            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => *slot = None,
-                            Err(_) => {}
-                        }
+            // A process sends at most two batches, so draining the
+            // channels one after another never fills one.
+            rxs.iter()
+                .map(|rx| {
+                    let mut events = Vec::new();
+                    while let Ok(batch) = rx.recv() {
+                        events.extend_from_slice(&batch);
+                        rx.recycle(batch);
                     }
-                }
-            }
-            events
+                    events
+                })
+                .collect::<Vec<_>>()
         });
         // Each process streams exactly the events it collects, in order.
         let collected = collect_events(Arc::new(Toy { procs: 3 }));
@@ -510,6 +552,112 @@ mod tests {
         assert_eq!(received, batches);
         assert_eq!(flushed.load(Ordering::SeqCst), batches);
         assert_eq!(c.writes, (batches * BATCH) as u64);
+    }
+
+    #[test]
+    fn producer_never_waits_for_spent_batches() {
+        // The consumer keeps every batch and returns none: the producer
+        // allocates a fresh one per flush instead of blocking.
+        let batches = 3 * STREAM_DEPTH;
+        let program = Arc::new(Flusher {
+            batches,
+            flushed: Arc::new(AtomicUsize::new(0)),
+        });
+        let (kept, c, allocated) = stream_counted(program, |rxs| {
+            let rx = rxs.into_iter().next().expect("one process");
+            std::iter::from_fn(|| rx.recv().ok()).collect::<Vec<_>>()
+        });
+        assert_eq!(kept.len(), batches);
+        assert_eq!(c.writes, (batches * BATCH) as u64);
+        // The first batch plus one after each flush.
+        assert_eq!(allocated, batches + 1);
+    }
+
+    /// Processes writing `batches` full batches each, crossing a barrier
+    /// (which flushes a partial batch) every third one.
+    struct Phased {
+        procs: usize,
+        batches: usize,
+    }
+
+    impl SpmdProgram for Phased {
+        fn processes(&self) -> usize {
+            self.procs
+        }
+        fn run(&self, pid: usize, ctx: &mut SpmdCtx) {
+            for b in 0..self.batches as u64 {
+                for i in 0..BATCH as u64 {
+                    ctx.read(((pid as u64) << 32) | ((b * BATCH as u64 + i) * 8));
+                    ctx.compute(1 + i as u32 % 3);
+                }
+                if b % 3 == 2 {
+                    ctx.barrier();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn recycled_streams_allocate_at_most_depth_plus_two_batches() {
+        let procs = 3;
+        let program = Arc::new(Phased {
+            procs,
+            batches: 4 * STREAM_DEPTH,
+        });
+        let (events, c, allocated) = stream_counted(program, |rxs| {
+            // One draining thread per channel, each slower than its
+            // producer now and then, so queues fill and drain.
+            let drainers: Vec<_> = rxs
+                .into_iter()
+                .map(|rx| {
+                    std::thread::spawn(move || {
+                        let mut events = 0;
+                        while let Ok(batch) = rx.recv() {
+                            events += batch.len();
+                            if events % 5 == 0 {
+                                std::thread::yield_now();
+                            }
+                            rx.recycle(batch);
+                        }
+                        events
+                    })
+                })
+                .collect();
+            drainers
+                .into_iter()
+                .map(|h| h.join().expect("drainer"))
+                .sum::<usize>()
+        });
+        assert_eq!(c.mem_refs(), (procs * 4 * STREAM_DEPTH * BATCH) as u64);
+        assert!(events > c.mem_refs() as usize);
+        assert!(
+            allocated <= procs * (STREAM_DEPTH + 2),
+            "{allocated} batches allocated"
+        );
+    }
+
+    #[test]
+    fn the_engine_recycles_within_the_same_bound() {
+        use memhier_core::machine::{LatencyParams, MachineSpec};
+        use memhier_core::platform::ClusterSpec;
+        use memhier_sim::{ClusterBackend, HomeMap, ProcSource, SimSession};
+        let procs = 3;
+        let program = Arc::new(Phased {
+            procs,
+            batches: 4 * STREAM_DEPTH,
+        });
+        let cluster = ClusterSpec::single(MachineSpec::new(procs as u32, 256, 64, 200.0));
+        let backend = ClusterBackend::new(&cluster, LatencyParams::paper(), HomeMap::new(1, 256));
+        let (out, c, allocated) = stream_counted(program, |rxs| {
+            SimSession::new(backend)
+                .with_sources(rxs.into_iter().map(ProcSource::Channel).collect())
+                .run()
+        });
+        assert_eq!(out.report.total_refs, c.mem_refs());
+        assert!(
+            allocated <= procs * (STREAM_DEPTH + 2),
+            "{allocated} batches allocated"
+        );
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! fence-synchronized relaxed data).
 
 use crate::spmd::SpmdCtx;
+use memhier_sim::event::ADDRESS_LIMIT;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Element types storable in a traced cell.
@@ -136,8 +137,13 @@ impl<T: Scalar> TracedArray<T> {
     }
 }
 
+/// Why a layout reaching [`ADDRESS_LIMIT`] is refused.
+pub(crate) const TOO_LARGE: &str =
+    "the workload's arrays do not fit in the 2^62-byte simulated address space";
+
 /// A simple bump allocator for simulated addresses, block-aligned so that
-/// distinct arrays never share a coherence block.
+/// distinct arrays never share a coherence block.  Every array ends at or
+/// below [`ADDRESS_LIMIT`], the addresses a `MemEvent` can carry.
 #[derive(Debug)]
 pub struct AddressSpace {
     next: u64,
@@ -158,11 +164,23 @@ impl AddressSpace {
     }
 
     /// Reserve space for `len` elements; returns the base address.
+    /// Panics if the array would reach [`ADDRESS_LIMIT`]
+    /// (`Workload::build` refuses such a layout up front).
     pub fn alloc(&mut self, len: usize) -> u64 {
+        self.try_alloc(len).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Reserve space for `len` elements, or refuse if the array would
+    /// reach [`ADDRESS_LIMIT`].
+    pub fn try_alloc(&mut self, len: usize) -> Result<u64, String> {
         let base = self.next;
-        let bytes = len as u64 * CELL_BYTES;
-        self.next = (base + bytes + self.align - 1) & !(self.align - 1);
-        base
+        let end = (len as u64)
+            .checked_mul(CELL_BYTES)
+            .and_then(|bytes| base.checked_add(bytes))
+            .filter(|&end| end <= ADDRESS_LIMIT)
+            .ok_or(TOO_LARGE)?;
+        self.next = (end + self.align - 1) & !(self.align - 1);
+        Ok(base)
     }
 }
 
@@ -218,7 +236,7 @@ mod tests {
         use memhier_sim::MemEvent;
         assert_eq!(
             events,
-            vec![MemEvent::Write(0x1010), MemEvent::Read(0x1010)]
+            vec![MemEvent::write(0x1010), MemEvent::read(0x1010)]
         );
     }
 

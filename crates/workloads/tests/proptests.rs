@@ -1,7 +1,6 @@
 //! Property-based tests: the kernels stay correct for arbitrary seeds and
 //! (valid) geometry, and their traces uphold the SPMD contract.
 
-use memhier_sim::MemEvent;
 use memhier_workloads::edge::EdgeProgram;
 use memhier_workloads::fft::FftProgram;
 use memhier_workloads::lu::LuProgram;
@@ -86,7 +85,7 @@ proptest! {
         let events = collect_events(p);
         let counts: Vec<usize> = events
             .iter()
-            .map(|(ev, _)| ev.iter().filter(|e| matches!(e, MemEvent::Barrier)).count())
+            .map(|(ev, _)| ev.iter().filter(|e| e.is_barrier()).count())
             .collect();
         prop_assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
         prop_assert!(counts[0] > 0);
@@ -98,7 +97,7 @@ proptest! {
         let events = collect_events(p);
         for (ev, _) in events {
             for e in ev {
-                if let MemEvent::Compute(k) = e {
+                if let Some(k) = e.compute_count() {
                     prop_assert!(k > 0);
                 }
             }

@@ -27,13 +27,11 @@ fn main() {
     let (analyzer, counters) = stream_spmd(program, |rxs| {
         let rx = rxs.into_iter().next().unwrap();
         let mut an = StackDistanceAnalyzer::new(64);
-        while let Ok(batch) = rx.recv() {
-            for ev in batch {
-                if let Some(addr) = ev.address() {
-                    an.access(addr);
-                }
+        rx.for_each(|ev| {
+            if let Some(addr) = ev.address() {
+                an.access(addr);
             }
-        }
+        });
         an
     });
 

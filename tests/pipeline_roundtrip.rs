@@ -12,13 +12,11 @@ fn fit_kernel(kind: WorkloadKind) -> (f64, f64, f64, f64) {
     let (an, counters) = stream_spmd(program, |rxs| {
         let rx = rxs.into_iter().next().unwrap();
         let mut an = StackDistanceAnalyzer::new(64);
-        while let Ok(batch) = rx.recv() {
-            for ev in batch {
-                if let Some(a) = ev.address() {
-                    an.access(a);
-                }
+        rx.for_each(|ev| {
+            if let Some(a) = ev.address() {
+                an.access(a);
             }
-        }
+        });
         an
     });
     let fit = fit_locality(&an.histogram().cdf_points()).expect("fit");
@@ -85,13 +83,11 @@ fn radix_measures_worse_locality_than_edge() {
         let (an, counters) = stream_spmd(program, |rxs| {
             let rx = rxs.into_iter().next().unwrap();
             let mut an = StackDistanceAnalyzer::new(64);
-            while let Ok(batch) = rx.recv() {
-                for ev in batch {
-                    if let Some(a) = ev.address() {
-                        an.access(a);
-                    }
+            rx.for_each(|ev| {
+                if let Some(a) = ev.address() {
+                    an.access(a);
                 }
-            }
+            });
             an
         });
         (an.histogram().tail_at(32.0 * 1024.0), counters.rho())
