@@ -215,6 +215,34 @@ fn v1_optimize_matches_cli_json_bytes() {
     server.shutdown();
 }
 
+/// `/v1/sweep` has no CLI twin with the same row shape, so its bytes are
+/// pinned by a golden: the golden request (3 configs x 2 workloads at
+/// `small`) must answer with `golden/scenarios/sweep_response.json`.
+/// Regenerate with `MEMHIER_BLESS=1 cargo test -p memhier-cli --test
+/// serve_parity`.
+#[test]
+fn v1_sweep_matches_its_golden_bytes() {
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../bench/tests/golden/scenarios/sweep_response.json"
+    );
+    let server = server();
+    let body = include_str!("../../bench/tests/golden/scenarios/sweep_request.json");
+    let from_service = serve_body(&server, "/v1/sweep", body);
+    server.shutdown();
+    if std::env::var_os("MEMHIER_BLESS").is_some() {
+        std::fs::write(golden, &from_service).expect("write golden");
+        eprintln!("[blessed {golden}]");
+        return;
+    }
+    let expected = std::fs::read_to_string(golden)
+        .unwrap_or_else(|e| panic!("missing golden {golden} ({e}); bless with MEMHIER_BLESS=1"));
+    assert!(
+        from_service == expected,
+        "/v1/sweep bytes moved\nserved:\n{from_service}\ngolden:\n{expected}"
+    );
+}
+
 /// `GET /v1/registry` must carry the same workload/platform/network
 /// documents the CLI prints: `memhier workloads --json` is the
 /// `workloads` section byte for byte, and `memhier platforms --json` is
