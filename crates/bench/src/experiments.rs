@@ -137,15 +137,15 @@ pub fn figure_experiment(
     //    returns results in grid order (cluster-major, matching the old
     //    serial loops), so the rows below are identical at any `--jobs`.
     let kinds: Vec<WorkloadKind> = chars.iter().map(Characterization::kind).collect();
-    let plan = SweepPlan::new(figure_name, sizes).cross(cluster_set, &kinds);
+    let plan = SweepPlan::cross(figure_name, sizes, cluster_set, &kinds);
     let results = run_sweep(&plan);
     let points: Vec<CalibPoint> = results
         .iter()
         .map(|r| {
             let ch = &chars[r.index % chars.len()];
-            debug_assert_eq!(ch.kind(), r.point.kind);
+            debug_assert_eq!(ch.kind(), r.point.workload);
             CalibPoint {
-                cluster: r.point.cluster.clone(),
+                cluster: r.point.config.clone(),
                 workload: ch.to_model_params(),
                 sim_seconds: r.run.report.e_instr_seconds,
             }
@@ -312,11 +312,10 @@ pub fn coherence_traffic(sizes: Sizes) -> Table {
         &["App", "ours", "paper"],
     );
     let mut artifact = Vec::new();
-    let plan = SweepPlan::new("coherence_traffic", sizes)
-        .cross(std::slice::from_ref(&cfg), &WorkloadKind::PAPER);
+    let plan = SweepPlan::cross("coherence_traffic", sizes, &[cfg], &WorkloadKind::PAPER);
     for r in run_sweep(&plan) {
         let frac = r.run.report.traffic.coherence_fraction();
-        let name = r.point.kind.name();
+        let name = r.point.workload.name();
         let p = paper.iter().find(|x| x.0 == name).unwrap().1;
         t.row(vec![
             name.to_string(),
@@ -641,10 +640,10 @@ pub fn utilization(sizes: Sizes, chars: &[Characterization]) -> Table {
     let mut artifact = Vec::new();
     let clusters = [named("C7"), named("C8"), named("C10")];
     let kinds: Vec<WorkloadKind> = chars.iter().map(Characterization::kind).collect();
-    let plan = SweepPlan::new("utilization", sizes).cross(&clusters, &kinds);
+    let plan = SweepPlan::cross("utilization", sizes, &clusters, &kinds);
     for r in run_sweep(&plan) {
         let ch = &chars[r.index % chars.len()];
-        let cfg = &r.point.cluster;
+        let cfg = &r.point.config;
         let w = ch.to_model_params();
         let m_util = model
             .evaluate(cfg, &w)

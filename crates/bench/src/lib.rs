@@ -6,10 +6,10 @@
 //! * [`runner`] — glue between workloads, the trace analyzer, the
 //!   simulator, and the analytic model: `characterize` (Table 2's α/β/ρ
 //!   pipeline) and `simulate_workload` (one config × workload run).
-//! * [`sweeprun`] — the parallel, memoizing sweep runner: explicit
-//!   `SweepPlan` grids fanned out over a rayon pool (`--jobs N` /
-//!   `MEMHIER_JOBS`), with a process-wide characterization cache and
-//!   grid-ordered (deterministic) results.
+//! * [`sweeprun`] — the parallel, memoizing sweep runner: a `SweepPlan`
+//!   (a name plus a list of `Scenario`s) fanned out over a rayon pool
+//!   (`--jobs N` / `MEMHIER_JOBS`), with a process-wide characterization
+//!   cache and point-ordered (deterministic) results.
 //! * [`optimrun`] — the fleet-scale optimizer pipeline: analytic
 //!   pruning over a candidate grid (`memhier-cost`), then simulation
 //!   confirmation of the finalists through the sweep runner.
@@ -46,12 +46,12 @@ pub use optimrun::{run_optimize, run_recommend};
 pub use record::{record_scenario, RecordSummary, TraceRecorder};
 pub use registry_info::registry_json;
 pub use runner::{
-    characterize, simulate_workload, simulate_workload_observed, simulate_workload_with,
-    Characterization, ObservedRun, ObserverConfig, SimRun, Sizes,
+    characterize, simulate_workload, simulate_workload_observed, Characterization, ObservedRun,
+    ObserverConfig, SimRun, Sizes,
 };
 pub use scenario::{size_name, Scenario, ScenarioBuilder, ScenarioError};
 pub use sweeprun::{
     characterize_cached, characterize_many, run_sweep, run_sweep_checkpointed,
-    set_checkpoint_config, set_jobs, CheckpointConfig, GridPoint, PointOutcome, PointResult,
-    SweepOutcome, SweepPlan,
+    set_checkpoint_config, set_jobs, CheckpointConfig, PointOutcome, PointResult, SweepOutcome,
+    SweepPlan,
 };

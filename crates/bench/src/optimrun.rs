@@ -87,14 +87,14 @@ pub fn run_optimize(req: &OptimizeRequest) -> Result<OptimizeReport, CostError> 
         }
     }
 
-    // One grid point per selected finalist, in rank order, so sweep
-    // index `i` maps onto `report.ranked[selected[i]]`.  The plan
-    // inherits the ambient jobs pool and checkpoint journal.
-    let mut plan = SweepPlan::new("optimize", sizes);
-    for &i in &selected {
-        plan = plan.point(&eval.feasible[i].spec, kind);
-    }
-    let results = run_sweep(&plan);
+    // One point per selected finalist, in rank order, so sweep index
+    // `i` maps onto `report.ranked[selected[i]]`.  The plan inherits the
+    // ambient jobs pool and checkpoint journal.
+    let specs: Vec<_> = selected
+        .iter()
+        .map(|&i| eval.feasible[i].spec.clone())
+        .collect();
+    let results = run_sweep(&SweepPlan::cross("optimize", sizes, &specs, &[kind]));
 
     for pr in &results {
         debug_assert!(pr.index < selected.len());

@@ -50,18 +50,7 @@ pub struct SimRun {
 /// Run `workload` on `cluster` through the full program-driven simulator
 /// with the paper's latency table.
 pub fn simulate_workload(workload: &Workload, cluster: &ClusterSpec) -> SimRun {
-    simulate_workload_with(workload, cluster, &LatencyParams::paper())
-}
-
-/// [`simulate_workload`] with an explicit latency table — the primitive
-/// the sweep runner fans out over worker threads, so everything it
-/// touches must be owned or `Send` (checked at compile time below).
-pub fn simulate_workload_with(
-    workload: &Workload,
-    cluster: &ClusterSpec,
-    latency: &LatencyParams,
-) -> SimRun {
-    simulate_workload_observed(workload, cluster, latency, &ObserverConfig::default()).run
+    simulate_workload_observed(workload, cluster, &ObserverConfig::default()).run
 }
 
 /// Which observers to attach to a simulated run.  The default attaches
@@ -92,13 +81,14 @@ pub struct ObservedRun {
     pub trace: Option<TraceLog>,
 }
 
-/// [`simulate_workload_with`] plus observers: the full observability
-/// entry point the sweep runner and the CLI's `--metrics`/`--trace`
-/// flags go through.
+/// [`simulate_workload`] plus observers: the full observability entry
+/// point behind [`Scenario::run`](crate::Scenario::run), which the sweep
+/// runner and the CLI's `--metrics`/`--trace` flags go through.  Its
+/// inputs must be owned or `Send`, since sweep workers run it (checked
+/// at compile time below).
 pub fn simulate_workload_observed(
     workload: &Workload,
     cluster: &ClusterSpec,
-    latency: &LatencyParams,
     observers: &ObserverConfig,
 ) -> ObservedRun {
     let procs = cluster.total_procs() as usize;
@@ -109,7 +99,7 @@ pub fn simulate_workload_observed(
         cluster.machine.n_procs as usize,
         256,
     );
-    let backend = ClusterBackend::new(cluster, latency.clone(), home);
+    let backend = ClusterBackend::new(cluster, LatencyParams::paper(), home);
     let cfg = *observers;
     let (out, counters) = stream_spmd(program, move |rxs| {
         let mut session = SimSession::new(backend)
@@ -145,7 +135,6 @@ fn _sweep_inputs_are_send() {
     fn assert_send<T: Send>() {}
     assert_send::<Workload>();
     assert_send::<ClusterSpec>();
-    assert_send::<LatencyParams>();
     assert_send::<ClusterBackend>();
     assert_send::<SimRun>();
     assert_send::<ObserverConfig>();

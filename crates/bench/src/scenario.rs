@@ -3,15 +3,17 @@
 //!
 //! Before this module, the CLI, `memhierd`, and the sweep runner each
 //! grew their own config path (flag strings, ad-hoc JSON fields, and
-//! `SweepPlan` construction respectively).  A [`Scenario`] is now the
+//! sweep-grid construction respectively).  A [`Scenario`] is now the
 //! single value all three construct and hand to the simulator:
 //!
 //! * the CLI's `simulate`/`sweep` subcommands parse their flags into
 //!   `Scenario`s;
 //! * `memhierd`'s `/v1/simulate` body **is** a `Scenario` in its JSON
 //!   form, and `/v1/sweep` expands into one `Scenario` per grid point;
-//! * [`Scenario::sweep_plan`] turns a uniform batch into a
-//!   [`SweepPlan`] for the parallel runner.
+//! * a [`SweepPlan`](crate::sweeprun::SweepPlan) is a name plus a list
+//!   of `Scenario`s, each run by the parallel runner as
+//!   [`Scenario::run`] runs it, so the points of one batch may differ in
+//!   size, observers and workload parameters.
 //!
 //! # Forms
 //!
@@ -39,8 +41,6 @@
 
 use crate::names::{config_by_name, sizes_by_name, workload_kind_by_name};
 use crate::runner::{simulate_workload_observed, ObservedRun, ObserverConfig, Sizes};
-use crate::sweeprun::SweepPlan;
-use memhier_core::machine::LatencyParams;
 use memhier_core::platform::ClusterSpec;
 use memhier_core::{platform_by_key, platform_keys};
 use memhier_workloads::registry::{Workload, WorkloadKind};
@@ -67,8 +67,6 @@ pub enum ScenarioError {
     UnknownField(String),
     /// The input was not valid JSON / not a recognized compact form.
     Syntax(String),
-    /// A batch operation needs every scenario to agree on a field.
-    Mixed(&'static str),
     /// The workload's problem does not split across the platform's
     /// processes (e.g. EDGE's image rows over 12 processes).
     Undecomposable {
@@ -93,9 +91,6 @@ impl fmt::Display for ScenarioError {
             ScenarioError::Invalid(field, why) => write!(f, "`{field}`: {why}"),
             ScenarioError::UnknownField(key) => write!(f, "unknown scenario field `{key}`"),
             ScenarioError::Syntax(why) => write!(f, "malformed scenario: {why}"),
-            ScenarioError::Mixed(field) => {
-                write!(f, "scenarios in one sweep must share the same `{field}`")
-            }
             ScenarioError::Undecomposable {
                 workload,
                 processes,
@@ -384,12 +379,7 @@ impl Scenario {
     /// Run the scenario through the program-driven simulator with the
     /// paper's latency table.
     pub fn run(&self) -> ObservedRun {
-        simulate_workload_observed(
-            &self.resolved_workload(),
-            &self.config,
-            &LatencyParams::paper(),
-            &self.observers,
-        )
+        simulate_workload_observed(&self.resolved_workload(), &self.config, &self.observers)
     }
 
     /// The sized workload this scenario simulates: the size tier's stock
@@ -515,38 +505,6 @@ impl Scenario {
                 other => Scenario::from_json(other),
             })
             .collect()
-    }
-
-    /// Build a [`SweepPlan`] from a batch of scenarios.  Every scenario
-    /// contributes one grid point; the plan-wide size and observers come
-    /// from the batch, so all scenarios must agree on them (the runner
-    /// applies them per plan, not per point).
-    pub fn sweep_plan(
-        name: impl Into<String>,
-        scenarios: &[Scenario],
-    ) -> Result<SweepPlan, ScenarioError> {
-        let first = scenarios
-            .first()
-            .ok_or(ScenarioError::Missing("scenarios"))?;
-        if scenarios.iter().any(|s| s.size != first.size) {
-            return Err(ScenarioError::Mixed("size"));
-        }
-        if scenarios.iter().any(|s| s.observers != first.observers) {
-            return Err(ScenarioError::Mixed("observers"));
-        }
-        if scenarios.iter().any(|s| s.workload_params.is_some()) {
-            // Sweep grids are (config × kind) points at the plan's size
-            // tier; per-point parameter maps have nowhere to live there.
-            return Err(ScenarioError::Invalid(
-                "workload",
-                "parameter maps are not supported in sweep batches".to_string(),
-            ));
-        }
-        let mut plan = SweepPlan::new(name, first.size).with_observers(first.observers);
-        for s in scenarios {
-            plan = plan.point(&s.config, s.workload);
-        }
-        Ok(plan)
     }
 }
 
@@ -939,25 +897,6 @@ mod tests {
         let grid = Scenario::expand_grid(&v, Sizes::Small).unwrap();
         assert_eq!(grid.len(), 1);
         assert_eq!(grid[0].size, Sizes::Paper);
-    }
-
-    #[test]
-    fn sweep_plan_requires_uniform_batches() {
-        let a = c5_fft();
-        let mut b = a.clone();
-        b.workload = WorkloadKind::Lu;
-        let plan = Scenario::sweep_plan("test", &[a.clone(), b.clone()]).unwrap();
-        assert_eq!(plan.len(), 2);
-        assert_eq!(plan.sizes, Sizes::Small);
-        b.size = Sizes::Paper;
-        assert_eq!(
-            Scenario::sweep_plan("test", &[a, b]).unwrap_err(),
-            ScenarioError::Mixed("size")
-        );
-        assert_eq!(
-            Scenario::sweep_plan("test", &[]).unwrap_err(),
-            ScenarioError::Missing("scenarios")
-        );
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! Parallel, memoizing sweep runner for the experiment harness.
 //!
-//! Every figure/table experiment is a *sweep*: a grid of
-//! `(workload kind × cluster config)` points, each point one full
-//! program-driven simulation.  This module makes that grid explicit
+//! Every figure/table experiment is a *sweep*: an ordered list of
+//! [`Scenario`]s, each one full program-driven simulation run the way
+//! [`Scenario::run`] runs it.  This module names that list
 //! ([`SweepPlan`]), fans the points out over a rayon pool ([`run_sweep`]),
 //! and memoizes the expensive single-processor characterizations
 //! ([`characterize_cached`]) so each address stream is generated and
 //! stack-distance-analyzed exactly once per process, no matter how many
-//! experiments ask for it.
+//! experiments ask for it.  Points may differ in anything a scenario
+//! holds: size tier, observers and workload parameters included.
 //!
-//! Determinism contract: `run_sweep` returns results **ordered by grid
+//! Determinism contract: `run_sweep` returns results **ordered by point
 //! index**, and each simulation is itself deterministic (fixed workload
 //! seeds, single-threaded event engine per point).  Serializing the
 //! results of a `--jobs 1` run and a `--jobs 8` run therefore yields
@@ -23,10 +24,8 @@
 //! 3. the host's available parallelism.
 
 use crate::faults::{FaultAction, FaultPlan, FaultSite};
-use crate::runner::{
-    characterize, simulate_workload_observed, Characterization, ObservedRun, ObserverConfig,
-    SimRun, Sizes,
-};
+use crate::runner::{characterize, Characterization, ObservedRun, ObserverConfig, SimRun, Sizes};
+use crate::scenario::Scenario;
 use memhier_core::machine::LatencyParams;
 use memhier_core::platform::ClusterSpec;
 use memhier_sim::observe::{MetricsSeries, TraceLog};
@@ -71,115 +70,61 @@ pub fn jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// One grid point: a workload kind on a cluster configuration.  The
-/// problem size and latency table live on the [`SweepPlan`] so a plan
-/// stays a plain cross-product.
-#[derive(Debug, Clone)]
-pub struct GridPoint {
-    /// Which kernel to run.
-    pub kind: WorkloadKind,
-    /// Where to run it.
-    pub cluster: ClusterSpec,
-}
-
-/// An ordered grid of simulation points.
+/// An ordered batch of simulations.  Each worker runs its point's
+/// [`Scenario::run`], so observer state never crosses threads and
+/// point-order determinism is preserved.
 #[derive(Debug, Clone)]
 pub struct SweepPlan {
     /// Label used in progress output and artifacts.
     pub name: String,
-    /// Problem-size tier applied to every point.
-    pub sizes: Sizes,
-    /// Memory-hierarchy latency table applied to every point.
-    pub latency: LatencyParams,
-    /// Observer configuration applied to every point (default: none —
-    /// the engine's hot loop stays snapshot-free).
-    pub observers: ObserverConfig,
-    points: Vec<GridPoint>,
+    /// The points, in index order.
+    pub points: Vec<Scenario>,
 }
 
 impl SweepPlan {
-    /// Empty plan at `sizes` with the paper's latency table.
-    pub fn new(name: impl Into<String>, sizes: Sizes) -> Self {
+    /// The full `clusters × kinds` cross-product of stock, unobserved
+    /// problems at `size`, cluster-major (matching the reading order of
+    /// the paper's figures: all kernels on C1, then all on C2, ...).
+    pub fn cross(
+        name: impl Into<String>,
+        size: Sizes,
+        clusters: &[ClusterSpec],
+        kinds: &[WorkloadKind],
+    ) -> Self {
+        let point = |config: &ClusterSpec, workload| Scenario {
+            config: config.clone(),
+            workload,
+            workload_params: None,
+            size,
+            observers: ObserverConfig::default(),
+        };
         SweepPlan {
             name: name.into(),
-            sizes,
-            latency: LatencyParams::paper(),
-            observers: ObserverConfig::default(),
-            points: Vec::new(),
+            points: clusters
+                .iter()
+                .flat_map(|c| kinds.iter().map(move |&k| point(c, k)))
+                .collect(),
         }
-    }
-
-    /// Replace the latency table.
-    pub fn with_latency(mut self, latency: LatencyParams) -> Self {
-        self.latency = latency;
-        self
-    }
-
-    /// Attach observers to every point: each worker builds its own
-    /// `SimSession` from this config, so observer state never crosses
-    /// threads and grid-order determinism is preserved.
-    pub fn with_observers(mut self, observers: ObserverConfig) -> Self {
-        self.observers = observers;
-        self
-    }
-
-    /// Append the full `clusters × kinds` cross-product, cluster-major
-    /// (matching the reading order of the paper's figures: all kernels on
-    /// C1, then all on C2, ...).
-    pub fn cross(mut self, clusters: &[ClusterSpec], kinds: &[WorkloadKind]) -> Self {
-        for cluster in clusters {
-            for &kind in kinds {
-                self.points.push(GridPoint {
-                    kind,
-                    cluster: cluster.clone(),
-                });
-            }
-        }
-        self
-    }
-
-    /// Append a single point.
-    pub fn point(mut self, cluster: &ClusterSpec, kind: WorkloadKind) -> Self {
-        self.points.push(GridPoint {
-            kind,
-            cluster: cluster.clone(),
-        });
-        self
-    }
-
-    /// The grid, in index order.
-    pub fn points(&self) -> &[GridPoint] {
-        &self.points
-    }
-
-    /// Number of grid points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the plan is empty.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
     }
 }
 
-/// One completed grid point.
+/// One completed point.
 #[derive(Debug, Clone)]
 pub struct PointResult {
-    /// Index into the plan's grid.
+    /// Index into the plan's points.
     pub index: usize,
     /// The point that ran.
-    pub point: GridPoint,
+    pub point: Scenario,
     /// Simulation outputs.
     pub run: SimRun,
-    /// Windowed metrics, when the plan's observers requested them.
-    pub metrics: Option<memhier_sim::observe::MetricsSeries>,
-    /// Bounded event trace, when the plan's observers requested it.
-    pub trace: Option<memhier_sim::observe::TraceLog>,
+    /// Windowed metrics, when the point's observers requested them.
+    pub metrics: Option<MetricsSeries>,
+    /// Bounded event trace, when the point's observers requested it.
+    pub trace: Option<TraceLog>,
 }
 
 /// Execute every point of `plan` on a rayon pool of [`jobs`] workers and
-/// return the results **in grid order** (independent of scheduling).
+/// return the results **in point order** (independent of scheduling).
 /// Per-point progress and total wall-clock go to stderr; stdout stays
 /// clean for tables.
 ///
@@ -215,7 +160,7 @@ pub fn run_sweep(plan: &SweepPlan) -> Vec<PointResult> {
 
 /// The plain in-memory sweep: no journal, no retries, panics propagate.
 fn run_sweep_direct(plan: &SweepPlan) -> Vec<PointResult> {
-    let n = plan.len();
+    let n = plan.points.len();
     if n == 0 {
         return Vec::new();
     }
@@ -236,23 +181,17 @@ fn run_sweep_direct(plan: &SweepPlan) -> Vec<PointResult> {
             .into_par_iter()
             .map(|(index, point)| {
                 let tp = Instant::now();
-                let workload = plan.sizes.workload(point.kind);
                 let ObservedRun {
                     run,
                     metrics,
                     trace,
-                } = simulate_workload_observed(
-                    &workload,
-                    &point.cluster,
-                    &plan.latency,
-                    &plan.observers,
-                );
+                } = point.run();
                 let finished = done.fetch_add(1, Ordering::SeqCst) + 1;
                 eprintln!(
                     "[sweep {}] {finished}/{n}: {} on {} ({:.2}s)",
                     plan.name,
-                    point.kind.name(),
-                    point.cluster.name.as_deref().unwrap_or("unnamed"),
+                    point.workload.name(),
+                    point.config.name.as_deref().unwrap_or("unnamed"),
                     tp.elapsed().as_secs_f64(),
                 );
                 PointResult {
@@ -432,7 +371,7 @@ pub enum PointOutcome {
         /// Index into the plan's grid.
         index: usize,
         /// The point that failed.
-        point: GridPoint,
+        point: Scenario,
         /// The final attempt's error.
         error: String,
         /// Attempts consumed.
@@ -444,7 +383,7 @@ pub enum PointOutcome {
         /// Index into the plan's grid.
         index: usize,
         /// The point that panicked.
-        point: GridPoint,
+        point: Scenario,
         /// The final panic payload (stringified).
         message: String,
         /// Attempts consumed.
@@ -606,10 +545,10 @@ impl JournalRecord {
     /// non-`Ok` records and for `Ok` records missing their payload —
     /// both re-run).
     fn into_outcome(self, plan: &SweepPlan) -> Option<PointOutcome> {
-        if self.status != JournalStatus::Ok || self.index >= plan.len() {
+        if self.status != JournalStatus::Ok {
             return None;
         }
-        let point = plan.points()[self.index].clone();
+        let point = plan.points.get(self.index)?.clone();
         Some(PointOutcome::Ok {
             result: PointResult {
                 index: self.index,
@@ -639,30 +578,41 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Fingerprint of everything that determines a sweep's output: crate
-/// version, plan name, sizes, latency table, observers, and every grid
-/// point (kind + full cluster spec).  The fault plan is deliberately
-/// excluded — faults perturb *execution*, not the work's identity, so a
-/// faulty run may be resumed with faults off to finish cleanly.
+/// version, plan name, the paper latency table, and every point.  The
+/// first point's size and observers are written once up front; each
+/// point then adds its kind and full cluster spec, plus a segment for a
+/// size or observers that differ from the first point's and for any
+/// workload parameters.  A plan of uniform, parameter-free points (every
+/// plan older builds could write) therefore keeps its fingerprint, and
+/// their journals still resume; an empty plan reads as `Medium`.  The
+/// fault plan is deliberately excluded — faults perturb *execution*, not
+/// the work's identity, so a faulty run may be resumed with faults off to
+/// finish cleanly.
 pub fn plan_fingerprint(plan: &SweepPlan) -> u64 {
-    let mut desc = String::new();
-    desc.push_str(env!("CARGO_PKG_VERSION"));
-    desc.push('|');
-    desc.push_str(&plan.name);
-    desc.push('|');
-    desc.push_str(&format!("{:?}", plan.sizes));
-    desc.push('|');
-    desc.push_str(&serde_json::to_string(&plan.latency).expect("latency serializes"));
-    desc.push('|');
-    desc.push_str(&format!("{:?}", plan.observers));
-    desc.push('|');
+    let first = plan.points.first();
+    let size = first.map_or(Sizes::Medium, |p| p.size);
+    let observers = first.map(|p| p.observers).unwrap_or_default();
+    let latency = serde_json::to_string(&LatencyParams::paper()).expect("latency serializes");
     // Every sweep runs the classic engine.  Journals written while an
     // epoch engine was selectable carry this segment, so it stays.
-    desc.push_str("engine:classic");
-    for p in plan.points() {
-        desc.push('|');
-        desc.push_str(p.kind.name());
-        desc.push('|');
-        desc.push_str(&serde_json::to_string(&p.cluster).expect("cluster serializes"));
+    let mut desc = format!(
+        "{}|{}|{size:?}|{latency}|{observers:?}|engine:classic",
+        env!("CARGO_PKG_VERSION"),
+        plan.name
+    );
+    for p in &plan.points {
+        let cluster = serde_json::to_string(&p.config).expect("cluster serializes");
+        desc.push_str(&format!("|{}|{cluster}", p.workload.name()));
+        if p.size != size {
+            desc.push_str(&format!("|size:{:?}", p.size));
+        }
+        if p.observers != observers {
+            desc.push_str(&format!("|observers:{:?}", p.observers));
+        }
+        if let Some(params) = &p.workload_params {
+            let params = serde_json::to_string(params).expect("params serialize");
+            desc.push_str(&format!("|params:{params}"));
+        }
     }
     fnv1a(desc.as_bytes())
 }
@@ -788,7 +738,7 @@ impl JournalWriter {
             let header = serde_json::json!({
                 "memhier_journal": JOURNAL_VERSION,
                 "plan": plan.name.as_str(),
-                "points": plan.len() as u64,
+                "points": plan.points.len() as u64,
                 "fingerprint": format!("{fingerprint:016x}"),
             });
             let line = serde_json::to_string(&header).expect("header serializes");
@@ -836,7 +786,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 fn run_point_with_retries(
     plan: &SweepPlan,
     index: usize,
-    point: &GridPoint,
+    point: &Scenario,
     cfg: &CheckpointConfig,
 ) -> PointOutcome {
     let mut last: Option<PointOutcome> = None;
@@ -862,17 +812,11 @@ fn run_point_with_retries(
                 Some(FaultAction::Delay(d)) => std::thread::sleep(d),
                 None => {}
             }
-            let workload = plan.sizes.workload(point.kind);
             let ObservedRun {
                 run,
                 metrics,
                 trace,
-            } = simulate_workload_observed(
-                &workload,
-                &point.cluster,
-                &plan.latency,
-                &plan.observers,
-            );
+            } = point.run();
             Ok(PointResult {
                 index,
                 point: point.clone(),
@@ -927,7 +871,7 @@ pub fn run_sweep_checkpointed(
     plan: &SweepPlan,
     cfg: &CheckpointConfig,
 ) -> Result<SweepOutcome, String> {
-    let n = plan.len();
+    let n = plan.points.len();
     let fingerprint = plan_fingerprint(plan);
     let mut outcomes: Vec<Option<PointOutcome>> = (0..n).map(|_| None).collect();
     let mut resumed = 0usize;
@@ -969,11 +913,11 @@ pub fn run_sweep_checkpointed(
         }
     }
 
-    let pending: Vec<(usize, GridPoint)> = outcomes
+    let pending: Vec<(usize, Scenario)> = outcomes
         .iter()
         .enumerate()
         .filter(|(_, o)| o.is_none())
-        .map(|(i, _)| (i, plan.points()[i].clone()))
+        .map(|(i, _)| (i, plan.points[i].clone()))
         .collect();
     let workers = jobs().min(pending.len().max(1));
     let t0 = Instant::now();
@@ -1018,8 +962,8 @@ pub fn run_sweep_checkpointed(
                     eprintln!(
                         "[sweep {}] {finished}/{total_pending}: {} on {} — {verdict} ({:.2}s)",
                         plan.name,
-                        point.kind.name(),
-                        point.cluster.name.as_deref().unwrap_or("unnamed"),
+                        point.workload.name(),
+                        point.config.name.as_deref().unwrap_or("unnamed"),
                         tp.elapsed().as_secs_f64(),
                     );
                     outcome
@@ -1073,20 +1017,19 @@ mod tests {
     fn sweep_returns_grid_order() {
         let clusters = [tiny_cluster("A", 1), tiny_cluster("B", 2)];
         let kinds = [WorkloadKind::Fft, WorkloadKind::Lu];
-        let plan = SweepPlan::new("order", Sizes::Small).cross(&clusters, &kinds);
-        assert_eq!(plan.len(), 4);
+        let plan = SweepPlan::cross("order", Sizes::Small, &clusters, &kinds);
+        assert_eq!(plan.points.len(), 4);
         let results = run_sweep(&plan);
         assert_eq!(results.len(), 4);
         for (i, r) in results.iter().enumerate() {
             assert_eq!(r.index, i);
-            assert_eq!(r.point.kind, plan.points()[i].kind);
-            assert_eq!(r.point.cluster, plan.points()[i].cluster);
+            assert_eq!(r.point, plan.points[i]);
             assert!(r.run.report.wall_cycles > 0);
         }
         // Cluster-major order: first two points run on A.
-        assert_eq!(results[0].point.cluster.name.as_deref(), Some("A"));
-        assert_eq!(results[1].point.cluster.name.as_deref(), Some("A"));
-        assert_eq!(results[2].point.cluster.name.as_deref(), Some("B"));
+        assert_eq!(results[0].point.config.name.as_deref(), Some("A"));
+        assert_eq!(results[1].point.config.name.as_deref(), Some("A"));
+        assert_eq!(results[2].point.config.name.as_deref(), Some("B"));
     }
 
     #[test]
@@ -1122,20 +1065,48 @@ mod tests {
 
     #[test]
     fn fingerprint_tracks_plan_identity() {
-        let base =
-            SweepPlan::new("fp", Sizes::Small).point(&tiny_cluster("A", 1), WorkloadKind::Fft);
-        let same =
-            SweepPlan::new("fp", Sizes::Small).point(&tiny_cluster("A", 1), WorkloadKind::Fft);
-        assert_eq!(plan_fingerprint(&base), plan_fingerprint(&same));
-        let renamed =
-            SweepPlan::new("fp2", Sizes::Small).point(&tiny_cluster("A", 1), WorkloadKind::Fft);
-        assert_ne!(plan_fingerprint(&base), plan_fingerprint(&renamed));
-        let regrown =
-            SweepPlan::new("fp", Sizes::Small).point(&tiny_cluster("B", 2), WorkloadKind::Fft);
-        assert_ne!(plan_fingerprint(&base), plan_fingerprint(&regrown));
-        let resized =
-            SweepPlan::new("fp", Sizes::Medium).point(&tiny_cluster("A", 1), WorkloadKind::Fft);
-        assert_ne!(plan_fingerprint(&base), plan_fingerprint(&resized));
+        let fp = |name, size, cluster| {
+            let plan = SweepPlan::cross(name, size, &[cluster], &[WorkloadKind::Fft]);
+            plan_fingerprint(&plan)
+        };
+        let base = fp("fp", Sizes::Small, tiny_cluster("A", 1));
+        assert_eq!(base, fp("fp", Sizes::Small, tiny_cluster("A", 1)));
+        assert_ne!(base, fp("fp2", Sizes::Small, tiny_cluster("A", 1)));
+        assert_ne!(base, fp("fp", Sizes::Small, tiny_cluster("B", 2)));
+        assert_ne!(base, fp("fp", Sizes::Medium, tiny_cluster("A", 1)));
+
+        // Plans that differ only in one later point's size, observers or
+        // workload parameters are different work.
+        let mixed = || {
+            let v: serde_json::Value =
+                serde_json::from_str(include_str!("../tests/golden/scenarios/mixed_plan.json"))
+                    .unwrap();
+            let points = Scenario::parse_batch(&v).unwrap();
+            SweepPlan {
+                name: "mixed".into(),
+                points,
+            }
+        };
+        let base = plan_fingerprint(&mixed());
+        assert_eq!(base, plan_fingerprint(&mixed()));
+        let mut resized = mixed();
+        resized.points[1].size = Sizes::Small;
+        let mut unobserved = mixed();
+        unobserved.points[2].observers = ObserverConfig::default();
+        let mut reparameterized = mixed();
+        reparameterized.points[3].workload_params = Some(serde_json::json!({"keys": 2048}));
+        let mut unparameterized = mixed();
+        unparameterized.points[3].workload_params = None;
+        let variants = [resized, unobserved, reparameterized, unparameterized];
+        let mut fingerprints: Vec<u64> = variants.iter().map(plan_fingerprint).collect();
+        fingerprints.push(base);
+        fingerprints.sort_unstable();
+        fingerprints.dedup();
+        assert_eq!(
+            fingerprints.len(),
+            5,
+            "every variant has its own fingerprint"
+        );
     }
 
     #[test]
@@ -1144,11 +1115,11 @@ mod tests {
         // from the plan's.  This value is what releases that could still
         // select the epoch engine wrote for this plan on the classic one,
         // so their journals keep resuming.
-        let c1 = crate::names::config_by_name("C1").unwrap();
-        let c5 = crate::names::config_by_name("C5").unwrap();
-        let plan = SweepPlan::new("compat", Sizes::Small)
-            .point(&c1, WorkloadKind::Fft)
-            .point(&c5, WorkloadKind::Lu);
+        let points = ["C1:FFT:small", "C5:LU:small"].map(|s| s.parse().unwrap());
+        let plan = SweepPlan {
+            name: "compat".into(),
+            points: points.to_vec(),
+        };
         assert_eq!(
             format!("{:016x}", plan_fingerprint(&plan)),
             "bc9e97d9ee8f32aa"

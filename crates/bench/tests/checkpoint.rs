@@ -16,6 +16,7 @@ use memhier_bench::sweeprun::{
     run_sweep, run_sweep_checkpointed, set_jobs, CheckpointConfig, PointOutcome, PointResult,
     SweepPlan,
 };
+use memhier_bench::Scenario;
 use memhier_core::machine::{MachineSpec, NetworkKind};
 use memhier_core::platform::ClusterSpec;
 use memhier_workloads::registry::WorkloadKind;
@@ -35,14 +36,29 @@ fn plan() -> SweepPlan {
         .named("cow2"),
     ];
     let kinds = [WorkloadKind::Fft, WorkloadKind::Lu];
-    SweepPlan::new("checkpoint", Sizes::Small).cross(&clusters, &kinds)
+    SweepPlan::cross("checkpoint", Sizes::Small, &clusters, &kinds)
 }
 
 fn observed_plan() -> SweepPlan {
-    plan().with_observers(ObserverConfig {
-        metrics_window: Some(50_000),
-        trace_capacity: Some(128),
-    })
+    let mut plan = plan();
+    for p in &mut plan.points {
+        p.observers = ObserverConfig {
+            metrics_window: Some(50_000),
+            trace_capacity: Some(128),
+        };
+    }
+    plan
+}
+
+/// A plan whose points differ in size tier, observers (one point only)
+/// and workload parameters.
+fn mixed_plan() -> SweepPlan {
+    let text = include_str!("golden/scenarios/mixed_plan.json");
+    let points = Scenario::parse_batch(&serde_json::from_str(text).unwrap()).unwrap();
+    SweepPlan {
+        name: "mixed".to_string(),
+        points,
+    }
 }
 
 /// Serialize everything a sweep produces, the way the experiment
@@ -87,20 +103,22 @@ fn faults(spec: &str) -> FaultPlan {
 #[test]
 fn faults_off_checkpointed_is_byte_identical_to_run_sweep() {
     let _guard = JOBS_LOCK.lock().unwrap();
-    set_jobs(1);
-    let baseline = run_sweep(&plan());
-    set_jobs(8);
-    let outcome = run_sweep_checkpointed(&plan(), &CheckpointConfig::default()).unwrap();
-    set_jobs(0);
-    assert_eq!(outcome.resumed, 0);
-    assert_eq!(outcome.checkpoint_errors, 0);
-    assert_eq!(outcome.quarantined(), 0);
-    assert!(outcome.outcomes.iter().all(|o| o.attempts() == 1));
-    let base_refs: Vec<&PointResult> = baseline.iter().collect();
-    assert!(
-        render(&base_refs) == render(&outcome.results()),
-        "checkpointed --jobs 8 output must be byte-identical to run_sweep --jobs 1"
-    );
+    for plan in [plan(), mixed_plan()] {
+        set_jobs(1);
+        let baseline = run_sweep(&plan);
+        set_jobs(8);
+        let outcome = run_sweep_checkpointed(&plan, &CheckpointConfig::default()).unwrap();
+        set_jobs(0);
+        assert_eq!(outcome.resumed, 0);
+        assert_eq!(outcome.checkpoint_errors, 0);
+        assert_eq!(outcome.quarantined(), 0);
+        assert!(outcome.outcomes.iter().all(|o| o.attempts() == 1));
+        let base_refs: Vec<&PointResult> = baseline.iter().collect();
+        assert!(
+            render(&base_refs) == render(&outcome.results()),
+            "checkpointed --jobs 8 output must be byte-identical to run_sweep --jobs 1"
+        );
+    }
 }
 
 #[test]
@@ -194,56 +212,58 @@ fn rate_faults_with_retries_still_complete_deterministically() {
 #[test]
 fn resume_skips_completed_points_and_reproduces_output() {
     let _guard = JOBS_LOCK.lock().unwrap();
-    let path = temp_journal("resume");
-    set_jobs(1);
-    let full = run_sweep_checkpointed(
-        &observed_plan(),
-        &CheckpointConfig {
-            path: Some(path.clone()),
-            ..CheckpointConfig::default()
-        },
-    )
-    .unwrap();
-    let uninterrupted = render(&full.results());
-    assert!(
-        uninterrupted.contains("window_cycles"),
-        "observers attached"
-    );
+    for plan in [observed_plan(), mixed_plan()] {
+        let path = temp_journal(&format!("resume-{}", plan.name));
+        set_jobs(1);
+        let full = run_sweep_checkpointed(
+            &plan,
+            &CheckpointConfig {
+                path: Some(path.clone()),
+                ..CheckpointConfig::default()
+            },
+        )
+        .unwrap();
+        let uninterrupted = render(&full.results());
+        assert!(
+            uninterrupted.contains("window_cycles"),
+            "observers attached"
+        );
 
-    // Resume over the complete journal: nothing re-runs.
-    let resumed = run_sweep_checkpointed(
-        &observed_plan(),
-        &CheckpointConfig {
-            path: Some(path.clone()),
-            resume: true,
-            ..CheckpointConfig::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(resumed.resumed, 4);
-    assert!(
-        render(&resumed.results()) == uninterrupted,
-        "journal-loaded results must round-trip byte-identically"
-    );
+        // Resume over the complete journal: nothing re-runs.
+        let resumed = run_sweep_checkpointed(
+            &plan,
+            &CheckpointConfig {
+                path: Some(path.clone()),
+                resume: true,
+                ..CheckpointConfig::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(resumed.resumed, 4);
+        assert!(
+            render(&resumed.results()) == uninterrupted,
+            "journal-loaded results must round-trip byte-identically"
+        );
 
-    // Kill simulation: keep the first 2 records, resume the rest.
-    truncate_journal(&path, 2);
-    let partial = run_sweep_checkpointed(
-        &observed_plan(),
-        &CheckpointConfig {
-            path: Some(path.clone()),
-            resume: true,
-            ..CheckpointConfig::default()
-        },
-    )
-    .unwrap();
-    set_jobs(0);
-    assert_eq!(partial.resumed, 2, "only unfinished points re-execute");
-    assert!(
-        render(&partial.results()) == uninterrupted,
-        "resumed output must be byte-identical to the uninterrupted run"
-    );
-    let _ = std::fs::remove_file(&path);
+        // Kill simulation: keep the first 2 records, resume the rest.
+        truncate_journal(&path, 2);
+        let partial = run_sweep_checkpointed(
+            &plan,
+            &CheckpointConfig {
+                path: Some(path.clone()),
+                resume: true,
+                ..CheckpointConfig::default()
+            },
+        )
+        .unwrap();
+        set_jobs(0);
+        assert_eq!(partial.resumed, 2, "only unfinished points re-execute");
+        assert!(
+            render(&partial.results()) == uninterrupted,
+            "resumed output must be byte-identical to the uninterrupted run"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
 }
 
 #[test]
@@ -294,9 +314,14 @@ fn fingerprint_mismatch_refuses_resume_but_restarts_fresh() {
     )
     .unwrap();
     // A different plan (extra point) may not resume this journal…
-    let other = plan().point(
-        &ClusterSpec::single(MachineSpec::new(4, 256, 64, 200.0)).named("smp4"),
-        WorkloadKind::Radix,
+    let mut other = plan();
+    other.points.push(
+        Scenario::builder()
+            .config(ClusterSpec::single(MachineSpec::new(4, 256, 64, 200.0)).named("smp4"))
+            .workload(WorkloadKind::Radix)
+            .size(Sizes::Small)
+            .build()
+            .unwrap(),
     );
     let err = run_sweep_checkpointed(
         &other,

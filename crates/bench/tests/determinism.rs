@@ -6,11 +6,12 @@
 //! This is what makes the JSON artifacts under `target/experiments/`
 //! reproducible regardless of the host's core count.
 
-use memhier_bench::runner::{ObserverConfig, Sizes};
+use memhier_bench::runner::{ObserverConfig, SimRun, Sizes};
 use memhier_bench::sweeprun::{run_sweep, set_jobs, SweepPlan};
+use memhier_bench::Scenario;
 use memhier_core::machine::{MachineSpec, NetworkKind};
 use memhier_core::platform::ClusterSpec;
-use memhier_sim::report::SimReport;
+use memhier_sim::observe::{MetricsSeries, TraceLog};
 use memhier_workloads::registry::WorkloadKind;
 
 fn plan() -> SweepPlan {
@@ -26,40 +27,85 @@ fn plan() -> SweepPlan {
             .named("clump2x2"),
     ];
     let kinds = [WorkloadKind::Fft, WorkloadKind::Lu, WorkloadKind::Radix];
-    SweepPlan::new("determinism", Sizes::Small).cross(&clusters, &kinds)
+    SweepPlan::cross("determinism", Sizes::Small, &clusters, &kinds)
+}
+
+/// A plan whose points differ in size tier, observers (one point only)
+/// and workload parameters.
+fn mixed_plan() -> SweepPlan {
+    let text = include_str!("golden/scenarios/mixed_plan.json");
+    let points = Scenario::parse_batch(&serde_json::from_str(text).unwrap()).unwrap();
+    SweepPlan {
+        name: "mixed".to_string(),
+        points,
+    }
 }
 
 /// `set_jobs` is process-global, so tests touching it must not overlap.
 static JOBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-fn run_serialized(jobs: usize) -> (String, Vec<String>) {
+/// Everything one point produced, serialized.
+fn render(run: &SimRun, metrics: &Option<MetricsSeries>, trace: &Option<TraceLog>) -> String {
+    let mut out = serde_json::to_string_pretty(&run.report).expect("serialize report");
+    out.push_str(&serde_json::to_string(&run.counters).unwrap());
+    out.push_str(&serde_json::to_string(metrics).unwrap());
+    out.push_str(&serde_json::to_string(trace).unwrap());
+    out.push('\n');
+    out
+}
+
+fn run_serialized(plan: &SweepPlan, jobs: usize) -> String {
     set_jobs(jobs);
-    let results = run_sweep(&plan());
+    let results = run_sweep(plan);
     set_jobs(0);
-    let reports: Vec<&SimReport> = results.iter().map(|r| &r.run.report).collect();
-    let json = serde_json::to_string_pretty(&reports).expect("serialize reports");
-    // Counters are not serde types; their Debug form is just as binding.
-    let counters = results
+    assert_eq!(results.len(), plan.points.len());
+    results
         .iter()
-        .map(|r| format!("{:?}", r.run.counters))
-        .collect();
-    (json, counters)
+        .map(|r| render(&r.run, &r.metrics, &r.trace))
+        .collect()
 }
 
 #[test]
 fn parallel_sweep_is_byte_identical_to_serial() {
     let _guard = JOBS_LOCK.lock().unwrap();
-    let (json_serial, counters_serial) = run_serialized(1);
-    let (json_parallel, counters_parallel) = run_serialized(8);
-    assert!(
-        json_serial == json_parallel,
-        "serialized sweep results differ between --jobs 1 and --jobs 8\n\
-         serial:\n{json_serial}\nparallel:\n{json_parallel}"
-    );
-    assert_eq!(counters_serial, counters_parallel);
-    // And the artifacts are non-trivial: every point simulated work.
-    assert!(json_serial.contains("wall_cycles"));
-    assert_eq!(counters_serial.len(), 9);
+    for plan in [plan(), mixed_plan()] {
+        let serial = run_serialized(&plan, 1);
+        let parallel = run_serialized(&plan, 8);
+        assert!(
+            serial == parallel,
+            "serialized `{}` results differ between --jobs 1 and --jobs 8\n\
+             serial:\n{serial}\nparallel:\n{parallel}",
+            plan.name
+        );
+        // And the artifacts are non-trivial: every point simulated work.
+        assert!(serial.contains("wall_cycles"));
+    }
+}
+
+/// Each point of a mixed plan runs exactly as its own `Scenario::run`:
+/// the runner adds no plan-wide size, observers or parameters.
+#[test]
+fn mixed_points_run_as_their_scenarios() {
+    let _guard = JOBS_LOCK.lock().unwrap();
+    set_jobs(4);
+    let results = run_sweep(&mixed_plan());
+    set_jobs(0);
+    for r in &results {
+        let alone = r.point.run();
+        assert!(
+            render(&r.run, &r.metrics, &r.trace)
+                == render(&alone.run, &alone.metrics, &alone.trace),
+            "point {} differs from its own Scenario::run",
+            r.index
+        );
+        assert_eq!(
+            r.metrics.is_some(),
+            r.index == 2,
+            "observers on point 2 only"
+        );
+    }
+    assert_eq!(results[1].point.size, Sizes::Medium);
+    assert!(results[3].point.workload_params.is_some());
 }
 
 /// Same contract with observers attached: metrics windows and event
@@ -68,33 +114,24 @@ fn parallel_sweep_is_byte_identical_to_serial() {
 #[test]
 fn observed_sweep_is_byte_identical_across_jobs() {
     let _guard = JOBS_LOCK.lock().unwrap();
-    let observed_plan = || {
-        plan().with_observers(ObserverConfig {
+    let mut observed = plan();
+    for p in &mut observed.points {
+        p.observers = ObserverConfig {
             metrics_window: Some(50_000),
             trace_capacity: Some(256),
-        })
-    };
-    let run_fingerprint = |jobs: usize| -> String {
-        set_jobs(jobs);
-        let results = run_sweep(&observed_plan());
-        set_jobs(0);
-        let mut out = String::new();
-        for r in &results {
-            let metrics = r.metrics.as_ref().expect("metrics attached");
-            let trace = r.trace.as_ref().expect("trace attached");
-            out.push_str(&serde_json::to_string_pretty(&r.run.report).unwrap());
-            out.push_str(&serde_json::to_string_pretty(metrics).unwrap());
-            out.push_str(&trace.to_jsonl());
-        }
-        out
-    };
-    let serial = run_fingerprint(1);
-    let parallel = run_fingerprint(8);
+        };
+    }
+    let serial = run_serialized(&observed, 1);
+    let parallel = run_serialized(&observed, 8);
     assert!(
         serial == parallel,
         "observed sweep output differs between --jobs 1 and --jobs 8"
     );
-    assert!(serial.contains("window_cycles"));
+    assert_eq!(
+        serial.matches("\"window_cycles\"").count(),
+        observed.points.len(),
+        "every point carries its metrics"
+    );
 }
 
 #[test]
@@ -103,7 +140,7 @@ fn repeated_serial_runs_are_stable() {
     // any workload picked up entropy (time, ASLR, iteration order of a
     // hash map), two serial runs would already disagree.
     let _guard = JOBS_LOCK.lock().unwrap();
-    let (a, _) = run_serialized(1);
-    let (b, _) = run_serialized(1);
+    let a = run_serialized(&plan(), 1);
+    let b = run_serialized(&plan(), 1);
     assert!(a == b, "two serial runs of the same plan diverged");
 }

@@ -22,7 +22,7 @@
 //! private L1 hits, and its reports must equal the observed run's, which
 //! keeps strict `(clock, index)` order.
 
-use memhier_bench::runner::{simulate_workload_observed, ObserverConfig, Sizes};
+use memhier_bench::runner::{simulate_workload, Sizes};
 use memhier_bench::Scenario;
 use memhier_core::machine::{LatencyParams, MachineSpec, NetworkKind};
 use memhier_core::platform::ClusterSpec;
@@ -197,13 +197,7 @@ fn run_one(plat_name: &str, cluster: &ClusterSpec, kind: WorkloadKind) {
 }
 
 fn run_workload(plat_name: &str, cluster: &ClusterSpec, workload: &Workload) {
-    let run = simulate_workload_observed(
-        workload,
-        cluster,
-        &LatencyParams::paper(),
-        &ObserverConfig::default(),
-    )
-    .run;
+    let run = simulate_workload(workload, cluster);
     let mut json = serde_json::to_string_pretty(&run.report).expect("serialize report");
     json.push('\n');
     check_report(

@@ -28,7 +28,7 @@ use std::path::PathBuf;
 use memhier_bench::experiments;
 use memhier_bench::runner::{simulate_workload_observed, ObserverConfig, Sizes};
 use memhier_bench::tables::experiments_dir;
-use memhier_core::machine::{LatencyParams, MachineSpec, NetworkKind};
+use memhier_core::machine::{MachineSpec, NetworkKind};
 use memhier_core::params::configs;
 use memhier_core::platform::ClusterSpec;
 use memhier_workloads::registry::WorkloadKind;
@@ -187,7 +187,6 @@ fn metrics_json_schema_matches_golden() {
     let out = simulate_workload_observed(
         &Sizes::Small.workload(WorkloadKind::Fft),
         &cluster,
-        &LatencyParams::paper(),
         &ObserverConfig {
             metrics_window: Some(100_000),
             trace_capacity: Some(64),

@@ -15,7 +15,8 @@
 //!   them, so they also pin that older inputs keep parsing.
 
 use memhier_bench::runner::Sizes;
-use memhier_bench::{config_by_name, Scenario, ScenarioError};
+use memhier_bench::sweeprun::plan_fingerprint;
+use memhier_bench::{config_by_name, Scenario, ScenarioError, SweepPlan};
 use memhier_core::platform::ClusterSpec;
 use memhier_workloads::registry::WorkloadKind;
 use proptest::prelude::*;
@@ -143,10 +144,17 @@ fn golden_sweep_request_and_plan_file_agree() {
         from_request
     );
 
-    // And the shared batch feeds the sweep runner unchanged.
-    let sweep = Scenario::sweep_plan("golden", &from_request).unwrap();
-    assert_eq!(sweep.len(), 6);
-    assert_eq!(sweep.sizes, Sizes::Small);
+    // And the shared batch is a sweep plan as it stands: the same points,
+    // and the same journal fingerprint, as the config x kernel grid.
+    let configs = ["C1", "C5", "C8"].map(|c| config_by_name(c).unwrap());
+    let kinds = [WorkloadKind::Fft, WorkloadKind::Lu];
+    let grid = SweepPlan::cross("golden", Sizes::Small, &configs, &kinds);
+    assert_eq!(grid.points, from_request);
+    let batch = SweepPlan {
+        name: "golden".to_string(),
+        points: from_plan,
+    };
+    assert_eq!(plan_fingerprint(&batch), plan_fingerprint(&grid));
 }
 
 /// The golden `/v1/simulate` body equals its builder spelling, field for

@@ -1053,7 +1053,7 @@ fn cmd_recommend(rest: &[String]) -> Result<(), MemhierError> {
 /// Rows print in grid order, so a resumed run's output is byte-identical
 /// to an uninterrupted one.
 fn cmd_sweep(rest: &[String]) -> Result<(), MemhierError> {
-    use memhier_bench::{run_sweep_checkpointed, PointOutcome};
+    use memhier_bench::{run_sweep_checkpointed, PointOutcome, SweepPlan};
     let parser = FlagParser::new("memhier sweep", "checkpointed (configs x workloads) sweep")
         .option(
             "--configs",
@@ -1070,20 +1070,22 @@ fn cmd_sweep(rest: &[String]) -> Result<(), MemhierError> {
     let Some(m) = sub(&parser, rest)? else {
         return Ok(());
     };
-    let scenarios = sweep_scenarios(&m)?;
-    let plan = memhier_bench::Scenario::sweep_plan("cli", &scenarios)?;
+    let plan = SweepPlan {
+        name: "cli".to_string(),
+        points: sweep_scenarios(&m)?,
+    };
     let outcome = run_sweep_checkpointed(&plan, &m.checkpoint_config()?)?;
     let rows: Vec<serde_json::Value> = outcome
         .outcomes
         .iter()
         .map(|o| {
-            let p = &plan.points()[o.index()];
-            let config = p.cluster.name.as_deref().unwrap_or("unnamed");
+            let p = &plan.points[o.index()];
+            let config = p.config.name.as_deref().unwrap_or("unnamed");
             match o {
                 PointOutcome::Ok { result, .. } => serde_json::json!({
                     "index": o.index() as u64,
                     "config": config,
-                    "workload": p.kind.name(),
+                    "workload": p.workload.name(),
                     "attempts": u64::from(o.attempts()),
                     "status": "ok",
                     "e_instr_seconds": result.run.report.e_instr_seconds,
@@ -1092,7 +1094,7 @@ fn cmd_sweep(rest: &[String]) -> Result<(), MemhierError> {
                 PointOutcome::Failed { error, .. } => serde_json::json!({
                     "index": o.index() as u64,
                     "config": config,
-                    "workload": p.kind.name(),
+                    "workload": p.workload.name(),
                     "attempts": u64::from(o.attempts()),
                     "status": "failed",
                     "error": error.as_str(),
@@ -1100,7 +1102,7 @@ fn cmd_sweep(rest: &[String]) -> Result<(), MemhierError> {
                 PointOutcome::Panicked { message, .. } => serde_json::json!({
                     "index": o.index() as u64,
                     "config": config,
-                    "workload": p.kind.name(),
+                    "workload": p.workload.name(),
                     "attempts": u64::from(o.attempts()),
                     "status": "panicked",
                     "error": message.as_str(),
@@ -1111,19 +1113,19 @@ fn cmd_sweep(rest: &[String]) -> Result<(), MemhierError> {
     if m.has("--json") {
         println!("{}", serde_json::to_string_pretty(&rows)?);
     } else {
-        for (o, p) in outcome.outcomes.iter().zip(plan.points()) {
+        for (o, p) in outcome.outcomes.iter().zip(&plan.points) {
             match o {
                 PointOutcome::Ok { result, .. } => println!(
                     "{:4} {:6} E(Instr) = {:.3e} s  ({} attempt(s))",
-                    p.cluster.name.as_deref().unwrap_or("unnamed"),
-                    p.kind.name(),
+                    p.config.name.as_deref().unwrap_or("unnamed"),
+                    p.workload.name(),
                     result.run.report.e_instr_seconds,
                     o.attempts()
                 ),
                 _ => println!(
                     "{:4} {:6} QUARANTINED after {} attempt(s): {}",
-                    p.cluster.name.as_deref().unwrap_or("unnamed"),
-                    p.kind.name(),
+                    p.config.name.as_deref().unwrap_or("unnamed"),
+                    p.workload.name(),
                     o.attempts(),
                     o.error().unwrap_or("unknown")
                 ),

@@ -300,6 +300,50 @@ fn sweep_accepts_a_scenario_plan_file() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// One plan file may mix size tiers, put observers on one point only and
+/// carry workload parameters.  It sweeps to the same bytes at any
+/// `--jobs` width, and a journal cut after two points resumes to them.
+#[test]
+fn sweep_runs_a_mixed_plan_file() {
+    let spec = concat!(
+        "@",
+        env!("CARGO_MANIFEST_DIR"),
+        "/../bench/tests/golden/scenarios/mixed_plan.json"
+    );
+    let sweep = |extra: &[&str]| {
+        let mut args = vec!["sweep", "--configs", spec, "--json"];
+        args.extend_from_slice(extra);
+        let (ok, out, err) = memhier(&args);
+        assert!(ok, "{err}");
+        out
+    };
+    let serial = sweep(&["--jobs", "1"]);
+    assert!(serial == sweep(&["--jobs", "8"]), "--jobs 1 and 8 differ");
+    let v: serde_json::Value = serde_json::from_str(serial.trim()).expect("valid JSON");
+    let rows = v.as_array().expect("array of rows");
+    assert_eq!(rows.len(), 4, "{serial}");
+    for row in rows {
+        assert_eq!(row["status"].as_str(), Some("ok"), "{serial}");
+    }
+    assert_eq!(rows[3]["workload"].as_str(), Some("Radix"));
+
+    let dir = std::env::temp_dir().join(format!("memhier-mixed-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("journal.jsonl");
+    let journal_arg = journal.to_str().unwrap();
+    assert!(sweep(&["--jobs", "2", "--checkpoint", journal_arg]) == serial);
+    // What a kill after two appends leaves: the header and two records.
+    let text = std::fs::read_to_string(&journal).unwrap();
+    let kept: Vec<&str> = text.lines().take(3).collect();
+    std::fs::write(&journal, kept.join("\n") + "\n").unwrap();
+    let resumed = sweep(&["--jobs", "2", "--checkpoint", journal_arg, "--resume"]);
+    assert!(
+        resumed == serial,
+        "resumed:\n{resumed}\nuninterrupted:\n{serial}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn sweep_rejects_a_typoed_scenario_field() {
     let dir = std::env::temp_dir().join(format!("memhier-badplan-{}", std::process::id()));

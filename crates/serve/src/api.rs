@@ -48,7 +48,7 @@
 use crate::cache::ResponseCache;
 use crate::http::{HttpError, Request, Response};
 use crate::metrics::Metrics;
-use memhier_bench::{run_optimize, run_recommend, run_sweep, Scenario, Sizes};
+use memhier_bench::{run_optimize, run_recommend, run_sweep, Scenario, Sizes, SweepPlan};
 use memhier_core::model::AnalyticModel;
 use memhier_cost::{CostError, OptimizeRequest, RecommendRequest};
 use memhier_trace::{run_fit, FitRequest};
@@ -158,7 +158,9 @@ pub fn canonicalize(v: &Value) -> Value {
 /// Run `f` on a helper thread, waiting at most until `deadline`.  On
 /// timeout the caller gets a 503 and the helper thread is detached: its
 /// result is discarded when it eventually finishes (simulations have no
-/// cancellation points, so this is the abort the service can offer).
+/// cancellation points, so this is the abort the service can offer).  A
+/// helper that panics drops its sender without a result, which is a 500
+/// in the server's panicked-handler wording, answered at once.
 pub fn run_with_deadline<T: Send + 'static>(
     deadline: Instant,
     label: &'static str,
@@ -172,8 +174,14 @@ pub fn run_with_deadline<T: Send + 'static>(
         })
         .map_err(|e| HttpError::status(500, format!("spawning {label} worker: {e}")))?;
     let remaining = deadline.saturating_duration_since(Instant::now());
-    rx.recv_timeout(remaining)
-        .map_err(|_| HttpError::status(503, format!("deadline exceeded during {label}")))
+    rx.recv_timeout(remaining).map_err(|e| match e {
+        mpsc::RecvTimeoutError::Timeout => {
+            HttpError::status(503, format!("deadline exceeded during {label}"))
+        }
+        mpsc::RecvTimeoutError::Disconnected => {
+            HttpError::status(500, "internal error (handler panicked)")
+        }
+    })
 }
 
 fn json_error(e: serde_json::Error) -> HttpError {
@@ -545,14 +553,17 @@ fn v1_sweep(v: &Value, deadline: Instant) -> Result<String, HttpError> {
             scenarios.len()
         )));
     }
-    let plan = Scenario::sweep_plan("serve", &scenarios)?;
+    let plan = SweepPlan {
+        name: "serve".to_string(),
+        points: scenarios,
+    };
     let results = run_with_deadline(deadline, "sweep", move || run_sweep(&plan))?;
     let rows: Vec<Value> = results
         .iter()
         .map(|r| {
             serde_json::json!({
-                "config": r.point.cluster.name,
-                "workload": r.point.kind.name(),
+                "config": r.point.config.name,
+                "workload": r.point.workload.name(),
                 "e_instr_cycles": r.run.report.e_instr_cycles,
                 "e_instr_seconds": r.run.report.e_instr_seconds,
                 "wall_cycles": r.run.report.wall_cycles,
@@ -1064,5 +1075,15 @@ mod tests {
         assert_eq!(r.status, 503);
         let msg = String::from_utf8(r.body).unwrap();
         assert!(msg.contains("deadline"), "{msg}");
+    }
+
+    #[test]
+    fn a_panicking_job_is_a_500_not_a_timeout() {
+        let job = || -> u8 { panic!("deliberate job panic") };
+        let e = run_with_deadline(far_deadline(), "simulate", job).unwrap_err();
+        assert_eq!(
+            e,
+            HttpError::status(500, "internal error (handler panicked)")
+        );
     }
 }
