@@ -89,12 +89,18 @@ pub fn run_optimize(req: &OptimizeRequest) -> Result<OptimizeReport, CostError> 
 
     // One point per selected finalist, in rank order, so sweep index
     // `i` maps onto `report.ranked[selected[i]]`.  The plan inherits the
-    // ambient jobs pool and checkpoint journal.
+    // ambient jobs pool and checkpoint journal.  With no finalist there
+    // is nothing to confirm, so no sweep runs and no journal is read or
+    // written.
     let specs: Vec<_> = selected
         .iter()
         .map(|&i| eval.feasible[i].spec.clone())
         .collect();
-    let results = run_sweep(&SweepPlan::cross("optimize", sizes, &specs, &[kind]));
+    let results = if specs.is_empty() {
+        Vec::new()
+    } else {
+        run_sweep(&SweepPlan::cross("optimize", sizes, &specs, &[kind]))
+    };
 
     for pr in &results {
         debug_assert!(pr.index < selected.len());

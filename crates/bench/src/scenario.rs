@@ -479,16 +479,13 @@ impl Scenario {
         workloads: &[String],
         size: Sizes,
     ) -> Result<Vec<Scenario>, ScenarioError> {
-        let point = |c, w| {
+        cluster_major(configs, workloads, |c, w| {
             Scenario::builder()
                 .config_name(c)
                 .workload_name(w)
                 .size(size)
-        };
-        configs
-            .iter()
-            .flat_map(|c| workloads.iter().map(move |w| point(c, w).build()))
-            .collect()
+                .build()
+        })
     }
 
     /// Parse a plan file's contents: a JSON array whose elements are
@@ -506,6 +503,21 @@ impl Scenario {
             })
             .collect()
     }
+}
+
+/// `point` of every `configs × workloads` pair, cluster-major: all
+/// workloads on the first config, then on the second, ... (the reading
+/// order of the paper's figures, and the point order of every sweep).
+pub(crate) fn cluster_major<C, W, T, B: FromIterator<T>>(
+    configs: &[C],
+    workloads: &[W],
+    point: impl Fn(&C, &W) -> T,
+) -> B {
+    let point = &point;
+    configs
+        .iter()
+        .flat_map(|c| workloads.iter().map(move |w| point(c, w)))
+        .collect()
 }
 
 /// Compact form when the config is a named configuration and nothing

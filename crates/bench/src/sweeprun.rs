@@ -25,7 +25,7 @@
 
 use crate::faults::{FaultAction, FaultPlan, FaultSite};
 use crate::runner::{characterize, Characterization, ObservedRun, ObserverConfig, SimRun, Sizes};
-use crate::scenario::Scenario;
+use crate::scenario::{cluster_major, Scenario};
 use memhier_core::machine::LatencyParams;
 use memhier_core::platform::ClusterSpec;
 use memhier_sim::observe::{MetricsSeries, TraceLog};
@@ -83,27 +83,23 @@ pub struct SweepPlan {
 
 impl SweepPlan {
     /// The full `clusters × kinds` cross-product of stock, unobserved
-    /// problems at `size`, cluster-major (matching the reading order of
-    /// the paper's figures: all kernels on C1, then all on C2, ...).
+    /// problems at `size`, in the same cluster-major order as
+    /// [`Scenario::grid`] (all kernels on C1, then all on C2, ...).
     pub fn cross(
         name: impl Into<String>,
         size: Sizes,
         clusters: &[ClusterSpec],
         kinds: &[WorkloadKind],
     ) -> Self {
-        let point = |config: &ClusterSpec, workload| Scenario {
-            config: config.clone(),
-            workload,
-            workload_params: None,
-            size,
-            observers: ObserverConfig::default(),
-        };
         SweepPlan {
             name: name.into(),
-            points: clusters
-                .iter()
-                .flat_map(|c| kinds.iter().map(move |&k| point(c, k)))
-                .collect(),
+            points: cluster_major(clusters, kinds, |config, &workload| Scenario {
+                config: config.clone(),
+                workload,
+                workload_params: None,
+                size,
+                observers: ObserverConfig::default(),
+            }),
         }
     }
 }
@@ -584,7 +580,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// size or observers that differ from the first point's and for any
 /// workload parameters.  A plan of uniform, parameter-free points (every
 /// plan older builds could write) therefore keeps its fingerprint, and
-/// their journals still resume; an empty plan reads as `Medium`.  The
+/// their journals still resume.  An empty plan hashes as `Medium`; no
+/// binary journals one (`memhier sweep` refuses an empty list and
+/// `run_optimize` skips a confirmation with no finalist).  The
 /// fault plan is deliberately excluded — faults perturb *execution*, not
 /// the work's identity, so a faulty run may be resumed with faults off to
 /// finish cleanly.

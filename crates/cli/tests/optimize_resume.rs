@@ -117,3 +117,33 @@ fn sigkill_mid_optimize_then_resume_matches_uninterrupted_run() {
     );
     let _ = std::fs::remove_file(&journal);
 }
+
+/// With no finalist the kernel can decompose across (a 32-row EDGE
+/// image on 3 machines), there is nothing to confirm: no sweep runs, so
+/// `--resume` neither checks nor rewrites the journal, whatever plan
+/// wrote it.
+#[test]
+fn resume_with_no_simulatable_finalist_runs_no_sweep() {
+    let journal = temp_journal().with_file_name("no-finalist.jsonl");
+    let header = r#"{"memhier_journal": 1, "plan": "optimize", "points": 0, "fingerprint": "0123456789abcdef"}"#;
+    std::fs::write(&journal, format!("{header}\n")).expect("write journal");
+    let out = Command::new(env!("CARGO_BIN_EXE_memhier"))
+        .args(["optimize", "--budget", "100000", "--workload", "EDGE"])
+        .args(["--procs", "1", "--max-machines", "3", "--slo", "4.5e-9"])
+        .args(["--confirm", "2", "--json", "--resume", "--checkpoint"])
+        .arg(&journal)
+        .env_remove("MEMHIER_FAULTS")
+        .output()
+        .expect("optimize run");
+    assert!(
+        out.status.success(),
+        "optimize failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let report = String::from_utf8_lossy(&out.stdout);
+    assert!(report.contains("\"feasible\": 12"), "{report}");
+    assert!(report.contains("\"confirmed\": 0"), "{report}");
+    let kept = std::fs::read_to_string(&journal).expect("journal kept");
+    assert_eq!(kept.trim(), header, "the journal was touched");
+    let _ = std::fs::remove_file(&journal);
+}
